@@ -273,40 +273,49 @@ def n_operator(th, t, eps):
             + t * eps ** 2 * th.N21 + eps ** 3 * th.N22)
 
 
-def _kernel_eig(th, t, eps, tol=1e-9):
-    """Eigendecomposition of L(t,eps) restricted to the kernel; positivity check."""
+def _kernel_flow(th, t, eps, tol=1e-9):
+    """Flow of L(t,eps) restricted to the kernel; positivity check."""
     u = th.kernel_basis
-    L_n = linalg.herm(u.conj().T @ L_operator(th, t, eps) @ u)
-    w, v = np.linalg.eigh(L_n)
+    flow = linalg.HermitianFlow(u.conj().T @ L_operator(th, t, eps) @ u)
     floor = th.cstar_check * (t ** 2 + eps ** 2)
-    if floor > 0 and w.min() < floor - tol * max(abs(floor), 1.0):
+    if floor > 0 and flow.w.min() < floor - tol * max(abs(floor), 1.0):
         raise NonPositiveL(
-            f"L(t,eps) eigenvalue {w.min():.3e} below bound {floor:.3e}")
-    return L_n, w, v
+            f"L(t,eps) eigenvalue {flow.w.min():.3e} below bound {floor:.3e}")
+    return flow
 
 
-def exp_L_P(th, t, eps, s, eig=None):
+def kernel_approximation(th, t, eps, s):
+    """exp(-L(t,eps) s) P and the corrector K(t,eps,s), from one flow of L.
+
+    K is the oscillating pair plus the closed-form integral.
+    """
+    u = th.kernel_basis
+    flow = _kernel_flow(th, t, eps)
+    e_full = u @ flow.expm(s) @ u.conj().T
+    first = (t * th.Z + eps * th.Ztilde) @ e_full
+    second = e_full @ (t * th.Z + eps * th.Ztilde).conj().T
+    n_ker = u.conj().T @ n_operator(th, t, eps) @ u
+    integral = flow.integral(n_ker, s)
+    return e_full, first + second - u @ integral @ u.conj().T
+
+
+def exp_L_P(th, t, eps, s):
     """exp(-L(t,eps) s) P as a full-space matrix."""
     u = th.kernel_basis
-    if eig is None:
-        _, w, v = _kernel_eig(th, t, eps)
-    else:
-        w, v = eig
-    core = (v * np.exp(-w * s)) @ v.conj().T
-    return u @ core @ u.conj().T
+    return u @ _kernel_flow(th, t, eps).expm(s) @ u.conj().T
 
 
 def corrector_K(th, t, eps, s):
     """Corrector K(t,eps,s): oscillating pair plus the closed-form integral."""
-    u = th.kernel_basis
-    _, w, v = _kernel_eig(th, t, eps)
-    e_full = u @ ((v * np.exp(-w * s)) @ v.conj().T) @ u.conj().T
-    first = (t * th.Z + eps * th.Ztilde) @ e_full
-    second = e_full @ (t * th.Z + eps * th.Ztilde).conj().T
-    n_ker = u.conj().T @ n_operator(th, t, eps) @ u
-    ntil = v.conj().T @ n_ker @ v
-    integral = v @ (linalg.confluent_weights(w, s) * ntil) @ v.conj().T
-    return first + second - u @ integral @ u.conj().T
+    return kernel_approximation(th, t, eps, s)[1]
+
+
+def remainder_envelopes(cstar_check, tau_sq, s):
+    """Reference envelopes e^{-c tau^2 s/2}/s (inf at s = 0) and
+    e^{-c tau^2 s/2}/(1+s) of a semigroup remainder."""
+    decay = np.exp(-0.5 * cstar_check * tau_sq * s)
+    env_pos = decay / s if s > 0 else np.inf
+    return env_pos, decay / (1.0 + s)
 
 
 def exponential_remainder(family, th, t, eps, s):
@@ -314,13 +323,10 @@ def exponential_remainder(family, th, t, eps, s):
     tau = np.hypot(t, eps)
     if tau > th.tau0 * (1 + 1e-12):
         raise OutsideThresholdBall(f"tau={tau:.3e} exceeds tau0={th.tau0:.3e}")
-    B = family.B(t, eps)
-    approx = exp_L_P(th, t, eps, s) + corrector_K(th, t, eps, s)
-    rem = linalg.herm_expm(B, s) - approx
+    e_full, corrector = kernel_approximation(th, t, eps, s)
+    rem = linalg.HermitianFlow(family.B(t, eps)).expm(s) - (e_full + corrector)
     nrm = linalg.opnorm(rem)
-    decay = np.exp(-0.5 * th.cstar_check * tau ** 2 * s)
-    env_pos = decay / s if s > 0 else np.inf
-    env_nonneg = decay / (s + 1.0)
+    env_pos, env_nonneg = remainder_envelopes(th.cstar_check, tau ** 2, s)
     return float(nrm), float(env_pos), float(env_nonneg)
 
 
@@ -445,7 +451,8 @@ def m_decomposition_check(th, tau, theta, s, quad_tol=1e-11, degen_tol=1e-8):
     mu = np.real(np.diag(N_basis))
     m0 = np.diag(mu * s * np.exp(-lam * s))
     n_star = N_basis - np.diag(np.diag(N_basis))
-    m_star = linalg.confluent_weights(lam, s) * n_star
+    # the germ basis diagonalizes lam, so the flow of diag(lam) carries M*
+    m_star = linalg.HermitianFlow(np.diag(lam)).integral(n_star, s)
     closed = m0 + m_star
 
     def integrand(st):
@@ -520,36 +527,29 @@ def bordered_NG(bf, data, t, eps):
     return th_hat.P @ Minv.conj().T @ N @ Minv @ th_hat.P
 
 
+def bordered_approximation(bf, data, t, eps, s):
+    """Bordered principal term M0 exp(-M0 Lhat M0 s) M0 Phat and K_G(t,eps,s),
+    both from one flow of M0 Lhat M0 (kernel-space closed forms)."""
+    uh = data["th_hat"].kernel_basis
+    M0 = data["M0_n"]
+    L_n = linalg.herm(uh.conj().T @ L_operator(data["th_hat"], t, eps) @ uh)
+    flow = linalg.HermitianFlow(M0 @ L_n @ M0)
+    E_full = uh @ (M0 @ flow.expm(s) @ M0) @ uh.conj().T
+    ZG_t = t * data["ZG"] + eps * data["ZtG"]
+    NG_n = uh.conj().T @ bordered_NG(bf, data, t, eps) @ uh
+    J = flow.integral(M0 @ NG_n @ M0, s)
+    J_full = uh @ (M0 @ J @ M0) @ uh.conj().T
+    return E_full, ZG_t @ E_full + E_full @ ZG_t.conj().T - J_full
+
+
 def bordered_principal(bf, data, t, eps, s):
     """M0 exp(-M0 Lhat M0 s) M0 Phat as a full matrix."""
-    th_hat = data["th_hat"]
-    uh = th_hat.kernel_basis
-    M0 = data["M0_n"]
-    L_n = linalg.herm(uh.conj().T @ L_operator(th_hat, t, eps) @ uh)
-    H = linalg.herm(M0 @ L_n @ M0)
-    w, v = np.linalg.eigh(H)
-    core = M0 @ ((v * np.exp(-w * s)) @ v.conj().T) @ M0
-    return uh @ core @ uh.conj().T
+    return bordered_approximation(bf, data, t, eps, s)[0]
 
 
 def bordered_corrector(bf, data, t, eps, s):
     """K_G(t,eps,s) for the bordered pencil (kernel-space closed forms)."""
-    th_hat = data["th_hat"]
-    uh = th_hat.kernel_basis
-    M0 = data["M0_n"]
-    L_n = linalg.herm(uh.conj().T @ L_operator(th_hat, t, eps) @ uh)
-    H = linalg.herm(M0 @ L_n @ M0)
-    w, v = np.linalg.eigh(H)
-    core = M0 @ ((v * np.exp(-w * s)) @ v.conj().T) @ M0
-    E_full = uh @ core @ uh.conj().T
-    ZG_t = t * data["ZG"] + eps * data["ZtG"]
-    NG = bordered_NG(bf, data, t, eps)
-    NG_n = uh.conj().T @ NG @ uh
-    inner = M0 @ NG_n @ M0
-    ntil = v.conj().T @ inner @ v
-    J = v @ (linalg.confluent_weights(w, s) * ntil) @ v.conj().T
-    J_full = uh @ (M0 @ J @ M0) @ uh.conj().T
-    return ZG_t @ E_full + E_full @ ZG_t.conj().T - J_full
+    return bordered_approximation(bf, data, t, eps, s)[1]
 
 
 def bordered_remainder(bf, t, eps, s, data=None):
@@ -561,13 +561,10 @@ def bordered_remainder(bf, t, eps, s, data=None):
     if tau > th.tau0 * (1 + 1e-12):
         raise OutsideThresholdBall(f"tau={tau:.3e} exceeds tau0={th.tau0:.3e}")
     B = bf.base.B(t, eps)
-    lhs = bf.M @ linalg.herm_expm(B, s) @ bf.M.conj().T
-    rem = lhs - bordered_principal(bf, data, t, eps, s) \
-        - bordered_corrector(bf, data, t, eps, s)
-    nrm = linalg.opnorm(rem)
-    decay = np.exp(-0.5 * th.cstar_check * tau ** 2 * s)
-    env_pos = decay / s if s > 0 else np.inf
-    env_nonneg = decay / (s + 1.0)
+    lhs = bf.M @ linalg.HermitianFlow(B).expm(s) @ bf.M.conj().T
+    principal, corrector = bordered_approximation(bf, data, t, eps, s)
+    nrm = linalg.opnorm(lhs - principal - corrector)
+    env_pos, env_nonneg = remainder_envelopes(th.cstar_check, tau ** 2, s)
     return {"remainder_norm": float(nrm), "envelope_s_pos": float(env_pos),
             "envelope_s_nonneg": float(env_nonneg)}
 
@@ -576,7 +573,7 @@ def bordered_remainder(bf, t, eps, s, data=None):
 # random family generator (shared by tests and the abstract-check command)
 
 
-def estimate_constants(family, rng, t_samples=9, n_probe=24):
+def estimate_form_constants(family, rng, t_samples=9, n_probe=24):
     """Sample the defining inequalities to estimate the form constants.
 
     All estimates carry a 1.1 safety inflation.  Returns the dict also
@@ -672,8 +669,8 @@ def random_family(rng, dim_H=8, dim_Hstar=None, dim_Htilde=None, n=2,
             return z
         fam = AbstractFamily(blk(X0), blk(X1), blk(Y0), blk(Y1), blk(Y2),
                              blk(Q), blk(Q0), lam=0.0)
-    consts = estimate_constants(fam, rng)
+    consts = estimate_form_constants(fam, rng)
     q0_inv = float(np.linalg.norm(np.linalg.inv(fam.Q0), 2))
     fam.lam = 1.1 * q0_inv * (consts["c0"] + consts["c4"]) + 0.5
-    estimate_constants(fam, rng)
+    estimate_form_constants(fam, rng)
     return fam

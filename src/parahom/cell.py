@@ -68,18 +68,10 @@ class PeriodicProblem:
             return fd.constant_field(self.grid_shape, np.eye(self.n))
         return self.f
 
-    def a_field(self, j):
-        if self.a is None:
-            return None
-        return self.a[j]
-
     def q_field(self):
         if self.Qdensity is None:
             return fd.constant_field(self.grid_shape, np.zeros((self.n, self.n)))
         return self.Qdensity
-
-    def h_field(self):
-        return fd.pointwise_sqrtm(self.g)
 
     def G_field(self):
         """Weight G = (f f*)^{-1}; identity when f is."""

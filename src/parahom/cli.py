@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -296,13 +295,6 @@ def _write_svg(path, xs, ys, title, w=480, h=320, margin=48):
             + "</svg>")
 
 
-def parallel_map(fn, items, threads):
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # command implementations
 
@@ -374,7 +366,7 @@ def run_fiber_check(cfg, report):
             out.append((k, s, rep, lam_min))
         return out
 
-    for chunk in parallel_map(work, k_points, cfg.threads):
+    for chunk in fb.parallel_map(work, k_points, cfg.threads):
         for k, s, rep, lam_min in chunk:
             tau_sq = float(k @ k) + eps ** 2
             lam_ratio = min(lam_ratio, lam_min / tau_sq)

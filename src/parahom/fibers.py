@@ -14,13 +14,14 @@ grid so that X(t)*X(t) reproduces the Galerkin matrices exactly; this is what
 makes the abstract-vs-explicit identities hold to solver precision.
 """
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import fields as fd
 from . import linalg
-from .abstract import AbstractFamily, compute_threshold
+from .abstract import AbstractFamily, compute_threshold, remainder_envelopes
 from .cell import adj
 from .errors import MismatchBeyondTolerance, NonPositiveEffective, PositivityViolation
 
@@ -208,17 +209,21 @@ def assemble_fiber(problem, trunc, k, eps, constants=None, check=True):
     return fib
 
 
-class FiberFlow:
+class FiberFlow(linalg.HermitianFlow):
     """Reusable Hermitian eigendecomposition of one fiber matrix."""
 
     def __init__(self, matrix):
-        self.w, self.v = np.linalg.eigh(linalg.herm(matrix))
+        # perfbench traces fiber decompositions through this class's own
+        # __init__; the inherited one would count every HermitianFlow
+        super().__init__(matrix)
 
-    def expm(self, s):
-        return (self.v * np.exp(-self.w * s)) @ self.v.conj().T
 
-    def apply(self, s, vec):
-        return self.v @ (np.exp(-self.w * s) * (self.v.conj().T @ vec))
+def parallel_map(fn, items, threads):
+    """[fn(x) for x in items], on a thread pool when threads > 1."""
+    if threads <= 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -237,82 +242,83 @@ def effective_zero_block(cell, k, eps, cstar_check=0.0, tol=1e-9):
     return H
 
 
-def effective_blockdiag(cell, trunc, k, eps):
-    """Block-diagonal matrix of the effective operator over all modes."""
-    lat = cell.problem.lattice
-    return fd.symbol_blockdiag(
-        lambda q: cell.B0_symbol(q, eps), trunc, lat, k)
-
-
 def _zero_block_slice(trunc, n):
     z = trunc.zero_index
     return slice(z * n, (z + 1) * n)
 
 
+def _principal_and_corrector(cell, ng, trunc, k, eps, s, cstar_check):
+    """f0 exp(-B0 s) f0 Phat and, unless ``ng`` is None, the corrector, both
+    from one eigendecomposition of the effective zero block."""
+    problem = cell.problem
+    n = problem.n
+    k = np.asarray(k, dtype=float)
+    flow = linalg.HermitianFlow(effective_zero_block(cell, k, eps, cstar_check))
+    gp = np.zeros((trunc.size * n, trunc.size * n), dtype=complex)
+    sl = _zero_block_slice(trunc, n)
+    gp[sl, sl] = cell.f0 @ flow.expm(s) @ cell.f0
+    if ng is None:
+        return gp, None
+
+    bd_k = fd.symbol_blockdiag(lambda q: problem.b_of(q), trunc,
+                               problem.lattice, k)
+    lg = fd.mult_matrix(cell.LambdaG, trunc)      # (M n x M m)
+    lgt = fd.mult_matrix(cell.LambdaTildeG, trunc)
+    first = (lg @ bd_k + eps * lgt) @ gp
+    inner = cell.f0 @ ng.symbol(k, eps) @ cell.f0
+    out = first + first.conj().T
+    out[sl, sl] -= cell.f0 @ flow.integral(inner, s) @ cell.f0
+    return gp, out
+
+
 def principal_term(cell, trunc, k, eps, s, cstar_check=0.0):
     """f0 exp(-B0(k,eps) s) f0 Phat as a full matrix (zero-mode block only)."""
-    n = cell.problem.n
-    H = effective_zero_block(cell, k, eps, cstar_check)
-    w, v = np.linalg.eigh(H)
-    core = cell.f0 @ ((v * np.exp(-w * s)) @ v.conj().T) @ cell.f0
-    out = np.zeros((trunc.size * n, trunc.size * n), dtype=complex)
-    sl = _zero_block_slice(trunc, n)
-    out[sl, sl] = core
-    return out
+    return _principal_and_corrector(cell, None, trunc, k, eps, s,
+                                    cstar_check)[0]
 
 
 def fiber_corrector(cell, ng, trunc, k, eps, s, cstar_check=0.0):
     """Corrector matrix at one fiber: oscillating pair + closed-form integral."""
-    problem = cell.problem
-    n = problem.n
-    lat = problem.lattice
-    k = np.asarray(k, dtype=float)
-    H = effective_zero_block(cell, k, eps, cstar_check)
-    w, v = np.linalg.eigh(H)
-    ez = cell.f0 @ ((v * np.exp(-w * s)) @ v.conj().T) @ cell.f0
-    gp = np.zeros((trunc.size * n, trunc.size * n), dtype=complex)
-    sl = _zero_block_slice(trunc, n)
-    gp[sl, sl] = ez
-
-    bd_k = fd.symbol_blockdiag(lambda q: problem.b_of(q), trunc, lat, k)
-    lg = fd.mult_matrix(cell.LambdaG, trunc)      # (M n x M m)
-    lgt = fd.mult_matrix(cell.LambdaTildeG, trunc)
-    op1 = lg @ bd_k + eps * lgt
-    first = op1 @ gp
-
-    ng_val = ng.symbol(k, eps)
-    inner = cell.f0 @ ng_val @ cell.f0
-    ntil = v.conj().T @ inner @ v
-    J = v @ (linalg.confluent_weights(w, s) * ntil) @ v.conj().T
-    J = cell.f0 @ J @ cell.f0
-    out = first + first.conj().T
-    out[sl, sl] -= J
-    return out
+    return _principal_and_corrector(cell, ng, trunc, k, eps, s,
+                                    cstar_check)[1]
 
 
-def fiber_remainder(cell, ng, trunc, k, eps, s, constants=None, fiber=None,
-                    flow=None):
-    """Norm of f e^{-B(k,eps)s} f* - principal - corrector, with envelopes."""
+def remainder_norms(cell, ng, trunc, k, eps, s, constants=None, fiber=None,
+                    flow=None, mode="both"):
+    """Norms of R = f e^{-B(k,eps)s} f* - f0 e^{-B0 s} f0 Phat and of R - K.
+
+    One fiber exponential and one effective eigendecomposition serve both.
+    ``mode`` ("both", "principal" or "corrected") picks the norms computed;
+    a norm not computed reads 0.0.
+    """
     problem = cell.problem
     cc = constants.cstar_check if constants is not None else 0.0
     if fiber is None:
         fiber = assemble_fiber(problem, trunc, k, eps, constants, check=False)
     if flow is None:
         flow = FiberFlow(fiber.matrix)
-    exp_b = flow.expm(s)
-    if problem.f_is_identity:
-        lhs = exp_b
-    else:
+    lhs = flow.expm(s)
+    if not problem.f_is_identity:
         fm = fd.mult_matrix(problem.f_field(), trunc)
-        lhs = fm @ exp_b @ fm.conj().T
-    rem = (lhs - principal_term(cell, trunc, k, eps, s, cc)
-           - fiber_corrector(cell, ng, trunc, k, eps, s, cc))
-    nrm = linalg.opnorm(rem)
+        lhs = fm @ lhs @ fm.conj().T
+    want_c = mode in ("both", "corrected")
+    gp, corrector = _principal_and_corrector(
+        cell, ng if want_c else None, trunc, k, eps, s, cc)
+    rem = lhs - gp
+    norm_p = linalg.opnorm(rem) if mode in ("both", "principal") else 0.0
+    norm_c = linalg.opnorm(rem - corrector) if want_c else 0.0
+    return norm_p, norm_c
+
+
+def fiber_remainder(cell, ng, trunc, k, eps, s, constants=None, fiber=None,
+                    flow=None):
+    """Norm of f e^{-B(k,eps)s} f* - principal - corrector, with envelopes."""
+    nrm = remainder_norms(cell, ng, trunc, k, eps, s, constants, fiber, flow,
+                          mode="corrected")[1]
+    cc = constants.cstar_check if constants is not None else 0.0
     k = np.asarray(k, dtype=float)
     tau_sq = float(k @ k) + eps ** 2
-    decay = np.exp(-0.5 * cc * tau_sq * s)
-    env_pos = decay / s if s > 0 else np.inf
-    env_nonneg = decay / (1.0 + s)
+    env_pos, env_nonneg = remainder_envelopes(cc, tau_sq, s)
     ratio = nrm / env_pos if (s > 0 and env_pos > 0) else 0.0
     return {"remainder_norm": float(nrm),
             "envelope_s_pos": float(env_pos),
@@ -324,20 +330,8 @@ def fiber_remainder(cell, ng, trunc, k, eps, s, constants=None, fiber=None,
 def principal_remainder(cell, trunc, k, eps, s, constants=None, fiber=None,
                         flow=None):
     """Norm of f e^{-B s} f* - f0 e^{-B0 s} f0 Phat (no corrector)."""
-    problem = cell.problem
-    cc = constants.cstar_check if constants is not None else 0.0
-    if fiber is None:
-        fiber = assemble_fiber(problem, trunc, k, eps, constants, check=False)
-    if flow is None:
-        flow = FiberFlow(fiber.matrix)
-    exp_b = flow.expm(s)
-    if problem.f_is_identity:
-        lhs = exp_b
-    else:
-        fm = fd.mult_matrix(problem.f_field(), trunc)
-        lhs = fm @ exp_b @ fm.conj().T
-    rem = lhs - principal_term(cell, trunc, k, eps, s, cc)
-    return float(linalg.opnorm(rem))
+    return remainder_norms(cell, None, trunc, k, eps, s, constants, fiber,
+                           flow, mode="principal")[0]
 
 
 # ---------------------------------------------------------------------------

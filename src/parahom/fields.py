@@ -45,13 +45,6 @@ class Truncation:
         # modes are lexicographic over [-N..N]^d, zero sits in the middle
         return (self.size - 1) // 2
 
-    def basis_dim(self, n):
-        return self.size * n
-
-    def default_grid(self, factor=4):
-        g = max(factor * self.n_modes, 2 * self.n_modes + 2)
-        return (g,) * self.dimension
-
 
 def fft_coeffs(field):
     """Normalized Fourier coefficients of grid samples; index 0 is the mean."""
@@ -142,34 +135,6 @@ def eval_matrix(trunc, grid_shape):
     phase = frac @ trunc.modes.T                          # (G^d, M)
     g_total = int(np.prod(grid_shape))
     return np.exp(2j * np.pi * phase) / np.sqrt(g_total)
-
-
-def grid_symbol_apply(values, symbol, lattice, grid_shape, k=None):
-    """Apply a constant-coefficient symbol to grid values of a vector field.
-
-    ``values`` has shape (G^d, q); returns (G^d, p).  Exact for band-limited
-    fields (spectrum inside the grid's Nyquist box).
-    """
-    k = np.zeros(lattice.dimension) if k is None else np.asarray(k, dtype=float)
-    d = lattice.dimension
-    q = values.shape[-1]
-    v = values.reshape(*grid_shape, q)
-    vhat = np.fft.fftn(v, axes=tuple(range(d)))
-    idx = np.meshgrid(*[np.fft.fftfreq(g, 1.0 / g).astype(int) for g in grid_shape],
-                      indexing="ij")
-    midx = np.stack([i.ravel() for i in idx], axis=-1)    # (G^d, d)
-    freqs = midx @ lattice.dual_basis + k
-    sym = np.array([symbol(f) for f in freqs])            # (G^d, p, q)
-    flat = vhat.reshape(-1, q)
-    out = np.einsum("gpq,gq->gp", sym, flat)
-    p = out.shape[-1]
-    out = np.fft.ifftn(out.reshape(*grid_shape, p), axes=tuple(range(d)))
-    return out.reshape(-1, p)
-
-
-def matfield_apply(field, values):
-    """Pointwise matrix field times grid-values array: (G^d,p,q) @ (G^d,q)."""
-    return np.einsum("gpq,gq->gp", field.reshape(-1, *field.shape[-2:]), values)
 
 
 def pointwise_sqrtm(g):

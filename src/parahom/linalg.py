@@ -1,27 +1,23 @@
-"""Dense linear-algebra helpers: Hermitian exponentials, closed-form
-semigroup integrals, operator norms, kernel-restricted solves.
+"""Dense linear-algebra helpers: Hermitian semigroups with their closed-form
+integrals, operator norms, kernel-restricted solves.
 
 Everything here works on plain complex ndarrays.  All exponentials are of
-Hermitian matrices and go through eigendecompositions (the eigenbases are
-reused for the closed-form corrector integrals), never scaling-and-squaring.
+Hermitian matrices and go through one eigendecomposition each, which
+``HermitianFlow`` reuses for the closed-form corrector integrals; there is no
+scaling-and-squaring.
 """
 
 import numpy as np
 
 from .errors import IllConditioned
 
-# dimension above which operator norms switch to randomized power iteration
-_SVD_CUTOFF = 512
-_POWER_ITERS = 20
-_POWER_PROBES = 3
-
 # relative eigenvalue gap below which the confluent limit s*exp(-l*s) is used
 CONFLUENT_RTOL = 1e-10
 
 
 def herm(a):
-    """Symmetrized copy (A + A*)/2."""
-    return 0.5 * (a + a.conj().T)
+    """Symmetrized copy (A + A*)/2, batched over leading axes."""
+    return 0.5 * (a + np.swapaxes(a.conj(), -1, -2))
 
 
 def hermiticity_defect(a):
@@ -32,25 +28,9 @@ def hermiticity_defect(a):
     return np.linalg.norm(a - a.conj().T) / n
 
 
-def opnorm(a, rng=None):
-    """Spectral norm; full SVD for small matrices, power iteration above."""
-    a = np.asarray(a)
-    if max(a.shape) <= _SVD_CUTOFF:
-        return float(np.linalg.norm(a, 2))
-    rng = np.random.default_rng(0) if rng is None else rng
-    best = 0.0
-    for _ in range(_POWER_PROBES):
-        x = rng.standard_normal(a.shape[1]) + 1j * rng.standard_normal(a.shape[1])
-        x /= np.linalg.norm(x)
-        for _ in range(_POWER_ITERS):
-            y = a @ x
-            x = a.conj().T @ y
-            nx = np.linalg.norm(x)
-            if nx == 0.0:
-                break
-            x /= nx
-        best = max(best, float(np.linalg.norm(a @ x)))
-    return best
+def opnorm(a):
+    """Spectral norm (largest singular value) from a full SVD."""
+    return float(np.linalg.norm(np.asarray(a), 2))
 
 
 def eigh_herm(a):
@@ -58,36 +38,13 @@ def eigh_herm(a):
     return np.linalg.eigh(herm(a))
 
 
-def herm_expm(a, s=1.0, eig=None):
-    """exp(-A s) for Hermitian A via eigendecomposition.
-
-    Pass ``eig=(w, v)`` to reuse a decomposition across several times s.
-    """
-    w, v = eigh_herm(a) if eig is None else eig
-    return (v * np.exp(-w * s)) @ v.conj().T
-
-
-def confluent_weights(lam, s):
-    """Matrix of weights w[i,j] = (e^{-lam_j s} - e^{-lam_i s})/(lam_i - lam_j).
-
-    This is the entrywise kernel of int_0^s e^{-L(s-t)} (.) e^{-L t} dt in the
-    eigenbasis of L.  Degenerate pairs use the limit s*e^{-lam s}.
-    """
-    lam = np.asarray(lam, dtype=float)
-    e = np.exp(-lam * s)
-    li = lam[:, None]
-    lj = lam[None, :]
-    diff = li - lj
-    scale = np.maximum(np.abs(li), np.abs(lj))
-    degen = np.abs(diff) <= CONFLUENT_RTOL * np.maximum(scale, 1.0)
-    safe = np.where(degen, 1.0, diff)
-    w = (e[None, :] - e[:, None]) / safe
-    w_conf = s * np.exp(-0.5 * (li + lj) * s)
-    return np.where(degen, w_conf, w)
-
-
 def confluent_weights_batch(lam, s):
-    """Batched confluent weights: lam has shape (..., n), output (..., n, n)."""
+    """Weights w[..., i, j] = (e^{-lam_j s} - e^{-lam_i s})/(lam_i - lam_j).
+
+    ``lam`` has shape (..., n), the output (..., n, n).  This is the entrywise
+    kernel of int_0^s e^{-L(s-t)} (.) e^{-L t} dt in the eigenbasis of L.
+    Degenerate pairs use the limit s*e^{-lam s}.
+    """
     lam = np.asarray(lam, dtype=float)
     e = np.exp(-lam * s)
     li = lam[..., :, None]
@@ -101,30 +58,37 @@ def confluent_weights_batch(lam, s):
     return np.where(degen, w_conf, w)
 
 
-def semigroup_integral(L, N, s, eig=None):
-    """Closed form of int_0^s e^{-L(s-t)} N e^{-L t} dt, L Hermitian.
+class HermitianFlow:
+    """Semigroup e^{-Hs} of a Hermitian H from one eigendecomposition.
 
-    The integral is evaluated exactly in the eigenbasis of L with the
-    confluent limit on (numerically) degenerate eigenvalue pairs.
+    ``matrix`` may carry leading batch axes, (..., n, n); every method then
+    acts per matrix of the batch.
     """
-    w, v = eigh_herm(L) if eig is None else eig
-    ntil = v.conj().T @ N @ v
-    return v @ (confluent_weights(w, s) * ntil) @ v.conj().T
 
+    def __init__(self, matrix):
+        self.w, self.v = np.linalg.eigh(herm(matrix))
 
-def orthonormal_columns(p, n, tol_factor=100.0):
-    """Orthonormal basis (as columns) of the range of a projector ``p``.
+    def _vh(self):
+        return np.swapaxes(self.v.conj(), -1, -2)
 
-    ``n`` is the expected rank; eigenvectors with eigenvalue near 1 are
-    returned.
-    """
-    w, v = eigh_herm(p)
-    idx = np.argsort(w)[::-1][:n]
-    if n and (w[idx].min() < 1.0 - 1e-6):
-        raise IllConditioned("projector eigenvalues not close to 1")
-    basis = v[:, idx]
-    q, _ = np.linalg.qr(basis)
-    return q
+    def expm(self, s):
+        """e^{-Hs}."""
+        return (self.v * np.exp(-self.w * s)[..., None, :]) @ self._vh()
+
+    def apply(self, s, vec):
+        """e^{-Hs} vec for ``vec`` of shape (..., n)."""
+        coeffs = np.exp(-self.w * s) * (self._vh() @ vec[..., None])[..., 0]
+        return (self.v @ coeffs[..., None])[..., 0]
+
+    def integral(self, n_mat, s):
+        """Closed form of int_0^s e^{-H(s-t)} N e^{-H t} dt.
+
+        Exact in the eigenbasis of H, with the confluent limit on
+        (numerically) degenerate eigenvalue pairs.
+        """
+        vh = self._vh()
+        ntil = vh @ n_mat @ self.v
+        return self.v @ (confluent_weights_batch(self.w, s) * ntil) @ vh
 
 
 def restricted_solve(gram, rhs, kernel_dim, cond_cap=1e12):
@@ -156,10 +120,3 @@ def inv_sqrtm_herm(a):
     if w.min() <= 0:
         raise IllConditioned("matrix not positive definite")
     return (v * (w ** -0.5)) @ v.conj().T
-
-
-def sqrtm_herm(a):
-    """A^{1/2} for Hermitian positive semi-definite A."""
-    w, v = eigh_herm(a)
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T

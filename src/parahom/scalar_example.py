@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fields as fd
-from . import linalg
 from .cell import (PeriodicProblem, coeff_vector, field_from_coeff_vector,
                    galerkin_matrix, spectral_derivative, _solve_zero_mean)
 from .errors import MeanNotZero
@@ -232,43 +231,18 @@ def commuted_corrector_apply(setup, phi, s):
 
     (Psi^eps grad + LambdaTilde^eps) u0 + flow (.)* phi - s N exp(-B0 s) phi.
     """
-    from .evolution import (_b_symbols_grid, _effective_symbols, _ng_symbols,
-                            _tile)
+    from .evolution import _hom_flow_symbols, _ng_symbols, _oscillating_pair
 
     eps = setup.eps
     cell = setup.cell
-    problem = cell.problem
-    if problem.n != 1:
+    if cell.problem.n != 1:
         raise ValueError("commuted corrector needs a scalar problem")
-    w, v = _effective_symbols(setup)
-    f0 = cell.f0
-    vh = np.swapaxes(v.conj(), -1, -2)
-    s_scaled = s / eps ** 2
-
-    def hom_flow(vals, t):
-        sym = np.einsum("pq,gqr,gr,grt,tu->gpu", f0, v, np.exp(-w * t), vh, f0)
-        return setup.apply_symbol(vals, sym)
-
-    u0s = hom_flow(phi, s_scaled)
-    lam_g = _tile(setup, "LambdaG", cell.LambdaG)
-    lam_gt = _tile(setup, "LambdaTildeG", cell.LambdaTildeG)
-    b_grid = _b_symbols_grid(setup)
-    bd_u0 = setup.apply_symbol(u0s, b_grid)
-    t1 = np.einsum("gpq,gq->gp", lam_g, bd_u0) \
-        + eps * np.einsum("gpq,gq->gp", lam_gt, u0s)
-
-    wadj = np.einsum("gqp,gq->gp", lam_g.conj(), phi)
-    wadj = setup.apply_symbol(wadj, np.swapaxes(b_grid.conj(), -1, -2))
-    wadj = wadj + eps * np.einsum("gqp,gq->gp", lam_gt.conj(), phi)
-    t2 = hom_flow(wadj, s_scaled)
-
-    nsym = _ng_symbols(setup)
-    flow_sym = np.einsum("pq,gqr,gr,grt,tu->gpu", f0, v,
-                         np.exp(-w * s_scaled), vh, f0)
-    f0sq = f0 @ f0
-    t3 = s_scaled * setup.apply_symbol(
-        phi, np.einsum("pq,gqr,grt->gpt", f0sq, nsym, flow_sym))
-    return (t1 + t2 - t3) / eps
+    flow_sym = _hom_flow_symbols(setup, s)
+    pair = _oscillating_pair(setup, phi, phi, flow_sym, smooth=False)
+    f0sq = cell.f0 @ cell.f0
+    t3 = s / eps ** 2 * setup.apply_symbol(
+        phi, np.einsum("pq,gqr,grt->gpt", f0sq, _ng_symbols(setup), flow_sym))
+    return (pair - t3) / eps
 
 
 # ---------------------------------------------------------------------------

@@ -223,7 +223,7 @@ def test_corrector_integral_vs_quadrature(family):
     L_n = u.conj().T @ ab.L_operator(th, t, e) @ u
     N_n = u.conj().T @ ab.n_operator(th, t, e) @ u
     ref = oracles.semigroup_integral_quad(L_n, N_n, s)
-    closed = linalg.semigroup_integral(L_n, N_n, s)
+    closed = linalg.HermitianFlow(L_n).integral(N_n, s)
     assert np.abs(closed - ref).max() < 1e-9
 
 
@@ -280,7 +280,7 @@ def test_remainder_block_diagonal_trivial_case():
     t, e = 0.5 * th.tau0 * THETA
     s = 1.0
     B = fam.B(t, e)
-    rem = linalg.herm_expm(B, s) - ab.exp_L_P(th, t, e, s) \
+    rem = linalg.HermitianFlow(B).expm(s) - ab.exp_L_P(th, t, e, s) \
         - ab.corrector_K(th, t, e, s)
     restricted = th.P @ rem @ th.P
     assert np.abs(restricted).max() < 1e-10
@@ -373,9 +373,9 @@ def _identity_Q0_family(rng, dim_H, n):
     base = ab.random_family(rng, dim_H=dim_H, n=n)
     fam = ab.AbstractFamily(base.X0, base.X1, base.Y0, base.Y1, base.Y2,
                             base.Q, np.eye(dim_H, dtype=complex), lam=0.0)
-    consts = ab.estimate_constants(fam, rng)
+    consts = ab.estimate_form_constants(fam, rng)
     fam.lam = 1.1 * (consts["c0"] + consts["c4"]) + 0.5
-    ab.estimate_constants(fam, rng)
+    ab.estimate_form_constants(fam, rng)
     return fam
 
 
@@ -386,7 +386,7 @@ def bordered():
     M = np.eye(7) + 0.35 * (rng.standard_normal((7, 7))
                             + 1j * rng.standard_normal((7, 7)))
     bf = ab.BorderedFamily(hat, M)
-    ab.estimate_constants(bf.base, rng)
+    ab.estimate_form_constants(bf.base, rng)
     return bf, ab.bordered_data(bf)
 
 
@@ -474,7 +474,7 @@ def test_bordered_kernel_block_zero_for_trivial_lower_order():
     th = data["th"]
     t, e, s = 0.0, 0.008, 1.0
     B = bf.base.B(t, e)
-    rem_full = bf.M @ linalg.herm_expm(B, s) @ bf.M.conj().T \
+    rem_full = bf.M @ linalg.HermitianFlow(B).expm(s) @ bf.M.conj().T \
         - ab.bordered_principal(bf, data, t, e, s) \
         - ab.bordered_corrector(bf, data, t, e, s)
     minv = data["Minv"]

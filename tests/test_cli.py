@@ -159,6 +159,32 @@ prefix = rep
         == (out_b / "rep_sweep.csv").read_bytes()
 
 
+def test_converge_probes_agree_with_exact_norm(tmp_path):
+    # a probe's solution-level error is bounded by the exact operator norm
+    # (the sup over the box fibers), so no row may read probe > exact
+    cfg = _write(tmp_path, """
+[problem]
+preset = osc1d
+n_modes = 8
+[truncation]
+n_modes = 8
+[sweep]
+eps = 0.25, 0.125, 0.0625
+s = 0.5
+box_size = 4.0
+probes = 2
+[output]
+prefix = probe
+""")
+    assert cli.main(["converge", "--config", cfg, "--out", str(tmp_path)]) == 0
+    data = json.loads((tmp_path / "probe_summary.json").read_text())
+    assert {c["name"]: c["passed"] for c in data["checks"]}["probe_agreement"]
+    rows = (tmp_path / "probe_sweep.csv").read_text().splitlines()
+    header = rows[0].split(",")
+    flags = [r.split(",")[header.index("probe_disagrees")] for r in rows[1:]]
+    assert flags == ["False"] * 3
+
+
 def test_scalar_example_command(tmp_path):
     cfg = _write(tmp_path, """
 [run]

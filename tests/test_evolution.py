@@ -254,6 +254,23 @@ def test_duhamel_constant_source_closed_form():
     assert dev < 10.0 * rep["quad_drift"] + 1e-9
 
 
+def test_duhamel_source_corrector_second_order():
+    # every Duhamel node carries the full corrector of the free term, so the
+    # corrected driven error is O(eps^2) and far below the principal one
+    errs = {}
+    for eps in (0.25, 0.125):
+        setup = make_setup(preset="osc1d_full", n_modes=8, eps=eps,
+                           n_cells=int(round(4.0 / eps)))
+        rng = np.random.default_rng(0)
+        phi = setup.random_band_limited(rng)
+        f_field = setup.random_band_limited(rng, band=2)
+        rep = ev.duhamel_solve(setup, phi, lambda t: f_field, 0.5,
+                               n_steps=32)
+        assert rep["err_corrected"] < 0.2 * rep["err_principal"]
+        errs[eps] = rep["err_corrected"]
+    assert errs[0.125] / errs[0.25] < 0.35
+
+
 def test_duhamel_underresolved_raises(setup_1d, phi_1d):
     rng = np.random.default_rng(11)
     f_field = setup_1d.random_band_limited(rng)
@@ -294,3 +311,12 @@ def test_convergence_sweep_insufficient_points():
     tr = Truncation(4, 2)
     with pytest.raises(Exception):
         ev.convergence_sweep(prob, tr, [0.5, 0.25], 0.4)
+
+
+def test_convergence_sweep_threads_match_serial():
+    prob = presets.osc1d_full(n_modes=6)
+    tr = Truncation(6, 1)
+    args = (prob, tr, [0.5, 0.25, 0.125], 0.5)
+    serial = ev.convergence_sweep(*args, box_size=2.0, threads=1)
+    pooled = ev.convergence_sweep(*args, box_size=2.0, threads=2)
+    assert pooled == serial
