@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import (DegenerateKernel, NonPositiveL, OutsideThresholdBall,
-                     RankMismatch)
+from .errors import (DegenerateKernel, IllConditioned, NonPositiveL,
+                     OutsideThresholdBall, RankMismatch)
 
 KERNEL_RTOL = 1e-10
 
@@ -106,6 +106,39 @@ class ThresholdData:
     cstar_check: float
 
 
+def _x0_svd(X0, n_kernel=None, rel_tol=KERNEL_RTOL):
+    """One SVD of X0, split into (U_r, sigma_r, V_r, u).
+
+    X0 = U_r diag(sigma_r) V_r* and the columns of u are an orthonormal basis
+    of Ker X0.  The kernel has dimension ``n_kernel`` when given; otherwise
+    singular values below rel_tol * max(sigma_max, 1) count as zero.
+    """
+    X0 = np.asarray(X0, dtype=complex)
+    # a wide X0 needs the full V to span its kernel
+    U, sing, vh = np.linalg.svd(X0, full_matrices=X0.shape[0] < X0.shape[1])
+    if n_kernel is None:
+        smax = sing[0] if sing.size else 0.0
+        r = int(np.sum(sing > rel_tol * max(smax, 1.0)))
+    else:
+        r = X0.shape[1] - n_kernel
+    V = vh.conj().T
+    return U[:, :r], sing[:r], V[:, :r], V[:, r:]
+
+
+def _gram_pinv(sing, V_r, rhs, cond_cap):
+    """(X0*X0)^+ rhs = V_r diag(sigma_r^-2) V_r* rhs.
+
+    Raises IllConditioned when (sigma_1/sigma_r)^2 exceeds ``cond_cap``.
+    """
+    if sing.size == 0:
+        raise IllConditioned("empty positive spectrum")
+    if sing[-1] <= 0 or (sing[0] / sing[-1]) ** 2 > cond_cap:
+        cond = (sing[0] / max(sing[-1], 1e-300)) ** 2
+        raise IllConditioned(
+            f"restricted Gram condition {cond:.2e} exceeds cap {cond_cap:.1e}")
+    return V_r @ ((V_r.conj().T @ rhs) / sing[:, None] ** 2)
+
+
 def kernel_projection(X0, rel_tol=KERNEL_RTOL):
     """Orthogonal projector onto Ker X0 via SVD.
 
@@ -113,77 +146,55 @@ def kernel_projection(X0, rel_tol=KERNEL_RTOL):
     eigenvalue of X0*X0.  Singular values below rel_tol * sigma_max count as
     zero.
     """
-    X0 = np.asarray(X0, dtype=complex)
-    u, sing, vh = np.linalg.svd(X0, full_matrices=True)
-    smax = sing[0] if sing.size else 0.0
-    small = sing <= rel_tol * max(smax, 1.0)
-    n_kernel = int(np.sum(small)) + (X0.shape[1] - sing.size)
-    if n_kernel == 0:
+    _, sing, _, u = _x0_svd(X0, rel_tol=rel_tol)
+    return _kernel_data(sing, u)
+
+
+def _kernel_data(sing, u):
+    """(P, n, d0) from the split SVD of X0."""
+    if u.shape[1] == 0:
         raise DegenerateKernel("Ker X0 is trivial")
-    kernel_basis = vh.conj().T[:, X0.shape[1] - n_kernel:]
-    P = kernel_basis @ kernel_basis.conj().T
-    nonzero = sing[~small]
-    d0 = float(nonzero[-1] ** 2) if nonzero.size else 0.0
-    return linalg.herm(P), n_kernel, d0
+    d0 = float(sing[-1] ** 2) if sing.size else 0.0
+    return linalg.herm(u @ u.conj().T), u.shape[1], d0
+
+
+def _solve_off_kernel(family, P, n, rhs, cond_cap):
+    """-(X0*X0)^+ rhs with Ker X0 of dimension n (default: trace P)."""
+    if n is None:
+        n = int(round(np.real(np.trace(P))))
+    _, sing, V_r, _ = _x0_svd(family.X0, n)
+    return -_gram_pinv(sing, V_r, rhs, cond_cap)
 
 
 def solve_Z(family, P, n=None, cond_cap=1e12):
     """First-order solution operator: X0*X0 Z = -X0*X1 P on Ker(X0)^perp."""
-    if n is None:
-        n = int(round(np.real(np.trace(P))))
-    gram = family.X0.conj().T @ family.X0
-    rhs = -family.X0.conj().T @ (family.X1 @ P)
-    return linalg.restricted_solve(linalg.herm(gram), rhs, n, cond_cap)
+    rhs = family.X0.conj().T @ (family.X1 @ P)
+    return _solve_off_kernel(family, P, n, rhs, cond_cap)
 
 
 def solve_Ztilde(family, P, n=None, cond_cap=1e12):
     """Companion solution operator: X0*X0 Zt = -Y0*Y2 P on Ker(X0)^perp."""
-    if n is None:
-        n = int(round(np.real(np.trace(P))))
-    gram = family.X0.conj().T @ family.X0
-    rhs = -family.Y0.conj().T @ (family.Y2 @ P)
-    return linalg.restricted_solve(linalg.herm(gram), rhs, n, cond_cap)
-
-
-def _range_projector_apply(X0, kernel_basis, w):
-    """(I - proj onto Ran X0) @ w, via QR of X0 restricted off the kernel."""
-    dim = X0.shape[1]
-    n = kernel_basis.shape[1]
-    if n < dim:
-        # complement basis of the kernel
-        full = np.linalg.qr(
-            np.concatenate([kernel_basis,
-                            np.eye(dim, dtype=complex)], axis=1))[0][:, :dim]
-        comp = full[:, n:]
-        q, _ = np.linalg.qr(X0 @ comp)
-        return w - q @ (q.conj().T @ w)
-    return w
+    rhs = family.Y0.conj().T @ (family.Y2 @ P)
+    return _solve_off_kernel(family, P, n, rhs, cond_cap)
 
 
 def compute_threshold(family, delta=None, tau0=None, cond_cap=1e12):
-    """All threshold objects of the pencil in one pass."""
-    P, n, d0 = kernel_projection(family.X0)
-    w, v = linalg.eigh_herm(P)
-    kernel_basis = v[:, np.argsort(w)[::-1][:n]]
-    Z = solve_Z(family, P, n, cond_cap)
-    Zt = solve_Ztilde(family, P, n, cond_cap)
+    """All threshold objects of the pencil in one pass.
 
-    # R = P_* X1 |_N with P_* the projector onto Ker X0^* (complement of Ran X0)
-    R = _range_projector_apply(family.X0, kernel_basis, family.X1 @ P)
-
-    X0Z = family.X0 @ Z
-    X0Zt = family.X0 @ Zt
-    cross_y = family.Y2.conj().T @ family.Y1
-    S_block = P @ (family.X1.conj().T @ R)          # = P X1* P_* X1 P
-    C_block = (-X0Z.conj().T @ X0Zt - X0Zt.conj().T @ X0Z
-               + P @ (cross_y + cross_y.conj().T) @ P)
-    D_block = (-X0Zt.conj().T @ X0Zt
-               + P @ (family.Q + family.lam * family.Q0) @ P)
-    S_block = linalg.herm(P @ S_block @ P)
-    C_block = linalg.herm(P @ C_block @ P)
-    D_block = linalg.herm(P @ D_block @ P)
-
-    n_blocks = _n_operator_blocks(family, P, Z, Zt, R)
+    Every object is supported on Ker X0 = span(u): Z = z u*, Ztilde = zt u*,
+    R = r u*, and the germ and N blocks are u (n x n) u*.  One economy SVD of
+    X0 gives u, the pseudo-inverse of X0*X0 and the range of X0, so the work
+    is O(dim^2 n) past that SVD.
+    """
+    U_r, sing, V_r, u = _x0_svd(family.X0)
+    P, n, d0 = _kernel_data(sing, u)
+    x1u = family.X1 @ u
+    z = -_gram_pinv(sing, V_r, family.X0.conj().T @ x1u, cond_cap)
+    zt = -_gram_pinv(sing, V_r, family.Y0.conj().T @ (family.Y2 @ u),
+                     cond_cap)
+    # R = P_* X1 P with P_* = I - U_r U_r* the projector onto Ker X0^*
+    r = x1u - U_r @ (U_r.conj().T @ x1u)
+    blocks = _kernel_blocks(family, u, z, zt, r)
 
     consts = family.form_constants
     if delta is None:
@@ -192,8 +203,9 @@ def compute_threshold(family, delta=None, tau0=None, cond_cap=1e12):
     if tau0 is None:
         tau0 = _default_tau0(family, delta)
     cstar = consts.get("cstar_check", 0.0)
-    return ThresholdData(P, n, d0, kernel_basis, Z, Zt, R,
-                         S_block, C_block, D_block, *n_blocks,
+    uh = u.conj().T
+    return ThresholdData(P, n, d0, u, z @ uh, zt @ uh,
+                         r @ uh, *(linalg.herm(u @ b @ uh) for b in blocks),
                          delta=float(delta), tau0=float(tau0),
                          cstar_check=float(cstar))
 
@@ -210,40 +222,53 @@ def _default_tau0(family, delta):
     return float(np.sqrt(delta / max(denom, 1e-300)))
 
 
-def _n_operator_blocks(family, P, Z, Zt, R):
-    """Homogeneous blocks of the cubic operator: N = t^3 N11 + t^2 e N12 + ..."""
+def _kernel_blocks(family, u, z, zt, r):
+    """n x n middles of the germ blocks S, C, D and of the cubic blocks
+    N11, N12, N21, N22 (N = t^3 N11 + t^2 e N12 + t e^2 N21 + e^3 N22).
+
+    With P = u u*, Z = z u*, Ztilde = zt u* and R = r u*, each full-space
+    block is u (middle) u*.
+    """
     X0, X1 = family.X0, family.X1
     Y0, Y1, Y2 = family.Y0, family.Y1, family.Y2
-    Q, Q0, lam = family.Q, family.Q0, family.lam
 
     def sym(a):
         return a + a.conj().T
 
-    X1Z, X1Zt = X1 @ Z, X1 @ Zt
-    X0Z, X0Zt = X0 @ Z, X0 @ Zt
-    Y0Z, Y0Zt = Y0 @ Z, Y0 @ Zt
-    Y1Z, Y1Zt = Y1 @ Z, Y1 @ Zt
-    Y2Z, Y2Zt = Y2 @ Z, Y2 @ Zt
-    Y1P, Y2P = Y1 @ P, Y2 @ P
+    def gram(a, b):
+        return a.conj().T @ b
 
-    N11 = sym(X1Z.conj().T @ R)
-    N12 = (sym(X1Zt.conj().T @ R)
-           + sym(X1Z.conj().T @ X0Zt)
-           + sym(Y2Z.conj().T @ Y0Z)
-           + sym(Y2Z.conj().T @ Y1P)
-           + sym(Y2P.conj().T @ Y1Z))
-    N21 = (sym(X0Zt.conj().T @ X1Zt)
-           + sym(Y2Z.conj().T @ Y0Zt)
-           + sym(Y2Zt.conj().T @ Y0Z)
-           + sym(Y2Zt.conj().T @ Y1P)
-           + sym(Y1Zt.conj().T @ Y2P)
-           + sym(Z.conj().T @ Q @ P)
-           + lam * sym(Z.conj().T @ Q0 @ P))
-    N22 = (sym(Y0Zt.conj().T @ Y2Zt)
-           + sym(Zt.conj().T @ Q @ P)
-           + lam * sym(Zt.conj().T @ Q0 @ P))
-    return (linalg.herm(N11), linalg.herm(N12),
-            linalg.herm(N21), linalg.herm(N22))
+    # images of the n-column factors [u | z | zt] under each map
+    n = u.shape[1]
+    cols = np.concatenate([u, z, zt], axis=1)
+
+    def split(a):
+        return a[:, :n], a[:, n:2 * n], a[:, 2 * n:]
+
+    X1u, X1z, X1zt = split(X1 @ cols)
+    _, X0z, X0zt = split(X0 @ cols)
+    _, Y0z, Y0zt = split(Y0 @ cols)
+    Y1u, Y1z, Y1zt = split(Y1 @ cols)
+    Y2u, Y2z, Y2zt = split(Y2 @ cols)
+    qu = (family.Q + family.lam * family.Q0) @ u
+
+    S = gram(X1u, r)                        # P X1* P_* X1 P
+    C = -sym(gram(X0z, X0zt)) + sym(gram(Y2u, Y1u))
+    D = -gram(X0zt, X0zt) + gram(u, qu)
+    N11 = sym(gram(X1z, r))
+    N12 = (sym(gram(X1zt, r))
+           + sym(gram(X1z, X0zt))
+           + sym(gram(Y2z, Y0z))
+           + sym(gram(Y2z, Y1u))
+           + sym(gram(Y2u, Y1z)))
+    N21 = (sym(gram(X0zt, X1zt))
+           + sym(gram(Y2z, Y0zt))
+           + sym(gram(Y2zt, Y0z))
+           + sym(gram(Y2zt, Y1u))
+           + sym(gram(Y1zt, Y2u))
+           + sym(gram(z, qu)))
+    N22 = sym(gram(Y0zt, Y2zt)) + sym(gram(zt, qu))
+    return S, C, D, N11, N12, N21, N22
 
 
 # ---------------------------------------------------------------------------

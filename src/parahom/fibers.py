@@ -201,12 +201,18 @@ def assemble_fiber(problem, trunc, k, eps, constants=None, check=True):
     ccheck = constants.cstar_check if constants is not None else 0.0
     fib = FiberOperator(k, float(eps), mat, float(ccheck), trunc, n)
     if check and ccheck > 0.0:
-        wmin = float(np.linalg.eigvalsh(mat).min())
-        if wmin < fib.lower_bound - 1e-9 * max(1.0, abs(fib.lower_bound)):
-            raise PositivityViolation(
-                f"fiber eigenvalue {wmin:.3e} below bound {fib.lower_bound:.3e}"
-                " (lambda too small or truncation too coarse)")
+        _check_floor(fib, float(np.linalg.eigvalsh(mat).min()))
     return fib
+
+
+def _check_floor(fib, wmin):
+    """PositivityViolation when the smallest fiber eigenvalue ``wmin`` falls
+    below the fiber's lower bound (skipped when no bound is set)."""
+    bound = fib.lower_bound
+    if fib.cstar_check > 0.0 and wmin < bound - 1e-9 * max(1.0, abs(bound)):
+        raise PositivityViolation(
+            f"fiber eigenvalue {wmin:.3e} below bound {bound:.3e}"
+            " (lambda too small or truncation too coarse)")
 
 
 class FiberFlow(linalg.HermitianFlow):
@@ -287,9 +293,11 @@ def remainder_norms(cell, ng, trunc, k, eps, s, constants=None, fiber=None,
                     flow=None, mode="both"):
     """Norms of R = f e^{-B(k,eps)s} f* - f0 e^{-B0 s} f0 Phat and of R - K.
 
-    One fiber exponential and one effective eigendecomposition serve both.
-    ``mode`` ("both", "principal" or "corrected") picks the norms computed;
-    a norm not computed reads 0.0.
+    One fiber exponential and one effective eigendecomposition serve both,
+    and the fiber spectrum of that exponential is checked against the
+    fiber's lower bound (PositivityViolation).  ``mode`` ("both",
+    "principal" or "corrected") picks the norms computed; a norm not
+    computed reads 0.0.
     """
     problem = cell.problem
     cc = constants.cstar_check if constants is not None else 0.0
@@ -297,6 +305,7 @@ def remainder_norms(cell, ng, trunc, k, eps, s, constants=None, fiber=None,
         fiber = assemble_fiber(problem, trunc, k, eps, constants, check=False)
     if flow is None:
         flow = FiberFlow(fiber.matrix)
+    _check_floor(fiber, float(flow.w.min()))
     lhs = flow.expm(s)
     if not problem.f_is_identity:
         fm = fd.mult_matrix(problem.f_field(), trunc)
@@ -362,73 +371,53 @@ class GridRectangles:
                 for j in range(problem.d)]
         else:
             self.a_star = None
-        self._eye_cols = None
 
-    def eye_cols(self):
-        """Grid values of the identity on the truncated space, cached."""
-        if self._eye_cols is None:
-            eye = np.eye(self.trunc.size * self.problem.n, dtype=complex)
-            self._eye_cols = self._to_grid(self._coeff_tensor(eye))
-        return self._eye_cols
+    def _rect(self, block):
+        """Rectangle with entries E[g, b] * block[g, i, b, j], rows (g, i)
+        and columns (b, j): a (G^d*p, M*n) matrix.  ``block`` broadcasts to
+        (G^d, p, M, n)."""
+        vals = self.E[:, None, :, None] * block
+        return vals.reshape(-1, self.E.shape[1] * vals.shape[-1])
 
-    def _coeff_tensor(self, matrix_cols):
-        """(M*n, C) column stack -> (M, n, C) tensor."""
-        c = matrix_cols.shape[1]
-        return matrix_cols.reshape(self.trunc.size, self.problem.n, c)
+    def _freqs(self):
+        """Dual-lattice frequencies of the truncated modes: (M, d)."""
+        return self.trunc.modes @ self.lat.dual_basis
 
-    def _to_grid(self, coeff_tensor):
-        """(M, n, C) -> grid values (G^d, n, C)."""
-        return np.einsum("gm,mnc->gnc", self.E, coeff_tensor)
-
-    def _symbol_on_modes(self, symbol, k=None):
-        """Block-diagonal symbol matrix on the truncated space."""
-        return fd.symbol_blockdiag(symbol, self.trunc, self.lat, k)
+    def _stack(self, blocks):
+        """(G^d or 1, d, n, n) direction blocks -> (G^d or 1, d*n, 1, n)."""
+        return blocks.reshape(blocks.shape[0], -1, 1, blocks.shape[-1])
 
     def X0(self):
         """Grid values of h b(D) u: (G^d*m, M*n)."""
-        bd = self._symbol_on_modes(lambda q: self.problem.b_of(q))
-        cols = self._to_grid(self._coeff_tensor_m(bd))
-        vals = np.einsum("gij,gjc->gic", self.h, cols)
-        return vals.reshape(-1, bd.shape[1])
-
-    def _coeff_tensor_m(self, matrix_cols):
-        c = matrix_cols.shape[1]
-        return matrix_cols.reshape(self.trunc.size, -1, c)
+        b = np.array([self.problem.b_of(q) for q in self._freqs()])
+        m, n = b.shape[1:]
+        # (h(g) b(b))[i, j] for every node g and mode b, as one GEMM
+        hb = self.h.reshape(-1, m) @ b.transpose(1, 0, 2).reshape(m, -1)
+        return self._rect(hb.reshape(-1, m, len(b), n))
 
     def X1(self, theta):
         """Grid values of h b(theta) u."""
         bth = self.problem.b_of(np.asarray(theta, dtype=float))
-        cols = self.eye_cols()
-        vals = np.einsum("gij,jn,gnc->gic", self.h, bth, cols)
-        return vals.reshape(-1, cols.shape[2])
+        return self._rect((self.h @ bth)[:, :, None, :])
 
     def Y0(self):
         """Grid values of col{D_j u}: (G^d*d*n, M*n)."""
-        blocks = []
-        for j in range(self.problem.d):
-            dj = self._symbol_on_modes(
-                lambda q, j=j: q[j] * np.eye(self.problem.n))
-            cols = self._to_grid(self._coeff_tensor(dj))
-            blocks.append(cols)
-        stacked = np.concatenate(blocks, axis=1)     # (G^d, d*n, C)
-        return stacked.reshape(-1, stacked.shape[2])
+        eye = np.eye(self.problem.n)
+        q = self._freqs().T                                # (d, M)
+        return self._rect((q[:, None, :, None] * eye[None, :, None, :])
+                          .reshape(1, -1, q.shape[1], eye.shape[1]))
 
     def Y1(self, theta):
-        cols = self.eye_cols()
-        blocks = [theta[j] * cols for j in range(self.problem.d)]
-        stacked = np.concatenate(blocks, axis=1)
-        return stacked.reshape(-1, stacked.shape[2])
+        eye = np.eye(self.problem.n)
+        theta = np.asarray(theta, dtype=float)
+        return self._rect(self._stack(theta[None, :, None, None] * eye))
 
     def Y2(self):
-        cols = self.eye_cols()
-        blocks = []
-        for j in range(self.problem.d):
-            if self.a_star is None:
-                blocks.append(np.zeros_like(cols))
-            else:
-                blocks.append(np.einsum("gij,gjc->gic", self.a_star[j], cols))
-        stacked = np.concatenate(blocks, axis=1)
-        return stacked.reshape(-1, stacked.shape[2])
+        n, d = self.problem.n, self.problem.d
+        if self.a_star is None:
+            return np.zeros((self.E.shape[0] * d * n, self.E.shape[1] * n),
+                            dtype=complex)
+        return self._rect(self._stack(np.stack(self.a_star, axis=1)))
 
 
 def hatted_family(problem, trunc, theta, constants=None, grid_shape=None):

@@ -1,5 +1,5 @@
 """Dense linear-algebra helpers: Hermitian semigroups with their closed-form
-integrals, operator norms, kernel-restricted solves.
+integrals, and operator norms.
 
 Everything here works on plain complex ndarrays.  All exponentials are of
 Hermitian matrices and go through one eigendecomposition each, which
@@ -89,29 +89,6 @@ class HermitianFlow:
         vh = self._vh()
         ntil = vh @ n_mat @ self.v
         return self.v @ (confluent_weights_batch(self.w, s) * ntil) @ vh
-
-
-def restricted_solve(gram, rhs, kernel_dim, cond_cap=1e12):
-    """Solve gram @ x = rhs on the orthogonal complement of the kernel.
-
-    ``gram`` is Hermitian PSD with an (exactly known) ``kernel_dim``-dimensional
-    kernel; the solution is the one orthogonal to the kernel.  Raises
-    IllConditioned when the restricted condition number exceeds ``cond_cap``.
-    """
-    w, v = eigh_herm(gram)
-    if kernel_dim:
-        w_pos = w[kernel_dim:]
-    else:
-        w_pos = w
-    if w_pos.size == 0:
-        raise IllConditioned("empty positive spectrum")
-    if w_pos[0] <= 0 or w_pos[-1] / w_pos[0] > cond_cap:
-        raise IllConditioned(
-            f"restricted Gram condition {w_pos[-1] / max(w_pos[0], 1e-300):.2e} "
-            f"exceeds cap {cond_cap:.1e}"
-        )
-    inv = np.concatenate([np.zeros(kernel_dim), 1.0 / w_pos])
-    return v @ (inv[:, None] * (v.conj().T @ rhs))
 
 
 def inv_sqrtm_herm(a):

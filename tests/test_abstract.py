@@ -3,7 +3,7 @@ import pytest
 
 from parahom import abstract as ab
 from parahom import linalg
-from parahom.errors import (DegenerateKernel, NonPositiveL,
+from parahom.errors import (DegenerateKernel, IllConditioned, NonPositiveL,
                             OutsideThresholdBall, RankMismatch)
 
 import oracles
@@ -92,6 +92,40 @@ def test_solve_Ztilde_trivial_and_oracle(family):
     assert np.abs(ab.solve_Ztilde(fam1, th.P)).max() < 1e-14
     Zt_ref = oracles.pinv_solution(fam.X0, fam.Y0.conj().T @ fam.Y2, th.P)
     assert np.abs(th.Ztilde - Zt_ref).max() < 1e-12
+
+
+@pytest.mark.parametrize("n,degenerate", [(1, False), (2, False),
+                                         (3, False), (2, True)])
+def test_threshold_matches_dense_formulas(n, degenerate):
+    # the kernel-factored engine against full-space products with P, the
+    # Gram eigendecomposition and a QR of Ran X0
+    fam = ab.random_family(np.random.default_rng(40 + n), dim_H=8 + n, n=n,
+                           degenerate_copies=degenerate)
+    th = ab.compute_threshold(fam)
+    ref = oracles.dense_threshold(fam)
+    for name, val in ref.items():
+        scale = max(1.0, float(np.abs(val).max()))
+        assert np.abs(getattr(th, name) - val).max() < 1e-12 * scale, name
+    u = th.kernel_basis
+    assert np.abs(u.conj().T @ u - np.eye(th.n)).max() < 1e-12
+    assert np.abs(u @ u.conj().T - ref["P"]).max() < 1e-12
+
+
+def test_ill_conditioned_gram_raises(family):
+    # singular values 1, ..., 1e-7 off a 2-dimensional kernel: the restricted
+    # Gram condition (sigma_1/sigma_r)^2 is 1e14
+    fam, th = family
+    u_left, _, vh = np.linalg.svd(fam.X0)
+    sing = np.concatenate([np.geomspace(1.0, 1e-7, fam.dim_H - 2),
+                           np.zeros(2)])
+    X0 = (u_left[:, :fam.dim_H] * sing) @ vh
+    bad = ab.AbstractFamily(X0, fam.X1, fam.Y0, fam.Y1, fam.Y2, fam.Q,
+                            fam.Q0, fam.lam, dict(fam.form_constants))
+    with pytest.raises(IllConditioned):
+        ab.compute_threshold(bad)
+    with pytest.raises(IllConditioned):
+        ab.solve_Z(bad, th.P)
+    assert ab.compute_threshold(bad, cond_cap=1e15).n == 2
 
 
 def test_Z_support_identities(family):

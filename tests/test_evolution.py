@@ -271,6 +271,24 @@ def test_duhamel_source_corrector_second_order():
     assert errs[0.125] / errs[0.25] < 0.35
 
 
+def test_duhamel_coarse_pass_only_fine_flow(setup_1d, phi_1d, monkeypatch):
+    # the coarse pass feeds only the step-halving drift, so the homogenized
+    # flow runs at the 2n fine nodes and once for the free term
+    calls = []
+    real = ev.evolve_homogenized
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ev, "evolve_homogenized", counted)
+    f_field = setup_1d.random_band_limited(np.random.default_rng(3))
+    n = 4
+    ev.duhamel_solve(setup_1d, phi_1d, lambda t: f_field, 0.5, n_steps=n,
+                     quad_tol=1.0)
+    assert len(calls) == 2 * n + 1
+
+
 def test_duhamel_underresolved_raises(setup_1d, phi_1d):
     rng = np.random.default_rng(11)
     f_field = setup_1d.random_band_limited(rng)

@@ -85,6 +85,24 @@ def test_positivity_violation_raises():
         fb.assemble_fiber(prob, tr, np.array([0.05]), 0.9, consts)
 
 
+def test_remainder_norms_enforce_fiber_floor():
+    # the sweep path measures the fiber spectrum anyway; a floor above it
+    # must raise, the honest floor must not
+    prob = presets.osc1d(n_modes=6)
+    tr = Truncation(6, 1)
+    consts = fb.estimate_constants(prob)
+    sol = cl.solve_cell_problems(prob, tr)
+    ng = cl.ng_coefficients(prob, sol)
+    k, eps = np.array([0.3]), 0.4
+    fib = fb.assemble_fiber(prob, tr, k, eps, consts)
+    fb.remainder_norms(sol, ng, tr, k, eps, 1.0, consts, fib)
+    wmin = float(np.linalg.eigvalsh(fib.matrix).min())
+    inflated = fb.FiberOperator(fib.k, fib.eps, fib.matrix,
+                                2.0 * wmin / (k @ k + eps ** 2), tr, fib.n)
+    with pytest.raises(PositivityViolation):
+        fb.remainder_norms(sol, ng, tr, k, eps, 1.0, consts, inflated)
+
+
 def test_kernel_dimension_at_origin():
     for n_modes in (4, 8):
         prob = presets.random_fiber_instance(7, d=1, n_modes=max(8, n_modes))
@@ -193,6 +211,36 @@ def test_cross_validation_d1(seed, d, n_modes):
                                      constants=consts)
     assert rep["Z"] < 1e-7 and rep["Ztilde"] < 1e-7
     assert rep["germ"] < 1e-7 and rep["L"] < 1e-7 and rep["N"] < 1e-6
+
+
+@pytest.mark.parametrize("seed,d", [(5, 1), (201, 2)])
+def test_grid_rectangles_match_einsum_construction(seed, d):
+    prob = presets.random_fiber_instance(seed, d=d, n_modes=6)
+    assert prob.a is not None
+    tr = Truncation(6, d)
+    theta = np.ones(d) / np.sqrt(d)
+    rect = fb.GridRectangles(prob, tr, fb.rectangle_grid(prob, tr))
+    ref = oracles.grid_rectangles_einsum(rect, theta)
+    got = {"X0": rect.X0(), "X1": rect.X1(theta), "Y0": rect.Y0(),
+           "Y1": rect.Y1(theta), "Y2": rect.Y2()}
+    for name, mat in got.items():
+        assert mat.shape == ref[name].shape
+        assert np.abs(mat - ref[name]).max() < 1e-13 * max(
+            1.0, np.abs(ref[name]).max())
+
+
+def test_hatted_threshold_matches_dense_formulas():
+    prob = presets.random_fiber_instance(201, d=2, n_modes=6)
+    tr = Truncation(6, 2)
+    consts = fb.estimate_constants(prob)
+    fam = fb.hatted_family(prob, tr, [0.6, 0.8], consts,
+                           fb.rectangle_grid(prob, tr))
+    from parahom.abstract import compute_threshold
+    th = compute_threshold(fam, delta=consts.delta, tau0=consts.tau0)
+    ref = oracles.dense_threshold(fam)
+    for name, val in ref.items():
+        scale = max(1.0, float(np.abs(val).max()))
+        assert np.abs(getattr(th, name) - val).max() < 1e-12 * scale, name
 
 
 def test_cross_validation_constant_coefficients():
