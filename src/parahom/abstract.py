@@ -298,14 +298,12 @@ def n_operator(th, t, eps):
             + t * eps ** 2 * th.N21 + eps ** 3 * th.N22)
 
 
-def _kernel_flow(th, t, eps, tol=1e-9):
+def _kernel_flow(th, t, eps):
     """Flow of L(t,eps) restricted to the kernel; positivity check."""
     u = th.kernel_basis
     flow = linalg.HermitianFlow(u.conj().T @ L_operator(th, t, eps) @ u)
-    floor = th.cstar_check * (t ** 2 + eps ** 2)
-    if floor > 0 and flow.w.min() < floor - tol * max(abs(floor), 1.0):
-        raise NonPositiveL(
-            f"L(t,eps) eigenvalue {flow.w.min():.3e} below bound {floor:.3e}")
+    linalg.check_floor(flow.w, th.cstar_check, t ** 2 + eps ** 2, NonPositiveL,
+                       "L(t,eps)")
     return flow
 
 

@@ -61,7 +61,9 @@ class PeriodicProblem:
         return self.f is None
 
     def b_of(self, xi):
-        return np.tensordot(np.asarray(xi, dtype=complex), self.b_symbols, axes=(0, 0))
+        """Symbol b(xi), batched over the leading axes: (..., d) -> (..., m, n)."""
+        return np.tensordot(np.asarray(xi, dtype=complex), self.b_symbols,
+                            axes=(-1, 0))
 
     def f_field(self):
         if self.f is None:
@@ -145,32 +147,21 @@ class CellSolution:
 
     def L_hat_symbol(self, q, eps):
         """Effective symbol b(q)* g0 b(q) - eps(b* V + V* b) + eps sum abar q
-        + eps^2 (Qbar - W + lam)."""
+        + eps^2 (Qbar - W + lam), batched over the leading axes of q."""
         p = self.problem
+        q = np.asarray(q, dtype=float)
         bq = p.b_of(q)
-        lin = -(bq.conj().T @ self.V + self.V.conj().T @ bq)
-        lin = lin + np.tensordot(np.asarray(q, dtype=float), self.abar_sum,
-                                 axes=(0, 0))
+        bqh = adj(bq)
+        lin = -(bqh @ self.V + adj(self.V) @ bq) \
+            + np.tensordot(q, self.abar_sum, axes=(-1, 0))
         zero = self.Qbar - self.W + p.lam * np.eye(p.n)
-        return (bq.conj().T @ self.g0 @ bq + eps * lin + eps ** 2 * zero)
+        return bqh @ self.g0 @ bq + eps * lin + eps ** 2 * zero
 
     def B0_symbol(self, q, eps):
-        """f0 L_hat(q, eps) f0."""
+        """f0 L_hat(q, eps) f0, batched over the leading axes of q."""
         return self.f0 @ self.L_hat_symbol(q, eps) @ self.f0
 
-    def B0_symbols(self, qs, eps):
-        """Vectorized f0 L_hat(q, eps) f0 over a stack of frequencies (G, d)."""
-        p = self.problem
-        qs = np.asarray(qs, dtype=float)
-        bq = np.tensordot(qs, p.b_symbols, axes=(1, 0))      # (G, m, n)
-        bqh = np.swapaxes(bq.conj(), -1, -2)
-        main = np.einsum("gnm,mk,gkl->gnl", bqh, self.g0, bq)
-        lin = -(np.einsum("gnm,ml->gnl", bqh, self.V)
-                + np.einsum("nm,gml->gnl", self.V.conj().T, bq))
-        lin = lin + np.tensordot(qs, self.abar_sum, axes=(1, 0))
-        zero = self.Qbar - self.W + p.lam * np.eye(p.n)
-        lhat = main + eps * lin + eps ** 2 * zero
-        return np.einsum("pq,gqr,rt->gpt", self.f0, lhat, self.f0)
+    B0_symbols = B0_symbol
 
     def export_dict(self):
         def ri(a):
@@ -186,58 +177,43 @@ class CellSolution:
 # spectral helpers
 
 
-def coeff_vector(field_col, trunc):
-    """Coefficients of a (grid..., p) vector field w.r.t. the orthonormal basis.
+def _mode_index(trunc, grid_shape):
+    return tuple(trunc.modes[:, ax] % grid_shape[ax]
+                 for ax in range(trunc.dimension))
 
-    Returns (M, p); includes the |Omega|^{1/2}-free convention used throughout
+
+def coeff_vector(field, trunc):
+    """Coefficients of a (grid..., p, q) matrix field at the truncated modes.
+
+    Returns (M, p, q); each column is a coefficient vector w.r.t. the
+    orthonormal basis, in the |Omega|^{1/2}-free convention used throughout
     (multiplication-operator columns are plain function Fourier coefficients).
     """
-    coeffs = fd.fft_coeffs(field_col[..., None])[..., 0]
-    modes = trunc.modes
-    grid = coeffs.shape[:-1]
-    idx = tuple(modes[:, ax] % grid[ax] for ax in range(trunc.dimension))
-    return coeffs[idx]
+    coeffs = fd.fft_coeffs(field)
+    return coeffs[_mode_index(trunc, coeffs.shape[:-2])]
 
 
 def field_from_coeff_vector(vec, trunc, grid_shape):
-    """Inverse of coeff_vector: (M, p) coefficients to (grid..., p) samples."""
-    p = vec.shape[1]
-    out = np.zeros((*grid_shape, p), dtype=complex)
-    modes = trunc.modes
-    idx = tuple(modes[:, ax] % grid_shape[ax] for ax in range(trunc.dimension))
-    out[idx] = vec
-    return fd.field_from_coeffs(out[..., None])[..., 0]
+    """Inverse of coeff_vector: (M, p, q) coefficients to (grid..., p, q)."""
+    out = np.zeros((*grid_shape, *vec.shape[1:]), dtype=complex)
+    out[_mode_index(trunc, grid_shape)] = vec
+    return fd.field_from_coeffs(out)
 
 
-def apply_bD(problem, mat_field, k=None):
-    """b(D+k) applied column-wise to an (grid..., n, cols) matrix field."""
-    lat = problem.lattice
-    grid = mat_field.shape[:-2]
-    cols = mat_field.shape[-1]
-    d = lat.dimension
-    fhat = np.fft.fftn(mat_field, axes=tuple(range(d)))
-    idx = np.meshgrid(*[np.fft.fftfreq(g, 1.0 / g).astype(int) for g in grid],
-                      indexing="ij")
-    midx = np.stack(idx, axis=-1)
-    freqs = midx @ lat.dual_basis
-    if k is not None:
-        freqs = freqs + np.asarray(k, dtype=float)
-    sym = np.tensordot(freqs, problem.b_symbols, axes=(-1, 0))  # (grid..., m, n)
-    out = np.einsum("...mn,...nc->...mc", sym, fhat)
-    return np.fft.ifftn(out, axes=tuple(range(d)))
+def apply_bD(problem, mat_field):
+    """b(D) applied column-wise to a (grid..., n, cols) matrix field."""
+    axes = tuple(range(problem.d))
+    freqs = fd.grid_freqs(mat_field.shape[:-2], problem.lattice)
+    return np.fft.ifftn(problem.b_of(freqs) @ np.fft.fftn(mat_field, axes=axes),
+                        axes=axes)
 
 
 def spectral_derivative(field, lattice, axis):
     """D_axis of a matrix field (Cartesian component of the dual frequency)."""
-    grid = field.shape[:-2]
-    d = lattice.dimension
-    fhat = np.fft.fftn(field, axes=tuple(range(d)))
-    idx = np.meshgrid(*[np.fft.fftfreq(g, 1.0 / g).astype(int) for g in grid],
-                      indexing="ij")
-    midx = np.stack(idx, axis=-1)
-    freqs = midx @ lattice.dual_basis
-    out = fhat * freqs[..., axis][..., None, None]
-    return np.fft.ifftn(out, axes=tuple(range(d)))
+    axes = tuple(range(lattice.dimension))
+    freqs = fd.grid_freqs(field.shape[:-2], lattice)[..., axis]
+    return np.fft.ifftn(np.fft.fftn(field, axes=axes) * freqs[..., None, None],
+                        axes=axes)
 
 
 def adj(field):
@@ -250,15 +226,20 @@ def adj(field):
 
 
 def galerkin_matrix(problem, trunc, k=None):
-    """Exact Galerkin matrix of <g b(D+k)u, b(D+k)v> on the truncated space."""
-    bd = fd.symbol_blockdiag(
-        lambda q: problem.b_of(q), trunc, problem.lattice, k)
-    gm = fd.mult_matrix(problem.g, trunc)
-    return linalg.herm(bd.conj().T @ gm @ bd), bd
+    """Exact Galerkin matrix of <g b(D+k)u, b(D+k)v> on the truncated space,
+    and the (M, m, n) block stack of b(D+k)."""
+    bk = problem.b_of(trunc.freqs(problem.lattice, k))
+    gb = fd.times_blockdiag(fd.mult_matrix(problem.g, trunc), bk)
+    return linalg.herm(fd.times_blockdiag(gb.conj().T, bk)), bk
 
 
-def _solve_zero_mean(A, rhs, trunc, n, cond_cap=1e12):
-    """Solve A x = rhs with the zero-mode block removed (zero cell average)."""
+def _solve_zero_mean(A, rhs, trunc, grid, cond_cap=1e12):
+    """Zero-mean solutions of A x = rhs for (M, n, c) coefficient columns.
+
+    The zero-mode block is removed (zero cell average); returns the
+    (grid..., n, c) solution field.
+    """
+    n, c = rhs.shape[1:]
     z = trunc.zero_index
     mask = np.ones(A.shape[0], dtype=bool)
     mask[z * n:(z + 1) * n] = False
@@ -267,9 +248,9 @@ def _solve_zero_mean(A, rhs, trunc, n, cond_cap=1e12):
     if w[0] <= 0 or w[-1] / w[0] > cond_cap:
         raise IllConditioned(
             f"cell Galerkin matrix condition {w[-1] / max(w[0], 1e-300):.2e}")
-    x = np.zeros((A.shape[0], rhs.shape[1]), dtype=complex)
-    x[mask] = np.linalg.solve(A_red, rhs[mask])
-    return x
+    x = np.zeros((A.shape[0], c), dtype=complex)
+    x[mask] = np.linalg.solve(A_red, rhs.reshape(-1, c)[mask])
+    return field_from_coeff_vector(x.reshape(rhs.shape), trunc, grid)
 
 
 def solve_cell_problems(problem, trunc, cond_cap=1e12):
@@ -279,29 +260,17 @@ def solve_cell_problems(problem, trunc, cond_cap=1e12):
     grid = problem.grid_shape
     A, bd = galerkin_matrix(problem, trunc)
 
-    # principal cell problem: one solve per column of the m x m identity
-    rhs_cols = []
-    for c in range(m):
-        gcol = problem.g[..., :, c]                       # (grid..., m)
-        vec = coeff_vector(gcol, trunc).reshape(-1)       # (M*m,)
-        rhs_cols.append(-(bd.conj().T @ vec))
-    rhs = np.stack(rhs_cols, axis=1)
-    lam_vec = _solve_zero_mean(A, rhs, trunc, n, cond_cap)
-    Lambda = np.stack(
-        [field_from_coeff_vector(lam_vec[:, c].reshape(trunc.size, n), trunc, grid)
-         for c in range(m)], axis=-1)                      # (grid..., n, m)
-
-    # companion problem driven by the divergence of the a_j fields
+    # one solve for both cell problems: b(D)* g b(D) Lambda = -b(D)* g (m
+    # columns) and the companion problem driven by the divergence of the a_j*
+    rhs = -(adj(bd) @ coeff_vector(problem.g, trunc))
     if problem.a is not None:
         div_a = sum(spectral_derivative(adj(problem.a[j]), problem.lattice, j)
                     for j in range(d))
-        rhs_t = np.stack(
-            [-coeff_vector(div_a[..., :, c], trunc).reshape(-1) for c in range(n)],
-            axis=1)
-        lamt_vec = _solve_zero_mean(A, rhs_t, trunc, n, cond_cap)
-        LambdaTilde = np.stack(
-            [field_from_coeff_vector(lamt_vec[:, c].reshape(trunc.size, n),
-                                     trunc, grid) for c in range(n)], axis=-1)
+        rhs = np.concatenate([rhs, -coeff_vector(div_a, trunc)], axis=-1)
+    sol = _solve_zero_mean(A, rhs, trunc, grid, cond_cap)
+    Lambda = sol[..., :m]
+    if problem.a is not None:
+        LambdaTilde = sol[..., m:]
     else:
         LambdaTilde = np.zeros((*grid, n, n), dtype=complex)
 
@@ -360,38 +329,24 @@ class NGCoefficients:
     abar_tilde: np.ndarray = dfield(default=None)  # (d, n, n) Hermitian parts
 
     def symbol(self, q, eps):
-        """N_G(q, eps): Hermitian n x n value of the third-order symbol."""
+        """N_G(q, eps): Hermitian n x n value of the third-order symbol,
+        batched over the leading axes of q."""
         q = np.asarray(q, dtype=float)
-        p = self.problem
-        bq = p.b_of(q)
-        MG = np.tensordot(q, self.M_G_symbols, axes=(0, 0))
-        MG1 = np.tensordot(q, self.M_G1_symbols, axes=(0, 0))
-        MG2 = np.tensordot(q, self.M_G2_symbols, axes=(0, 0))
-        lin21 = np.tensordot(q, self.abar_tilde, axes=(0, 0))
-        out = bq.conj().T @ MG @ bq
-        t12 = bq.conj().T @ self.T_G0 @ bq + MG1 @ bq + (MG1 @ bq).conj().T
-        t21 = MG2 + MG2.conj().T + bq.conj().T @ self.T_G \
-            + (bq.conj().T @ self.T_G).conj().T + lin21
-        return out + eps * t12 + eps ** 2 * t21 + eps ** 3 * self.N22
+        bq = self.problem.b_of(q)
+        bqh = adj(bq)
 
-    def symbols(self, qs, eps):
-        """Vectorized symbol over a stack of frequencies (G, d)."""
-        p = self.problem
-        qs = np.asarray(qs, dtype=float)
-        bq = np.tensordot(qs, p.b_symbols, axes=(1, 0))
-        bqh = np.swapaxes(bq.conj(), -1, -2)
-        MG = np.tensordot(qs, self.M_G_symbols, axes=(1, 0))
-        MG1 = np.tensordot(qs, self.M_G1_symbols, axes=(1, 0))
-        MG2 = np.tensordot(qs, self.M_G2_symbols, axes=(1, 0))
-        lin21 = np.tensordot(qs, self.abar_tilde, axes=(1, 0))
-        out = np.einsum("gnm,gmk,gkl->gnl", bqh, MG, bq)
-        cross = np.einsum("gnm,gml->gnl", MG1, bq)
-        t12 = np.einsum("gnm,mk,gkl->gnl", bqh, self.T_G0, bq) \
-            + cross + np.swapaxes(cross.conj(), -1, -2)
-        tg = np.einsum("gnm,ml->gnl", bqh, self.T_G)
-        t21 = MG2 + np.swapaxes(MG2.conj(), -1, -2) \
-            + tg + np.swapaxes(tg.conj(), -1, -2) + lin21
-        return out + eps * t12 + eps ** 2 * t21 + eps ** 3 * self.N22
+        def lin(coeffs):
+            return np.tensordot(q, coeffs, axes=(-1, 0))
+
+        cross = lin(self.M_G1_symbols) @ bq
+        tg = bqh @ self.T_G
+        mg2 = lin(self.M_G2_symbols)
+        t12 = bqh @ self.T_G0 @ bq + cross + adj(cross)
+        t21 = mg2 + adj(mg2) + tg + adj(tg) + lin(self.abar_tilde)
+        return (bqh @ lin(self.M_G_symbols) @ bq + eps * t12 + eps ** 2 * t21
+                + eps ** 3 * self.N22)
+
+    symbols = symbol
 
 
 def ng_coefficients(problem, cell):

@@ -127,16 +127,21 @@ class EvolutionSetup:
 
     # -- fiber flows ----------------------------------------------------------
 
+    def _assemble(self, idx):
+        return fb.assemble_fiber(self.cell.problem, self.trunc,
+                                 self.fiber_k[idx], self.eps, self.constants,
+                                 check=False)
+
     def fiber(self, idx):
         if idx not in self._fibers:
-            self._fibers[idx] = fb.assemble_fiber(
-                self.cell.problem, self.trunc, self.fiber_k[idx], self.eps,
-                self.constants, check=False)
+            self._fibers[idx] = self._assemble(idx)
         return self._fibers[idx]
 
     def flow(self, idx):
+        # the flow holds all the fine evolution needs, so its fiber matrix is
+        # not kept in the fiber cache as well
         if idx not in self._flows:
-            self._flows[idx] = fb.FiberFlow(self.fiber(idx).matrix)
+            self._flows[idx] = fb.FiberFlow(self._assemble(idx).matrix)
         return self._flows[idx]
 
     # -- pointwise multipliers ------------------------------------------------
@@ -229,13 +234,10 @@ def _effective_flow(setup):
     """Flow of f0 L_hat(zeta, eps) f0, batched over all box frequencies."""
     if setup._hom_flow is None:
         eps = setup.eps
-        flow = linalg.HermitianFlow(setup.cell.B0_symbols(setup.freq_zeta, eps))
-        cc = setup.constants.cstar_check
-        if cc > 0.0:
-            floor = cc * (np.sum(setup.freq_zeta ** 2, axis=1) + eps ** 2)
-            if np.any(flow.w[:, 0] < floor - 1e-9 * np.maximum(floor, 1.0)):
-                raise NonPositiveEffective(
-                    "effective symbol loses positivity on the box grid")
+        flow = linalg.HermitianFlow(setup.cell.B0_symbol(setup.freq_zeta, eps))
+        linalg.check_floor(flow.w, setup.constants.cstar_check,
+                           np.sum(setup.freq_zeta ** 2, axis=1) + eps ** 2,
+                           NonPositiveEffective, "box-grid effective symbol")
         setup._hom_flow = flow
     return setup._hom_flow
 
@@ -253,14 +255,13 @@ def evolve_homogenized(setup, phi, s):
 
 def _ng_symbols(setup):
     if setup._nsym_grid is None:
-        setup._nsym_grid = setup.ng.symbols(setup.freq_zeta, setup.eps)
+        setup._nsym_grid = setup.ng.symbol(setup.freq_zeta, setup.eps)
     return setup._nsym_grid
 
 
 def _b_symbols_grid(setup):
     if setup._b_grid is None:
-        bs = setup.cell.problem.b_symbols
-        setup._b_grid = np.tensordot(setup.freq_zeta, bs, axes=(1, 0))
+        setup._b_grid = setup.cell.problem.b_of(setup.freq_zeta)
     return setup._b_grid
 
 
@@ -451,10 +452,10 @@ def convergence_sweep(problem, trunc, eps_list, s, mode="both",
         setup = EvolutionSetup(cell_sol, ng, constants, eps, n_cells, trunc)
         s_scaled = s / eps ** 2
 
+        # each fiber is assembled, used and dropped: memory O(D^2 threads)
         def one_fiber(idx):
             return fb.remainder_norms(cell_sol, ng, trunc, setup.fiber_k[idx],
-                                      eps, s_scaled, constants,
-                                      setup.fiber(idx), mode=mode)
+                                      eps, s_scaled, constants, mode=mode)
 
         results = fb.parallel_map(one_fiber, range(setup.n_fibers), threads)
         sup_p = max(r[0] for r in results)

@@ -22,7 +22,7 @@ import numpy as np
 from . import fields as fd
 from . import linalg
 from .abstract import AbstractFamily, compute_threshold, remainder_envelopes
-from .cell import adj
+from .cell import adj, coeff_vector
 from .errors import MismatchBeyondTolerance, NonPositiveEffective, PositivityViolation
 
 
@@ -137,82 +137,54 @@ def _field_band(field, tol=1e-13):
     return band
 
 
-def mult_matrix_rect(field, trunc_rows, trunc_cols):
-    """Multiplication matrix between two different truncations."""
-    coeffs = fd.fft_coeffs(field)
-    rows, cols = trunc_rows.modes, trunc_cols.modes
-    p, q = coeffs.shape[-2:]
-    grid = coeffs.shape[:-2]
-    diff = rows[:, None, :] - cols[None, :, :]
-    idx = tuple((diff[..., ax] % grid[ax]) for ax in range(trunc_rows.dimension))
-    blocks = coeffs[idx]
-    return blocks.transpose(0, 2, 1, 3).reshape(len(rows) * p, len(cols) * q)
-
-
 def assemble_fiber(problem, trunc, k, eps, constants=None, check=True):
     """Galerkin matrix of the fiber form at quasimomentum k.
 
     Exact (alias-free) for band-limited coefficients; with f != identity the
-    inner factors are carried on an extended mode set sized from f's band.
+    inner form is carried on an extended mode set sized from f's band and
+    compressed by the rectangle [f].  b(D+k) acts as a block stack.
     """
     k = np.asarray(k, dtype=float)
-    lat = problem.lattice
     n = problem.n
     if problem.f_is_identity:
         tr_in = trunc
-        F = None
     else:
         pad = _field_band(problem.f_field())
         tr_in = fd.Truncation(trunc.n_modes + pad, trunc.dimension)
-        F = mult_matrix_rect(problem.f_field(), tr_in, trunc)
 
-    bd = fd.symbol_blockdiag(lambda q: problem.b_of(q), tr_in, lat, k)
-    gm = fd.mult_matrix(problem.g, tr_in)
-    if F is None:
-        mat = bd.conj().T @ gm @ bd
-    else:
-        w = bd @ F
-        mat = w.conj().T @ gm @ w
-
-    if problem.a is not None or problem.lam != 0.0 or problem.Qdensity is not None:
-        if problem.a is not None:
-            cross = np.zeros_like(mat)
-            for j in range(problem.d):
-                dj = fd.symbol_blockdiag(
-                    lambda q: q[j] * np.eye(n), tr_in, lat, k)
-                aj = fd.mult_matrix(adj(problem.a[j]), tr_in)
-                if F is None:
-                    cross += aj.conj().T @ dj
-                else:
-                    cross += F.conj().T @ aj.conj().T @ dj @ F
-            mat = mat + eps * (cross + cross.conj().T)
-        if problem.Qdensity is not None:
-            qm = fd.mult_matrix(problem.Qdensity, tr_in)
-            mat = mat + eps ** 2 * (qm if F is None else F.conj().T @ qm @ F)
-        if problem.lam != 0.0:
-            if F is None:
-                mat = mat + eps ** 2 * problem.lam * np.eye(mat.shape[0])
-            else:
-                q0 = fd.mult_matrix(
-                    adj(problem.f_field()) @ problem.f_field(), trunc)
-                mat = mat + eps ** 2 * problem.lam * q0
+    freqs = tr_in.freqs(problem.lattice, k)
+    bk = problem.b_of(freqs)
+    gb = fd.times_blockdiag(fd.mult_matrix(problem.g, tr_in), bk)
+    mat = fd.times_blockdiag(gb.conj().T, bk)
+    if problem.a is not None:
+        # sum_j [a_j] (D+k)_j: column scaling by the frequency components
+        cross = sum(fd.mult_matrix(adj(problem.a[j]), tr_in).conj().T
+                    * np.repeat(freqs[:, j], n) for j in range(problem.d))
+        mat = mat + eps * (cross + cross.conj().T)
+    if problem.Qdensity is not None:
+        mat = mat + eps ** 2 * fd.mult_matrix(problem.Qdensity, tr_in)
+    if not problem.f_is_identity:
+        F = fd.mult_matrix(problem.f_field(), tr_in, trunc)
+        mat = F.conj().T @ mat @ F
+    if problem.lam != 0.0:
+        q0 = (np.eye(mat.shape[0]) if problem.f_is_identity else fd.mult_matrix(
+            adj(problem.f_field()) @ problem.f_field(), trunc))
+        mat = mat + eps ** 2 * problem.lam * q0
 
     mat = linalg.herm(mat)
     ccheck = constants.cstar_check if constants is not None else 0.0
     fib = FiberOperator(k, float(eps), mat, float(ccheck), trunc, n)
     if check and ccheck > 0.0:
-        _check_floor(fib, float(np.linalg.eigvalsh(mat).min()))
+        _check_floor(fib, np.linalg.eigvalsh(mat))
     return fib
 
 
-def _check_floor(fib, wmin):
-    """PositivityViolation when the smallest fiber eigenvalue ``wmin`` falls
-    below the fiber's lower bound (skipped when no bound is set)."""
-    bound = fib.lower_bound
-    if fib.cstar_check > 0.0 and wmin < bound - 1e-9 * max(1.0, abs(bound)):
-        raise PositivityViolation(
-            f"fiber eigenvalue {wmin:.3e} below bound {bound:.3e}"
-            " (lambda too small or truncation too coarse)")
+def _check_floor(fib, w):
+    """PositivityViolation when the fiber spectrum ``w`` falls below the
+    fiber's lower bound (skipped when no bound is set)."""
+    linalg.check_floor(w, fib.cstar_check, float(fib.k @ fib.k) + fib.eps ** 2,
+                       PositivityViolation,
+                       "fiber (lambda too small or truncation too coarse)")
 
 
 class FiberFlow(linalg.HermitianFlow):
@@ -236,16 +208,9 @@ def parallel_map(fn, items, threads):
 # effective fiber objects and the corrector
 
 
-def effective_zero_block(cell, k, eps, cstar_check=0.0, tol=1e-9):
-    """f0 L_hat(k,eps) f0 on the averaged subspace; positivity enforced."""
-    H = linalg.herm(cell.B0_symbol(k, eps))
-    if cstar_check > 0.0:
-        bound = cstar_check * (float(np.dot(k, k)) + eps ** 2)
-        wmin = float(np.linalg.eigvalsh(H).min())
-        if wmin < bound - tol * max(1.0, abs(bound)):
-            raise NonPositiveEffective(
-                f"effective symbol eigenvalue {wmin:.3e} below {bound:.3e}")
-    return H
+def effective_zero_block(cell, k, eps):
+    """f0 L_hat(k,eps) f0 on the averaged subspace."""
+    return linalg.herm(cell.B0_symbol(k, eps))
 
 
 def _zero_block_slice(trunc, n):
@@ -255,24 +220,30 @@ def _zero_block_slice(trunc, n):
 
 def _principal_and_corrector(cell, ng, trunc, k, eps, s, cstar_check):
     """f0 exp(-B0 s) f0 Phat and, unless ``ng`` is None, the corrector, both
-    from one eigendecomposition of the effective zero block."""
-    problem = cell.problem
-    n = problem.n
+    from one eigendecomposition of the effective zero block, whose spectrum
+    is held to its floor (NonPositiveEffective)."""
+    n = cell.problem.n
     k = np.asarray(k, dtype=float)
-    flow = linalg.HermitianFlow(effective_zero_block(cell, k, eps, cstar_check))
-    gp = np.zeros((trunc.size * n, trunc.size * n), dtype=complex)
+    flow = linalg.HermitianFlow(effective_zero_block(cell, k, eps))
+    linalg.check_floor(flow.w, cstar_check, float(k @ k) + eps ** 2,
+                       NonPositiveEffective, "effective symbol")
+    ez = cell.f0 @ flow.expm(s) @ cell.f0
     sl = _zero_block_slice(trunc, n)
-    gp[sl, sl] = cell.f0 @ flow.expm(s) @ cell.f0
+    gp = np.zeros((trunc.size * n, trunc.size * n), dtype=complex)
+    gp[sl, sl] = ez
     if ng is None:
         return gp, None
 
-    bd_k = fd.symbol_blockdiag(lambda q: problem.b_of(q), trunc,
-                               problem.lattice, k)
-    lg = fd.mult_matrix(cell.LambdaG, trunc)      # (M n x M m)
-    lgt = fd.mult_matrix(cell.LambdaTildeG, trunc)
-    first = (lg @ bd_k + eps * lgt) @ gp
+    # ([Lambda_G] b(D+k) + eps [LambdaTilde_G]) gp lives in the zero-mode
+    # columns, where b(D+k) is b(k) and the multiplication matrices reduce to
+    # the coefficient columns of the fields
+    first = (coeff_vector(cell.LambdaG, trunc).reshape(-1, cell.problem.m)
+             @ cell.problem.b_of(k)
+             + eps * coeff_vector(cell.LambdaTildeG, trunc).reshape(-1, n)) @ ez
     inner = cell.f0 @ ng.symbol(k, eps) @ cell.f0
-    out = first + first.conj().T
+    out = np.zeros_like(gp)
+    out[:, sl] = first
+    out[sl, :] += first.conj().T
     out[sl, sl] -= cell.f0 @ flow.integral(inner, s) @ cell.f0
     return gp, out
 
@@ -305,7 +276,7 @@ def remainder_norms(cell, ng, trunc, k, eps, s, constants=None, fiber=None,
         fiber = assemble_fiber(problem, trunc, k, eps, constants, check=False)
     if flow is None:
         flow = FiberFlow(fiber.matrix)
-    _check_floor(fiber, float(flow.w.min()))
+    _check_floor(fiber, flow.w)
     lhs = flow.expm(s)
     if not problem.f_is_identity:
         fm = fd.mult_matrix(problem.f_field(), trunc)
@@ -379,17 +350,13 @@ class GridRectangles:
         vals = self.E[:, None, :, None] * block
         return vals.reshape(-1, self.E.shape[1] * vals.shape[-1])
 
-    def _freqs(self):
-        """Dual-lattice frequencies of the truncated modes: (M, d)."""
-        return self.trunc.modes @ self.lat.dual_basis
-
     def _stack(self, blocks):
         """(G^d or 1, d, n, n) direction blocks -> (G^d or 1, d*n, 1, n)."""
         return blocks.reshape(blocks.shape[0], -1, 1, blocks.shape[-1])
 
     def X0(self):
         """Grid values of h b(D) u: (G^d*m, M*n)."""
-        b = np.array([self.problem.b_of(q) for q in self._freqs()])
+        b = self.problem.b_of(self.trunc.freqs(self.lat))
         m, n = b.shape[1:]
         # (h(g) b(b))[i, j] for every node g and mode b, as one GEMM
         hb = self.h.reshape(-1, m) @ b.transpose(1, 0, 2).reshape(m, -1)
@@ -403,7 +370,7 @@ class GridRectangles:
     def Y0(self):
         """Grid values of col{D_j u}: (G^d*d*n, M*n)."""
         eye = np.eye(self.problem.n)
-        q = self._freqs().T                                # (d, M)
+        q = self.trunc.freqs(self.lat).T                    # (d, M)
         return self._rect((q[:, None, :, None] * eye[None, :, None, :])
                           .reshape(1, -1, q.shape[1], eye.shape[1]))
 

@@ -7,9 +7,11 @@ Vectors of the truncated Fourier space carry shape ``(M, n)`` (mode-major,
 flattened C-order to ``M*n`` when used as matrix columns), with the orthonormal
 basis e_b(x) = |Omega|^{-1/2} exp(i<b, x>).
 
-Two operator representations are used:
+Three operator representations are used:
 
 * multiplication matrices [C] on the truncated space (Fourier convolution),
+* constant-coefficient symbols as block stacks (M, p, q), one block per mode,
+  applied by broadcasting instead of as block-diagonal matrices,
 * rectangles into the quadrature-grid space with the weighted inner product
   (|Omega|/G^d) * sum over nodes, which makes X*X the alias-free Galerkin
   matrix of the quadratic form.
@@ -44,6 +46,17 @@ class Truncation:
     def zero_index(self):
         # modes are lexicographic over [-N..N]^d, zero sits in the middle
         return (self.size - 1) // 2
+
+    def freqs(self, lattice, k=None):
+        """Frequencies b + k of the modes: (M, d)."""
+        return self.modes @ lattice.dual_basis + (0.0 if k is None else k)
+
+
+def grid_freqs(grid_shape, lattice):
+    """Dual-lattice frequencies of the FFT bins of a cell grid: (*grid, d)."""
+    idx = np.meshgrid(*[np.fft.fftfreq(g, 1.0 / g).astype(int)
+                        for g in grid_shape], indexing="ij")
+    return np.stack(idx, axis=-1) @ lattice.dual_basis
 
 
 def fft_coeffs(field):
@@ -90,32 +103,43 @@ def mean_field(field):
     return np.asarray(field).mean(axis=grid_axes)
 
 
-def mult_matrix(field, trunc):
+def mult_matrix(field, trunc, trunc_cols=None):
     """Matrix of multiplication by ``field`` on the truncated Fourier space.
 
-    Returns shape (M*p, M*q).  Exact whenever the field's spectrum fits the
+    Rows follow ``trunc`` and columns ``trunc_cols`` (default ``trunc``):
+    shape (M_rows*p, M_cols*q).  Exact whenever the field's spectrum fits the
     sampling grid alias-free together with the mode-difference range.
     """
     coeffs = fft_coeffs(field)
-    modes = trunc.modes
-    m = trunc.size
+    rows = trunc.modes
+    cols = rows if trunc_cols is None else trunc_cols.modes
     p, q = coeffs.shape[-2:]
     grid = coeffs.shape[:-2]
-    diff = modes[:, None, :] - modes[None, :, :]
+    diff = rows[:, None, :] - cols[None, :, :]
     idx = tuple((diff[..., ax] % grid[ax]) for ax in range(trunc.dimension))
-    blocks = coeffs[idx]                      # (M, M, p, q)
-    return blocks.transpose(0, 2, 1, 3).reshape(m * p, m * q)
+    blocks = coeffs[idx]                      # (M_rows, M_cols, p, q)
+    return blocks.transpose(0, 2, 1, 3).reshape(len(rows) * p, len(cols) * q)
+
+
+def times_blockdiag(mat, blocks):
+    """mat @ blockdiag(blocks) by broadcasting, for a (M, p, q) block stack.
+
+    ``mat`` has M*p mode-major columns; the result has M*q.  No
+    block-diagonal matrix is formed.
+    """
+    r = mat.shape[0]
+    m, p, q = blocks.shape
+    return (mat.reshape(r, m, 1, p) @ blocks).reshape(r, m * q)
 
 
 def symbol_blockdiag(symbol, trunc, lattice, k=None):
-    """Block-diagonal matrix of a constant-coefficient symbol q -> symbol(q).
+    """Dense block-diagonal matrix of a constant-coefficient symbol.
 
     ``symbol`` maps a frequency vector to a (p, q) matrix; the block at mode b
-    is symbol(b + k).
+    is symbol(b + k).  The package applies symbols as block stacks
+    (:func:`times_blockdiag`); this dense form is the reference for tests.
     """
-    k = np.zeros(lattice.dimension) if k is None else np.asarray(k, dtype=float)
-    freqs = trunc.modes @ lattice.dual_basis + k
-    blocks = np.array([symbol(f) for f in freqs])
+    blocks = np.array([symbol(f) for f in trunc.freqs(lattice, k)])
     m = trunc.size
     p, q = blocks.shape[-2:]
     out = np.zeros((m, p, m, q), dtype=complex)

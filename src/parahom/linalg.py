@@ -33,6 +33,23 @@ def opnorm(a):
     return float(np.linalg.norm(np.asarray(a), 2))
 
 
+def check_floor(w, cstar_check, tau_sq, error, what, tol=1e-9):
+    """Raise ``error`` when a spectrum falls below its floor.
+
+    ``w`` holds eigenvalues (..., n) and the floor is cstar_check * tau_sq,
+    with ``tau_sq`` = |k|^2 + eps^2 broadcasting over the leading axes.  The
+    slack is tol * max(1, floor); no floor is enforced when cstar_check <= 0.
+    """
+    if cstar_check <= 0.0:
+        return
+    wmin = np.ravel(np.min(w, axis=-1))
+    floor = np.broadcast_to(cstar_check * np.ravel(tau_sq), wmin.shape)
+    bad = np.flatnonzero(wmin < floor - tol * np.maximum(1.0, floor))
+    if bad.size:
+        i = bad[0]
+        raise error(f"{what} eigenvalue {wmin[i]:.3e} below bound {floor[i]:.3e}")
+
+
 def eigh_herm(a):
     """Eigendecomposition of a (numerically) Hermitian matrix."""
     return np.linalg.eigh(herm(a))

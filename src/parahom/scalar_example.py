@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fields as fd
-from .cell import (PeriodicProblem, coeff_vector, field_from_coeff_vector,
-                   galerkin_matrix, spectral_derivative, _solve_zero_mean)
+from .cell import (PeriodicProblem, adj, coeff_vector, galerkin_matrix,
+                   spectral_derivative, _solve_zero_mean)
 from .errors import MeanNotZero
 from .lattice import Lattice
 
@@ -47,13 +47,9 @@ class ScalarInput:
 
 def _laplace_inverse(values, lattice):
     """Zero-mean solution of Laplace(Phi) = values, spectral inversion."""
-    grid = values.shape
     d = lattice.dimension
     vhat = np.fft.fftn(values)
-    idx = np.meshgrid(*[np.fft.fftfreq(g, 1.0 / g).astype(int) for g in grid],
-                      indexing="ij")
-    freqs = np.stack(idx, axis=-1) @ lattice.dual_basis
-    norms = np.sum(freqs ** 2, axis=-1)
+    norms = np.sum(fd.grid_freqs(values.shape, lattice) ** 2, axis=-1)
     norms_safe = np.where(norms == 0.0, 1.0, norms)
     phat = -vhat / norms_safe
     phat[(0,) * d] = 0.0
@@ -113,28 +109,16 @@ def scalar_effective(inp, problem, trunc):
     lat = inp.lattice
     A_gal, bd = galerkin_matrix(problem, trunc)
 
-    # psi_j: div g (grad psi_j + e_j) = 0
-    rhs = []
-    for j in range(d):
-        gcol = inp.g[..., :, j]
-        vec = coeff_vector(gcol, trunc).reshape(-1)
-        rhs.append(1j * (bd.conj().T @ vec))
-    psi_vec = _solve_zero_mean(A_gal, np.stack(rhs, axis=1), trunc, 1)
-    psi = np.stack([field_from_coeff_vector(
-        psi_vec[:, j].reshape(trunc.size, 1), trunc, grid)[..., 0]
-        for j in range(d)], axis=-1)
-
-    # driven scalar solves
-    rhs1 = -coeff_vector(inp.v[..., None], trunc).reshape(-1, 1)
-    lt1 = field_from_coeff_vector(
-        _solve_zero_mean(A_gal, rhs1, trunc, 1).reshape(trunc.size, 1),
-        trunc, grid)[..., 0]
+    # one solve for psi_j (div g (grad psi_j + e_j) = 0, j = 1..d) and the
+    # two driven scalar problems
     eta = np.einsum("...ij,...j->...i", inp.g, inp.A)
     div_eta = sum(_gradient(eta[..., j], lat)[..., j] for j in range(d))
-    rhs2 = -coeff_vector(div_eta[..., None], trunc).reshape(-1, 1)
-    lt2 = field_from_coeff_vector(
-        _solve_zero_mean(A_gal, rhs2, trunc, 1).reshape(trunc.size, 1),
-        trunc, grid)[..., 0]
+    rhs = np.concatenate(
+        [1j * (adj(bd) @ coeff_vector(inp.g, trunc)),
+         -coeff_vector(inp.v[..., None, None], trunc),
+         -coeff_vector(div_eta[..., None, None], trunc)], axis=-1)
+    sol = _solve_zero_mean(A_gal, rhs, trunc, grid)[..., 0, :]
+    psi, lt1, lt2 = sol[..., :d], sol[..., d], sol[..., d + 1]
 
     grad_psi = np.stack([_gradient(psi[..., j], lat) for j in range(d)],
                         axis=-2)                     # (grid, j, l) = d_l psi_j

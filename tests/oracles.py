@@ -216,3 +216,131 @@ def grid_rectangles_einsum(rect, theta):
                                        eye_cols) for j in range(d)], axis=1)
     return {name: a.reshape(-1, M * n) for name, a in
             (("X0", X0), ("X1", X1), ("Y0", Y0), ("Y1", Y1), ("Y2", Y2))}
+
+
+def _adj(a):
+    return np.swapaxes(np.asarray(a).conj(), -1, -2)
+
+
+def dense_fiber(problem, trunc, k, eps):
+    """Fiber matrix with b(D+k) and each (D+k)_j as dense block-diagonal
+    matrices (``fields.symbol_blockdiag``) and every term compressed
+    separately: bd* [g] bd, [a_j*]* (D+k)_j, [Q] and lam [f* f]."""
+    from parahom import fields as fd
+    from parahom.fibers import _field_band
+
+    k = np.asarray(k, dtype=float)
+    lat, n = problem.lattice, problem.n
+    tr_in, F = trunc, None
+    if not problem.f_is_identity:
+        tr_in = fd.Truncation(trunc.n_modes + _field_band(problem.f_field()),
+                              trunc.dimension)
+        F = fd.mult_matrix(problem.f_field(), tr_in, trunc)
+
+    def outer(mat):
+        return mat if F is None else F.conj().T @ mat @ F
+
+    bd = fd.symbol_blockdiag(problem.b_of, tr_in, lat, k)
+    mat = outer(bd.conj().T @ fd.mult_matrix(problem.g, tr_in) @ bd)
+    if problem.a is not None:
+        cross = sum(outer(fd.mult_matrix(_adj(problem.a[j]), tr_in).conj().T
+                          @ fd.symbol_blockdiag(
+                              lambda q, j=j: q[j] * np.eye(n), tr_in, lat, k))
+                    for j in range(problem.d))
+        mat = mat + eps * (cross + cross.conj().T)
+    if problem.Qdensity is not None:
+        mat = mat + eps ** 2 * outer(fd.mult_matrix(problem.Qdensity, tr_in))
+    f = problem.f_field()
+    mat = mat + eps ** 2 * problem.lam * fd.mult_matrix(_adj(f) @ f, trunc)
+    return _herm(mat)
+
+
+def dense_fiber_corrector(cell, ng, trunc, k, eps, s):
+    """Fiber corrector from full matrices: ([Lambda_G] bd(k) + eps
+    [LambdaTilde_G]) gp plus its adjoint, minus the closed-form integral on
+    the zero-mode block, with a scipy matrix exponential for gp."""
+    from scipy.linalg import expm
+
+    from parahom import fields as fd
+
+    problem = cell.problem
+    n = problem.n
+    k = np.asarray(k, dtype=float)
+    H = _herm(cell.f0 @ L_hat_point(cell, k, eps) @ cell.f0)
+    z = trunc.zero_index
+    sl = slice(z * n, (z + 1) * n)
+    gp = np.zeros((trunc.size * n, trunc.size * n), dtype=complex)
+    gp[sl, sl] = cell.f0 @ expm(-s * H) @ cell.f0
+    bd = fd.symbol_blockdiag(problem.b_of, trunc, problem.lattice, k)
+    first = (fd.mult_matrix(cell.LambdaG, trunc) @ bd
+             + eps * fd.mult_matrix(cell.LambdaTildeG, trunc)) @ gp
+    out = first + first.conj().T
+    w, v = np.linalg.eigh(H)
+    vh = v.conj().T
+    e = np.exp(-w * s)
+    diff = w[:, None] - w[None, :]
+    same = np.abs(diff) < 1e-12 * max(1.0, np.abs(w).max())
+    weights = np.where(same, s * np.sqrt(np.outer(e, e)),
+                       (e[None, :] - e[:, None]) / np.where(same, 1.0, diff))
+    inner = cell.f0 @ ng_symbol_point(ng, k, eps) @ cell.f0
+    out[sl, sl] -= cell.f0 @ (v @ (weights * (vh @ inner @ v)) @ vh) @ cell.f0
+    return out
+
+
+def L_hat_point(cell, q, eps):
+    """Effective symbol at one frequency q (d,)."""
+    p = cell.problem
+    q = np.asarray(q, dtype=float)
+    bq = p.b_of(q)
+    lin = -(bq.conj().T @ cell.V + cell.V.conj().T @ bq) \
+        + sum(q[j] * cell.abar_sum[j] for j in range(p.d))
+    zero = cell.Qbar - cell.W + p.lam * np.eye(p.n)
+    return bq.conj().T @ cell.g0 @ bq + eps * lin + eps ** 2 * zero
+
+
+def ng_symbol_point(ng, q, eps):
+    """Third-order symbol N_G(q, eps) at one frequency q (d,)."""
+    q = np.asarray(q, dtype=float)
+    bq = ng.problem.b_of(q)
+    bqh = bq.conj().T
+
+    def lin(coeffs):
+        return sum(q[j] * coeffs[j] for j in range(len(q)))
+
+    MG1b = lin(ng.M_G1_symbols) @ bq
+    MG2 = lin(ng.M_G2_symbols)
+    t12 = bqh @ ng.T_G0 @ bq + MG1b + MG1b.conj().T
+    t21 = MG2 + MG2.conj().T + bqh @ ng.T_G + (bqh @ ng.T_G).conj().T \
+        + lin(ng.abar_tilde)
+    return (bqh @ lin(ng.M_G_symbols) @ bq + eps * t12 + eps ** 2 * t21
+            + eps ** 3 * ng.N22)
+
+
+def block_stack_problems():
+    """(name, problem, truncation) on which the block-stack code is compared
+    with the dense references: every term active, d = 1 and 2, and one
+    problem with a non-identity weight f."""
+    from parahom import cell as cl
+    from parahom import fields as fd
+    from parahom import presets
+    from parahom import scalar_example as se
+    from parahom.fields import Truncation
+    from parahom.lattice import cubic_lattice
+
+    grid = (32,)
+    weighted = cl.PeriodicProblem(
+        cubic_lattice(1), np.array([[[1.0]]]),
+        fd.harmonic_field(grid, 1, 1, [((1,), [[0.6]], 0.3)], const=[[2.0]]),
+        f=fd.harmonic_field(grid, 1, 1, [((1,), [[0.3]], 1.1)], const=[[1.2]]),
+        a=np.stack([fd.harmonic_field(grid, 1, 1,
+                                      [((1,), [[0.2 + 0.1j]], 0.4)])]),
+        Qdensity=fd.harmonic_field(grid, 1, 1, [((2,), [[0.3]], 0.2)],
+                                   const=[[0.1]]),
+        lam=2.0)
+    scalar, _ = se.build_scalar_problem(se.scalar_preset(d=2, n_modes=5,
+                                                         seed=201))
+    return [("osc1d_full", presets.osc1d_full(n_modes=12), Truncation(12, 1)),
+            ("random_fiber_2d", presets.random_fiber_instance(7, d=2, n_modes=6),
+             Truncation(6, 2)),
+            ("scalar_example_2d", scalar, Truncation(5, 2)),
+            ("weighted_f_1d", weighted, Truncation(8, 1))]

@@ -154,3 +154,30 @@ def test_ng_only_MG_survives_without_lower_order():
     assert np.abs(ng.T_G).max() < 1e-13
     assert np.abs(ng.N22).max() < 1e-13
     assert np.abs(ng.M_G_symbols).max() > 0.0
+
+
+BLOCK_STACK_PROBLEMS = oracles.block_stack_problems()
+
+
+@pytest.mark.parametrize("name,prob,tr", BLOCK_STACK_PROBLEMS,
+                         ids=[p[0] for p in BLOCK_STACK_PROBLEMS])
+def test_batched_symbols_match_per_point_formulas(name, prob, tr):
+    sol = cl.solve_cell_problems(prob, tr)
+    ng = cl.ng_coefficients(prob, sol)
+    qs = np.random.default_rng(0).standard_normal((3, 4, prob.d))
+    eps = 0.3
+    checks = (
+        (sol.L_hat_symbol(qs, eps), lambda q: oracles.L_hat_point(sol, q, eps)),
+        (sol.B0_symbols(qs, eps),
+         lambda q: sol.f0 @ oracles.L_hat_point(sol, q, eps) @ sol.f0),
+        (ng.symbol(qs, eps), lambda q: oracles.ng_symbol_point(ng, q, eps)),
+    )
+    for got, point in checks:
+        assert got.shape == (3, 4, prob.n, prob.n)
+        ref = np.array([[point(q) for q in row] for row in qs])
+        assert np.abs(got - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
+    # one point gives the values of the stack, and b_of batches alike
+    for one, stack in ((sol.L_hat_symbol(qs[1, 2], eps),
+                        sol.L_hat_symbol(qs, eps)[1, 2]),
+                       (prob.b_of(qs[2, 3]), prob.b_of(qs)[2, 3])):
+        assert np.abs(one - stack).max() <= 1e-15 * max(1.0, np.abs(one).max())

@@ -3,6 +3,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from parahom import cli
 from parahom.errors import DegenerateSeries, InsufficientDecades
@@ -298,3 +299,63 @@ prefix = evo
     assert rc == 0
     rows = (tmp_path / "evo_evolve.csv").read_text().splitlines()
     assert len(rows) == 3
+
+
+# ---------------------------------------------------------------------------
+# property tests of the rate fit
+
+PROPS = settings(max_examples=60, deadline=None, derandomize=True,
+                 database=None)
+
+
+def dyadic(first, count):
+    return [2.0 ** -(first + i) for i in range(count)]
+
+
+@PROPS
+@given(st.integers(0, 3), st.integers(3, 8), st.floats(0.5, 3.0),
+       st.floats(1e-3, 1e3))
+def test_fit_rate_recovers_power_law(first, count, p, C):
+    eps = dyadic(first, count)
+    fit = cli.fit_rate([(e, C * e ** p) for e in eps])
+    assert not fit.exact_agreement
+    assert fit.slope == pytest.approx(p, rel=1e-9, abs=1e-9)
+    assert fit.constant == pytest.approx(C, rel=1e-8)
+    assert max(abs(r) for r in fit.residuals) < 1e-9
+
+
+@PROPS
+@given(st.lists(st.floats(1e-8, 1.0), min_size=3, max_size=8),
+       st.floats(1e-3, 1e3))
+def test_fit_rate_slope_invariant_under_scaling(errs, factor):
+    eps = dyadic(1, len(errs))
+    base = cli.fit_rate(list(zip(eps, errs)))
+    scaled = cli.fit_rate([(e, factor * r) for e, r in zip(eps, errs)])
+    assert scaled.slope == pytest.approx(base.slope, rel=1e-9, abs=1e-9)
+    assert scaled.constant == pytest.approx(factor * base.constant, rel=1e-8)
+
+
+@PROPS
+@given(st.lists(st.floats(0.0, 1e-13), min_size=3, max_size=8))
+def test_fit_rate_exact_agreement_below_floor(errs):
+    fit = cli.fit_rate(list(zip(dyadic(0, len(errs)), errs)))
+    assert fit.exact_agreement
+    assert fit.residuals == []
+
+
+@PROPS
+@given(st.lists(st.floats(1e-12, 1.0), min_size=1, max_size=10))
+def test_decaying_prefix_is_a_decaying_prefix(errs):
+    series = list(zip(dyadic(0, len(errs)), errs))
+    out = cli.decaying_prefix(series)
+    assert out == series[:len(out)] and len(out) >= 1
+    assert all(b[1] <= 0.8 * a[1] for a, b in zip(out, out[1:]))
+    if len(out) < len(series):
+        assert series[len(out)][1] > 0.8 * out[-1][1]
+
+
+@PROPS
+@given(st.floats(1e-6, 1e3), st.floats(0.01, 0.79), st.integers(1, 12))
+def test_decaying_prefix_keeps_geometric_series(start, ratio, count):
+    series = [(e, start * ratio ** i) for i, e in enumerate(dyadic(0, count))]
+    assert cli.decaying_prefix(series) == series

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,8 @@ from parahom import evolution as ev
 from parahom import fibers as fb
 from parahom import fields as fd
 from parahom import presets
-from parahom.errors import QuadratureUnderResolved, RegimeViolation
+from parahom.errors import (NonPositiveEffective, QuadratureUnderResolved,
+                            RegimeViolation)
 from parahom.fields import Truncation
 from parahom.lattice import cubic_lattice
 
@@ -338,3 +341,29 @@ def test_convergence_sweep_threads_match_serial():
     serial = ev.convergence_sweep(*args, box_size=2.0, threads=1)
     pooled = ev.convergence_sweep(*args, box_size=2.0, threads=2)
     assert pooled == serial
+
+
+def test_convergence_sweep_keeps_no_fiber_cache(monkeypatch):
+    # the sweep assembles each fiber where it is used; nothing goes through
+    # (or is stored by) the evolution setup's fiber cache
+    def no_cache(setup, idx):
+        raise AssertionError("convergence_sweep read the fiber cache")
+
+    monkeypatch.setattr(ev.EvolutionSetup, "fiber", no_cache)
+    prob = presets.osc1d_full(n_modes=6)
+    tr = Truncation(6, 1)
+    rows = ev.convergence_sweep(prob, tr, [0.5, 0.25, 0.125], 0.5,
+                                box_size=2.0, n_probes=0)
+    assert len(rows) == 3
+    assert all(r["err_principal"] > r["err_corrected"] > 0 for r in rows)
+
+
+def test_box_effective_flow_enforces_floor():
+    setup = make_setup(n_cells=4)
+    phi = setup.random_band_limited(np.random.default_rng(1))
+    ev.evolve_homogenized(setup, phi, 0.5)
+    inflated = dataclasses.replace(setup.constants, cstar_check=1e3)
+    bad = ev.EvolutionSetup(setup.cell, setup.ng, inflated, setup.eps,
+                            setup.n_cells, setup.trunc)
+    with pytest.raises(NonPositiveEffective):
+        ev.evolve_homogenized(bad, phi, 0.5)

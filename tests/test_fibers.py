@@ -7,7 +7,7 @@ from parahom import fields as fd
 from parahom import linalg
 from parahom import presets
 from parahom.abstract import kernel_projection
-from parahom.errors import PositivityViolation
+from parahom.errors import NonPositiveEffective, PositivityViolation
 from parahom.fields import Truncation
 from parahom.lattice import cubic_lattice
 
@@ -259,3 +259,47 @@ def test_cross_validation_constant_coefficients():
     g0 = fd.mean_field(prob.g)
     sl = fb._zero_block_slice(tr, prob.n)
     assert np.abs(th.S_block[sl, sl] - bth.conj().T @ g0 @ bth).max() < 1e-10
+
+
+def _close(got, ref, rtol=1e-13):
+    return np.abs(got - ref).max() <= rtol * max(1.0, float(np.abs(ref).max()))
+
+
+BLOCK_STACK_PROBLEMS = oracles.block_stack_problems()
+
+
+@pytest.mark.parametrize("name,prob,tr", BLOCK_STACK_PROBLEMS,
+                         ids=[p[0] for p in BLOCK_STACK_PROBLEMS])
+def test_fiber_matches_dense_block_diagonal_assembly(name, prob, tr):
+    for k, eps in ((0.3, 0.25), (-0.7, 0.1), (0.0, 0.0)):
+        kv = np.full(prob.d, k)
+        got = fb.assemble_fiber(prob, tr, kv, eps, check=False).matrix
+        assert _close(got, oracles.dense_fiber(prob, tr, kv, eps)), (k, eps)
+
+
+@pytest.mark.parametrize("name,prob,tr", BLOCK_STACK_PROBLEMS,
+                         ids=[p[0] for p in BLOCK_STACK_PROBLEMS])
+def test_fiber_corrector_matches_dense_formulas(name, prob, tr):
+    sol = cl.solve_cell_problems(prob, tr)
+    ng = cl.ng_coefficients(prob, sol)
+    for k, eps, s in ((0.3, 0.25, 8.0), (-0.7, 0.1, 0.5)):
+        kv = np.full(prob.d, k)
+        got = fb.fiber_corrector(sol, ng, tr, kv, eps, s)
+        ref = oracles.dense_fiber_corrector(sol, ng, tr, kv, eps, s)
+        assert _close(got, ref), (k, eps, s)
+
+
+def test_fiber_effective_block_enforces_floor():
+    prob = presets.osc1d_full(n_modes=8)
+    tr = Truncation(8, 1)
+    consts = fb.estimate_constants(prob)
+    sol = cl.solve_cell_problems(prob, tr)
+    ng = cl.ng_coefficients(prob, sol)
+    k, eps, s = np.array([0.3]), 0.25, 2.0
+    fb.fiber_corrector(sol, ng, tr, k, eps, s, consts.cstar_check)
+    wmin = float(np.linalg.eigvalsh(fb.effective_zero_block(sol, k, eps)).min())
+    inflated = 2.0 * wmin / (k @ k + eps ** 2)
+    with pytest.raises(NonPositiveEffective):
+        fb.principal_term(sol, tr, k, eps, s, inflated)
+    with pytest.raises(NonPositiveEffective):
+        fb.fiber_corrector(sol, ng, tr, k, eps, s, inflated)
