@@ -15,8 +15,9 @@ from .lattice import Lattice, build_lattice, cubic_lattice
 from .fields import Truncation
 from .cell import CellSolution, NGCoefficients, PeriodicProblem, \
     ng_coefficients, solve_cell_problems, voigt_reuss
-from .fibers import FiberOperator, assemble_fiber, cross_validate_abstract, \
-    estimate_constants, fiber_corrector, fiber_remainder
+from .fibers import FiberOperator, FiberPencil, assemble_fiber, \
+    cross_validate_abstract, estimate_constants, fiber_corrector, \
+    fiber_remainder
 from .abstract import AbstractFamily, BorderedFamily, ThresholdData, \
     compute_threshold, kernel_projection, solve_Z, solve_Ztilde
 
@@ -24,7 +25,7 @@ __all__ = [
     "Lattice", "build_lattice", "cubic_lattice", "Truncation",
     "PeriodicProblem", "CellSolution", "NGCoefficients",
     "solve_cell_problems", "ng_coefficients", "voigt_reuss",
-    "FiberOperator", "assemble_fiber", "estimate_constants",
+    "FiberOperator", "FiberPencil", "assemble_fiber", "estimate_constants",
     "fiber_corrector", "fiber_remainder", "cross_validate_abstract",
     "AbstractFamily", "BorderedFamily", "ThresholdData",
     "compute_threshold", "kernel_projection", "solve_Z", "solve_Ztilde",

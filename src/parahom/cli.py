@@ -355,14 +355,16 @@ def run_fiber_check(cfg, report):
     lam_ratio = np.inf
     rows = []
 
+    pencil = fb.FiberPencil(problem, trunc)
+
     def work(k):
-        fib = fb.assemble_fiber(problem, trunc, k, eps, consts, check=False)
+        fib = pencil.fiber(k, eps, consts, check=False)
         flow = fb.FiberFlow(fib.matrix)
         lam_min = float(flow.w.min())
         out = []
         for s in s_list:
             rep = fb.fiber_remainder(sol, ng, trunc, k, eps, s, consts,
-                                     fib, flow)
+                                     fib, flow, pencil)
             out.append((k, s, rep, lam_min))
         return out
 

@@ -9,7 +9,7 @@ with the physical picture.  The fine flow at physical time s applies the
 fiber exponentials at time s/eps^2.
 """
 
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,12 @@ def _signed_residue(m, n_cells):
 
 @dataclass
 class EvolutionSetup:
-    """Box discretization bound to one (problem, cell solution, eps)."""
+    """Box discretization bound to one (problem, cell solution, eps).
+
+    Fibers are evaluated from ``pencil`` (built here unless one for the same
+    problem and truncation is passed in); the fine flow is one stacked
+    eigendecomposition over all box fibers, built on first use.
+    """
 
     cell: "object"              # CellSolution
     ng: "object"                # NGCoefficients
@@ -35,8 +40,7 @@ class EvolutionSetup:
     eps: float
     n_cells: int
     trunc: fd.Truncation
-    _flows: dict = dfield(default_factory=dict, repr=False)
-    _fibers: dict = dfield(default_factory=dict, repr=False)
+    pencil: "object" = None     # fibers.FiberPencil
 
     def __post_init__(self):
         problem = self.cell.problem
@@ -48,6 +52,9 @@ class EvolutionSetup:
         self.d = d
         self.n = problem.n
         self._build_index_maps()
+        if self.pencil is None:
+            self.pencil = fb.FiberPencil(problem, self.trunc)
+        self._fine_flow = None
         self._zone_mask = None
         self._hom_flow = None
         self._nsym_grid = None
@@ -127,22 +134,34 @@ class EvolutionSetup:
 
     # -- fiber flows ----------------------------------------------------------
 
-    def _assemble(self, idx):
-        return fb.assemble_fiber(self.cell.problem, self.trunc,
-                                 self.fiber_k[idx], self.eps, self.constants,
+    def fiber(self, idx):
+        """FiberOperator of box fiber ``idx``, evaluated afresh."""
+        return self.pencil.fiber(self.fiber_k[idx], self.eps, self.constants,
                                  check=False)
 
-    def fiber(self, idx):
-        if idx not in self._fibers:
-            self._fibers[idx] = self._assemble(idx)
-        return self._fibers[idx]
+    def fine_flow(self):
+        """Stacked flow of all box fibers: w (F, D), v (F, D, D).
+
+        One eigh per fiber into the preallocated stack, so no (F, D, D) stack
+        of fiber matrices is formed; the spectra are held to the fiber floor
+        (PositivityViolation).
+        """
+        if self._fine_flow is None:
+            dim = self.trunc.size * self.n
+            w = np.empty((self.n_fibers, dim))
+            v = np.empty((self.n_fibers, dim, dim), dtype=complex)
+            for idx in range(self.n_fibers):
+                w[idx], v[idx] = np.linalg.eigh(self.fiber(idx).matrix)
+            fb.check_fiber_floor(
+                w, self.constants.cstar_check,
+                np.sum(self.fiber_k ** 2, axis=1) + self.eps ** 2)
+            self._fine_flow = linalg.HermitianFlow.from_eigh(w, v)
+        return self._fine_flow
 
     def flow(self, idx):
-        # the flow holds all the fine evolution needs, so its fiber matrix is
-        # not kept in the fiber cache as well
-        if idx not in self._flows:
-            self._flows[idx] = fb.FiberFlow(self._assemble(idx).matrix)
-        return self._flows[idx]
+        """Flow of box fiber ``idx``: a view into :meth:`fine_flow`."""
+        flow = self.fine_flow()
+        return linalg.HermitianFlow.from_eigh(flow.w[idx], flow.v[idx])
 
     # -- pointwise multipliers ------------------------------------------------
 
@@ -218,13 +237,9 @@ def evolve_fine(setup, phi, s):
     w = phi if fvals is None else np.einsum(
         "gqp,gq->gp", fvals.conj(), phi)
     coeffs = setup.decompose(w)
-    s_scaled = s / setup.eps ** 2
-    out = np.empty_like(coeffs)
-    m = setup.trunc.size
-    for idx in range(setup.n_fibers):
-        vec = coeffs[idx].reshape(m * setup.n)
-        out[idx] = setup.flow(idx).apply(s_scaled, vec).reshape(m, setup.n)
-    u = setup.recompose(out)
+    out = setup.fine_flow().apply(s / setup.eps ** 2,
+                                  coeffs.reshape(setup.n_fibers, -1))
+    u = setup.recompose(out.reshape(coeffs.shape))
     if fvals is not None:
         u = np.einsum("gpq,gq->gp", fvals, u)
     return u
@@ -446,16 +461,22 @@ def convergence_sweep(problem, trunc, eps_list, s, mode="both",
     ng = ng_coeffs or ng_coefficients(problem, cell_sol)
     period = float(problem.lattice.basis[0, 0])
     want_c = mode in ("both", "corrected")
+    # the pencil serves every eps and every fiber
+    pencil = fb.FiberPencil(problem, trunc)
     rows = []
     for eps in eps_list:
         n_cells = max(3, int(round(box_size / (eps * period))))
-        setup = EvolutionSetup(cell_sol, ng, constants, eps, n_cells, trunc)
+        setup = EvolutionSetup(cell_sol, ng, constants, eps, n_cells, trunc,
+                               pencil)
         s_scaled = s / eps ** 2
 
-        # each fiber is assembled, used and dropped: memory O(D^2 threads)
+        # each fiber is evaluated, used and dropped: memory O(D^2 threads)
         def one_fiber(idx):
-            return fb.remainder_norms(cell_sol, ng, trunc, setup.fiber_k[idx],
-                                      eps, s_scaled, constants, mode=mode)
+            k = setup.fiber_k[idx]
+            fiber = pencil.fiber(k, eps, constants, check=False)
+            return fb.remainder_norms(cell_sol, ng, trunc, k, eps, s_scaled,
+                                      constants, fiber, mode=mode,
+                                      pencil=pencil)
 
         results = fb.parallel_map(one_fiber, range(setup.n_fibers), threads)
         sup_p = max(r[0] for r in results)

@@ -33,6 +33,28 @@ def opnorm(a):
     return float(np.linalg.norm(np.asarray(a), 2))
 
 
+def herm_norm(a):
+    """Spectral norm max|eigvalsh| of the Hermitian part of ``a``, batched
+    over leading axes; equals :func:`opnorm` on Hermitian matrices."""
+    return np.abs(np.linalg.eigvalsh(herm(a))).max(axis=-1)
+
+
+def column_split_norm(a, cols):
+    """Upper bound ||A[:, cols]||_2 + ||A[:, rest]||_F of ||A||_2.
+
+    Exact up to the Frobenius term when A lives in the columns ``cols``; one
+    SVD of a few columns replaces the full one.
+    """
+    rest = np.delete(a, cols, axis=1)
+    return opnorm(a[:, cols]) + float(np.linalg.norm(rest))
+
+
+def herm_split_norm(a):
+    """Upper bound ||(A + A*)/2||_2 + ||(A - A*)/2||_F of ||A||_2, exact up to
+    the Frobenius term on (numerically) Hermitian A."""
+    return float(herm_norm(a)) + float(np.linalg.norm(a - herm(a)))
+
+
 def check_floor(w, cstar_check, tau_sq, error, what, tol=1e-9):
     """Raise ``error`` when a spectrum falls below its floor.
 
@@ -85,6 +107,13 @@ class HermitianFlow:
     def __init__(self, matrix):
         self.w, self.v = np.linalg.eigh(herm(matrix))
 
+    @classmethod
+    def from_eigh(cls, w, v):
+        """Flow of an eigendecomposition already at hand (no copy)."""
+        flow = cls.__new__(cls)
+        flow.w, flow.v = w, v
+        return flow
+
     def _vh(self):
         return np.swapaxes(self.v.conj(), -1, -2)
 
@@ -94,8 +123,9 @@ class HermitianFlow:
 
     def apply(self, s, vec):
         """e^{-Hs} vec for ``vec`` of shape (..., n)."""
-        coeffs = np.exp(-self.w * s) * (self._vh() @ vec[..., None])[..., 0]
-        return (self.v @ coeffs[..., None])[..., 0]
+        # V* vec as conj(vec* V): no conjugate copy of V per call
+        coeffs = (vec.conj()[..., None, :] @ self.v)[..., 0, :].conj()
+        return (self.v @ (np.exp(-self.w * s) * coeffs)[..., None])[..., 0]
 
     def integral(self, n_mat, s):
         """Closed form of int_0^s e^{-H(s-t)} N e^{-H t} dt.

@@ -255,6 +255,39 @@ def dense_fiber(problem, trunc, k, eps):
     return _herm(mat)
 
 
+def assemble_fiber_reference(problem, trunc, k, eps):
+    """Fiber matrix assembled term by term at one k: b(D+k) as a block stack
+    of the shifted frequencies and every multiplication matrix rebuilt, so no
+    coefficient of the (k, eps) polynomial is shared with the pencil."""
+    from parahom import fields as fd
+    from parahom.fibers import _field_band
+
+    k = np.asarray(k, dtype=float)
+    n = problem.n
+    tr_in = trunc
+    if not problem.f_is_identity:
+        tr_in = fd.Truncation(trunc.n_modes + _field_band(problem.f_field()),
+                              trunc.dimension)
+    freqs = tr_in.freqs(problem.lattice, k)
+    bk = problem.b_of(freqs)
+    gb = fd.times_blockdiag(fd.mult_matrix(problem.g, tr_in), bk)
+    mat = fd.times_blockdiag(gb.conj().T, bk)
+    if problem.a is not None:
+        cross = sum(fd.mult_matrix(_adj(problem.a[j]), tr_in).conj().T
+                    * np.repeat(freqs[:, j], n) for j in range(problem.d))
+        mat = mat + eps * (cross + cross.conj().T)
+    if problem.Qdensity is not None:
+        mat = mat + eps ** 2 * fd.mult_matrix(problem.Qdensity, tr_in)
+    if not problem.f_is_identity:
+        F = fd.mult_matrix(problem.f_field(), tr_in, trunc)
+        mat = F.conj().T @ mat @ F
+    if problem.lam != 0.0:
+        q0 = (np.eye(mat.shape[0]) if problem.f_is_identity else fd.mult_matrix(
+            _adj(problem.f_field()) @ problem.f_field(), trunc))
+        mat = mat + eps ** 2 * problem.lam * q0
+    return _herm(mat)
+
+
 def dense_fiber_corrector(cell, ng, trunc, k, eps, s):
     """Fiber corrector from full matrices: ([Lambda_G] bd(k) + eps
     [LambdaTilde_G]) gp plus its adjoint, minus the closed-form integral on

@@ -8,8 +8,8 @@ from parahom import evolution as ev
 from parahom import fibers as fb
 from parahom import fields as fd
 from parahom import presets
-from parahom.errors import (NonPositiveEffective, QuadratureUnderResolved,
-                            RegimeViolation)
+from parahom.errors import (NonPositiveEffective, PositivityViolation,
+                            QuadratureUnderResolved, RegimeViolation)
 from parahom.fields import Truncation
 from parahom.lattice import cubic_lattice
 
@@ -367,3 +367,56 @@ def test_box_effective_flow_enforces_floor():
                             setup.n_cells, setup.trunc)
     with pytest.raises(NonPositiveEffective):
         ev.evolve_homogenized(bad, phi, 0.5)
+
+
+def test_fine_flow_enforces_fiber_floor():
+    # the stacked fiber spectra are checked before the fine flow is applied
+    setup = make_setup(n_cells=4)
+    phi = setup.random_band_limited(np.random.default_rng(1))
+    ev.evolve_fine(setup, phi, 0.5)
+    floor = min(np.linalg.eigvalsh(setup.fiber(idx).matrix).min()
+                / (setup.fiber_k[idx] @ setup.fiber_k[idx] + setup.eps ** 2)
+                for idx in range(setup.n_fibers))
+    inflated = dataclasses.replace(setup.constants, cstar_check=2.0 * floor)
+    bad = ev.EvolutionSetup(setup.cell, setup.ng, inflated, setup.eps,
+                            setup.n_cells, setup.trunc)
+    with pytest.raises(PositivityViolation):
+        ev.evolve_fine(bad, phi, 0.5)
+
+
+@pytest.mark.parametrize("preset,n_modes,n_cells", [("osc1d_full", 6, 8),
+                                                    ("divergence_free_2d", 3, 4)])
+def test_stacked_fine_flow_matches_per_fiber_flows(preset, n_modes, n_cells):
+    setup = make_setup(preset=preset, n_modes=n_modes, n_cells=n_cells)
+    phi = setup.random_band_limited(np.random.default_rng(2))
+    s = 0.3
+    coeffs = setup.decompose(phi)
+    out = np.empty_like(coeffs)
+    for idx in range(setup.n_fibers):
+        flow = fb.FiberFlow(setup.fiber(idx).matrix)
+        out[idx] = flow.apply(s / setup.eps ** 2,
+                              coeffs[idx].reshape(-1)).reshape(out[idx].shape)
+    ref = setup.recompose(out)
+    got = ev.evolve_fine(setup, phi, s)
+    assert setup.box_norm(got - ref) <= 1e-12 * setup.box_norm(ref)
+
+
+def test_convergence_sweep_multiplications_independent_of_fibers(monkeypatch):
+    # every multiplication matrix is built once per sweep, not per fiber
+    calls = []
+    original = fd.mult_matrix
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fd, "mult_matrix", counting)
+    prob = presets.random_fiber_instance(3, d=2, n_modes=4)
+    tr = Truncation(4, 2)
+    counts = []
+    for box in (2.0, 4.0):
+        calls.clear()
+        ev.convergence_sweep(prob, tr, [0.5, 0.25, 0.125], 0.5,
+                             box_size=box)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]

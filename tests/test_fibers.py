@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from parahom import cell as cl
 from parahom import fibers as fb
@@ -303,3 +304,52 @@ def test_fiber_effective_block_enforces_floor():
         fb.principal_term(sol, tr, k, eps, s, inflated)
     with pytest.raises(NonPositiveEffective):
         fb.fiber_corrector(sol, ng, tr, k, eps, s, inflated)
+
+
+@pytest.mark.parametrize("name,prob,tr", BLOCK_STACK_PROBLEMS,
+                         ids=[p[0] for p in BLOCK_STACK_PROBLEMS])
+def test_pencil_matches_reference_assembly(name, prob, tr):
+    pencil = fb.FiberPencil(prob, tr)
+    for k, eps in ((0.3, 0.25), (-0.7, 0.1), (0.0, 0.0), (2.1, 1.3)):
+        kv = k * np.arange(1.0, prob.d + 1.0)
+        got = pencil.fiber(kv, eps, check=False).matrix
+        ref = oracles.assemble_fiber_reference(prob, tr, kv, eps)
+        assert _close(got, ref), (k, eps)
+
+
+_PENCIL_CASE = BLOCK_STACK_PROBLEMS[1]
+_PENCIL = fb.FiberPencil(_PENCIL_CASE[1], _PENCIL_CASE[2])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi),
+       st.floats(0.0, 2.0))
+def test_pencil_matches_reference_at_random_points(k1, k2, eps):
+    _, prob, tr = _PENCIL_CASE
+    kv = np.array([k1, k2])
+    got = _PENCIL.fiber(kv, eps, check=False).matrix
+    assert _close(got, oracles.assemble_fiber_reference(prob, tr, kv, eps))
+
+
+def test_cross_validation_bounds_dominate_planted_residuals():
+    # residuals with an off-structure part well above rounding: the reported
+    # values must stay upper bounds of the exact norm
+    rng = np.random.default_rng(11)
+    dim, cols = 40, np.arange(18, 20)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    for scale in (0.0, 1e-8, 1e-3, 1.0):
+        r = np.zeros((dim, dim), dtype=complex)
+        r[:, cols] = cplx(dim, len(cols))
+        r += scale * cplx(dim, dim)
+        bound = linalg.column_split_norm(r, cols)
+        assert bound >= linalg.opnorm(r)
+        if scale == 0.0:
+            assert bound == pytest.approx(linalg.opnorm(r), rel=1e-13)
+        h = linalg.herm(cplx(dim, dim)) + scale * cplx(dim, dim)
+        bound = linalg.herm_split_norm(h)
+        assert bound >= linalg.opnorm(h)
+        if scale == 0.0:
+            assert bound == pytest.approx(linalg.opnorm(h), rel=1e-13)

@@ -2,7 +2,8 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from parahom.linalg import CONFLUENT_RTOL, confluent_weights_batch
+from parahom.linalg import (CONFLUENT_RTOL, confluent_weights_batch, herm,
+                            herm_norm, opnorm)
 
 PROPS = settings(max_examples=60, deadline=None, derandomize=True,
                  database=None)
@@ -51,3 +52,12 @@ def test_weights_match_quadrature(lam, gap, s):
                   epsabs=0.0, epsrel=1e-13)
     w = pair_weights(l1, l2, s)[0, 1]
     assert abs(w - val) <= 1e-9 * val
+
+
+def test_herm_norm_batched_equals_svd_norm():
+    rng = np.random.default_rng(3)
+    a = herm(rng.standard_normal((5, 30, 30))
+             + 1j * rng.standard_normal((5, 30, 30)))
+    got = herm_norm(a)
+    assert got.shape == (5,)
+    assert np.allclose(got, [opnorm(m) for m in a], rtol=1e-13, atol=0.0)
