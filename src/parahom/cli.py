@@ -364,7 +364,7 @@ def run_fiber_check(cfg, report):
         out = []
         for s in s_list:
             rep = fb.fiber_remainder(sol, ng, trunc, k, eps, s, consts,
-                                     fib, flow, pencil)
+                                     fib, flow)
             out.append((k, s, rep, lam_min))
         return out
 

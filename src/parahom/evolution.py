@@ -29,9 +29,8 @@ def _signed_residue(m, n_cells):
 class EvolutionSetup:
     """Box discretization bound to one (problem, cell solution, eps).
 
-    Fibers are evaluated from ``pencil`` (built here unless one for the same
-    problem and truncation is passed in); the fine flow is one stacked
-    eigendecomposition over all box fibers, built on first use.
+    Fibers are evaluated from one fiber pencil and the fine flow is one
+    stacked eigendecomposition over all box fibers, both built on first use.
     """
 
     cell: "object"              # CellSolution
@@ -40,7 +39,6 @@ class EvolutionSetup:
     eps: float
     n_cells: int
     trunc: fd.Truncation
-    pencil: "object" = None     # fibers.FiberPencil
 
     def __post_init__(self):
         problem = self.cell.problem
@@ -52,8 +50,7 @@ class EvolutionSetup:
         self.d = d
         self.n = problem.n
         self._build_index_maps()
-        if self.pencil is None:
-            self.pencil = fb.FiberPencil(problem, self.trunc)
+        self._pencil = None
         self._fine_flow = None
         self._zone_mask = None
         self._hom_flow = None
@@ -136,7 +133,9 @@ class EvolutionSetup:
 
     def fiber(self, idx):
         """FiberOperator of box fiber ``idx``, evaluated afresh."""
-        return self.pencil.fiber(self.fiber_k[idx], self.eps, self.constants,
+        if self._pencil is None:
+            self._pencil = fb.FiberPencil(self.cell.problem, self.trunc)
+        return self._pencil.fiber(self.fiber_k[idx], self.eps, self.constants,
                                  check=False)
 
     def fine_flow(self):
@@ -466,8 +465,7 @@ def convergence_sweep(problem, trunc, eps_list, s, mode="both",
     rows = []
     for eps in eps_list:
         n_cells = max(3, int(round(box_size / (eps * period))))
-        setup = EvolutionSetup(cell_sol, ng, constants, eps, n_cells, trunc,
-                               pencil)
+        setup = EvolutionSetup(cell_sol, ng, constants, eps, n_cells, trunc)
         s_scaled = s / eps ** 2
 
         # each fiber is evaluated, used and dropped: memory O(D^2 threads)
@@ -475,8 +473,7 @@ def convergence_sweep(problem, trunc, eps_list, s, mode="both",
             k = setup.fiber_k[idx]
             fiber = pencil.fiber(k, eps, constants, check=False)
             return fb.remainder_norms(cell_sol, ng, trunc, k, eps, s_scaled,
-                                      constants, fiber, mode=mode,
-                                      pencil=pencil)
+                                      constants, fiber, mode=mode)
 
         results = fb.parallel_map(one_fiber, range(setup.n_fibers), threads)
         sup_p = max(r[0] for r in results)

@@ -118,6 +118,7 @@ class FiberOperator:
     cstar_check: float
     trunc: fd.Truncation
     n: int
+    f_matrix: np.ndarray = None     # [f] on the truncation; None for f = I
 
     @property
     def lower_bound(self):
@@ -146,7 +147,8 @@ class FiberPencil:
     (problem, truncation) from one multiplication matrix each of g, a_j* and
     Q.  With f != identity the form is carried on an extended mode set sized
     from f's band and every coefficient is compressed by the rectangle [f]
-    once; [f] on the truncation is kept as ``f_matrix`` (None for f = I).
+    once; [f] on the truncation is kept as ``f_matrix`` (None for f = I) and
+    rides along on every fiber.
     """
 
     def __init__(self, problem, trunc):
@@ -224,9 +226,10 @@ class FiberPencil:
                           .reshape(c.shape[1:]))
         ccheck = constants.cstar_check if constants is not None else 0.0
         fib = FiberOperator(k, float(eps), mat, float(ccheck), self.trunc,
-                            self.problem.n)
+                            self.problem.n, self.f_matrix)
         if check and ccheck > 0.0:
-            _check_floor(fib, np.linalg.eigvalsh(mat))
+            check_fiber_floor(np.linalg.eigvalsh(mat), ccheck,
+                              float(k @ k) + eps ** 2)
         return fib
 
 
@@ -242,10 +245,6 @@ def check_fiber_floor(w, cstar_check, tau_sq):
     cstar_check * tau_sq (no floor when cstar_check <= 0)."""
     linalg.check_floor(w, cstar_check, tau_sq, PositivityViolation,
                        "fiber (lambda too small or truncation too coarse)")
-
-
-def _check_floor(fib, w):
-    check_fiber_floor(w, fib.cstar_check, float(fib.k @ fib.k) + fib.eps ** 2)
 
 
 class FiberFlow(linalg.HermitianFlow):
@@ -322,7 +321,7 @@ def fiber_corrector(cell, ng, trunc, k, eps, s, cstar_check=0.0):
 
 
 def remainder_norms(cell, ng, trunc, k, eps, s, constants=None, fiber=None,
-                    flow=None, mode="both", pencil=None):
+                    flow=None, mode="both"):
     """Norms of R = f e^{-B(k,eps)s} f* - f0 e^{-B0 s} f0 Phat and of R - K.
 
     One fiber exponential and one effective eigendecomposition serve both,
@@ -330,22 +329,19 @@ def remainder_norms(cell, ng, trunc, k, eps, s, constants=None, fiber=None,
     fiber's lower bound (PositivityViolation).  Both remainders are
     Hermitian, so their norms are Hermitian norms.  ``mode`` ("both",
     "principal" or "corrected") picks the norms computed; a norm not
-    computed reads 0.0.  A held ``pencil`` of (problem, trunc) supplies the
-    fiber when none is given, and [f].
+    computed reads 0.0.  [f] comes with the fiber.
     """
     problem = cell.problem
     cc = constants.cstar_check if constants is not None else 0.0
     if fiber is None:
-        fiber = (pencil or FiberPencil(problem, trunc)).fiber(
-            k, eps, constants, check=False)
+        fiber = assemble_fiber(problem, trunc, k, eps, constants, check=False)
     if flow is None:
         flow = FiberFlow(fiber.matrix)
-    _check_floor(fiber, flow.w)
+    check_fiber_floor(flow.w, fiber.cstar_check,
+                      float(fiber.k @ fiber.k) + fiber.eps ** 2)
     lhs = flow.expm(s)
     if not problem.f_is_identity:
-        fm = (pencil.f_matrix if pencil is not None
-              else fd.mult_matrix(problem.f_field(), trunc))
-        lhs = fm @ lhs @ fm.conj().T
+        lhs = fiber.f_matrix @ lhs @ fiber.f_matrix.conj().T
     want_c = mode in ("both", "corrected")
     gp, corrector = _principal_and_corrector(
         cell, ng if want_c else None, trunc, k, eps, s, cc)
@@ -357,10 +353,10 @@ def remainder_norms(cell, ng, trunc, k, eps, s, constants=None, fiber=None,
 
 
 def fiber_remainder(cell, ng, trunc, k, eps, s, constants=None, fiber=None,
-                    flow=None, pencil=None):
+                    flow=None):
     """Norm of f e^{-B(k,eps)s} f* - principal - corrector, with envelopes."""
     nrm = remainder_norms(cell, ng, trunc, k, eps, s, constants, fiber, flow,
-                          mode="corrected", pencil=pencil)[1]
+                          mode="corrected")[1]
     cc = constants.cstar_check if constants is not None else 0.0
     k = np.asarray(k, dtype=float)
     tau_sq = float(k @ k) + eps ** 2
