@@ -25,6 +25,16 @@ def _signed_residue(m, n_cells):
     return ((m + half) % n_cells) - half
 
 
+def fiber_quasimomenta(lattice, n_cells):
+    """Quasimomenta of the fibers of a box of n_cells^d cells, (n_cells^d, d)
+    in fiber-id order: the residues r in [-(n_cells//2), n_cells - n_cells//2)
+    per axis, raveled, times dual_basis / n_cells."""
+    d = lattice.dimension
+    r = np.arange(n_cells) - n_cells // 2
+    rs = np.stack(np.meshgrid(*[r] * d, indexing="ij"), axis=-1)
+    return rs.reshape(-1, d) @ (lattice.dual_basis / n_cells)
+
+
 @dataclass
 class EvolutionSetup:
     """Box discretization bound to one (problem, cell solution, eps).
@@ -76,13 +86,7 @@ class EvolutionSetup:
         self.freq_modepos = np.ravel_multi_index((j + N).T, (2 * N + 1,) * d)
         lat = self.cell.problem.lattice
         self.freq_zeta = m_idx @ (lat.dual_basis / n_cells)    # scaled frequency
-        # quasimomentum vector of each fiber id
-        rs = np.stack(np.meshgrid(
-            *[np.arange(-(n_cells // 2), n_cells - n_cells // 2)] * d,
-            indexing="ij"), axis=-1).reshape(-1, d)
-        order = np.ravel_multi_index((rs + n_cells // 2).T, (n_cells,) * d)
-        self.fiber_k = np.empty((n_cells ** d, d))
-        self.fiber_k[order] = rs @ (lat.dual_basis / n_cells)
+        self.fiber_k = fiber_quasimomenta(lat, n_cells)
 
     @property
     def n_fibers(self):
@@ -465,17 +469,23 @@ def convergence_sweep(problem, trunc, eps_list, s, mode="both",
     rows = []
     for eps in eps_list:
         n_cells = max(3, int(round(box_size / (eps * period))))
-        setup = EvolutionSetup(cell_sol, ng, constants, eps, n_cells, trunc)
+        fiber_k = fiber_quasimomenta(problem.lattice, n_cells)
         s_scaled = s / eps ** 2
+        # the effective side of every fiber in one batched evaluation
+        ez, first, integral = fb.effective_factors(
+            cell_sol, ng if want_c else None, trunc, fiber_k, eps, s_scaled,
+            constants.cstar_check)
 
         # each fiber is evaluated, used and dropped: memory O(D^2 threads)
         def one_fiber(idx):
-            k = setup.fiber_k[idx]
-            fiber = pencil.fiber(k, eps, constants, check=False)
-            return fb.remainder_norms(cell_sol, ng, trunc, k, eps, s_scaled,
-                                      constants, fiber, mode=mode)
+            fiber = pencil.fiber(fiber_k[idx], eps, constants, check=False)
+            effective = ((ez[idx], first[idx], integral[idx]) if want_c
+                         else (ez[idx], None, None))
+            return fb.remainder_norms(cell_sol, ng, trunc, fiber_k[idx], eps,
+                                      s_scaled, constants, fiber, mode=mode,
+                                      effective=effective)
 
-        results = fb.parallel_map(one_fiber, range(setup.n_fibers), threads)
+        results = fb.parallel_map(one_fiber, range(len(fiber_k)), threads)
         sup_p = max(r[0] for r in results)
         sup_c = max(r[1] for r in results)
         decay = np.exp(-0.5 * constants.cstar_check * s)
@@ -485,6 +495,7 @@ def convergence_sweep(problem, trunc, eps_list, s, mode="both",
                "envelope_corrected": eps ** 2 / (s + eps ** 2) * decay}
         row["err_exact"] = sup_c if want_c else sup_p
         if n_probes:
+            setup = EvolutionSetup(cell_sol, ng, constants, eps, n_cells, trunc)
             rng = np.random.default_rng(seed)
             worst = 0.0
             for _ in range(n_probes):

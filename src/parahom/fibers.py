@@ -18,6 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from . import fields as fd
 from . import linalg
@@ -221,9 +222,11 @@ class FiberPencil:
         ``constants.cstar_check`` its spectrum is held to the fiber floor
         (PositivityViolation)."""
         k = np.asarray(k, dtype=float)
-        c = self.coeffs
-        mat = linalg.herm((self._weights(k, eps) @ c.reshape(len(c), -1))
-                          .reshape(c.shape[1:]))
+        # real weights on the real view, summed without BLAS: fiber loops
+        # interleave this with scipy's LAPACK, and two OpenBLAS thread pools
+        # (numpy's and scipy's) on the same cores slow each other down
+        mat = linalg.herm(np.einsum("c,cij->ij", self._weights(k, eps),
+                                    self.coeffs.view(float)).view(complex))
         ccheck = constants.cstar_check if constants is not None else 0.0
         fib = FiberOperator(k, float(eps), mat, float(ccheck), self.trunc,
                             self.problem.n, self.f_matrix)
@@ -278,78 +281,124 @@ def _zero_block_slice(trunc, n):
     return slice(z * n, (z + 1) * n)
 
 
-def _principal_and_corrector(cell, ng, trunc, k, eps, s, cstar_check):
-    """f0 exp(-B0 s) f0 Phat and, unless ``ng`` is None, the corrector, both
-    from one eigendecomposition of the effective zero block, whose spectrum
-    is held to its floor (NonPositiveEffective)."""
-    n = cell.problem.n
+def effective_factors(cell, ng, trunc, k, eps, s, cstar_check=0.0):
+    """Compact effective side of the fiber remainders, batched over the
+    leading axes of the quasimomenta ``k`` (..., d).
+
+    Returns ``ez`` (..., n, n) = f0 e^{-B0 s} f0, the zero-mode block of the
+    principal term, and, unless ``ng`` is None, ``first`` (..., D, n) and
+    ``J`` (..., n, n): the corrector is first E* + E first* - E J E*, with E
+    the zero-mode columns of the identity.  One batched eigendecomposition
+    of the effective blocks serves all three, and their spectra are held to
+    the floor (NonPositiveEffective).
+    """
+    problem, f0 = cell.problem, cell.f0
     k = np.asarray(k, dtype=float)
     flow = linalg.HermitianFlow(effective_zero_block(cell, k, eps))
-    linalg.check_floor(flow.w, cstar_check, float(k @ k) + eps ** 2,
+    linalg.check_floor(flow.w, cstar_check, np.sum(k * k, axis=-1) + eps ** 2,
                        NonPositiveEffective, "effective symbol")
-    ez = cell.f0 @ flow.expm(s) @ cell.f0
-    sl = _zero_block_slice(trunc, n)
-    gp = np.zeros((trunc.size * n, trunc.size * n), dtype=complex)
-    gp[sl, sl] = ez
+    ez = f0 @ flow.expm(s) @ f0
     if ng is None:
-        return gp, None
-
-    # ([Lambda_G] b(D+k) + eps [LambdaTilde_G]) gp lives in the zero-mode
+        return ez, None, None
+    # ([Lambda_G] b(D+k) + eps [LambdaTilde_G]) E lives in the zero-mode
     # columns, where b(D+k) is b(k) and the multiplication matrices reduce to
     # the coefficient columns of the fields
-    first = (coeff_vector(cell.LambdaG, trunc).reshape(-1, cell.problem.m)
-             @ cell.problem.b_of(k)
-             + eps * coeff_vector(cell.LambdaTildeG, trunc).reshape(-1, n)) @ ez
-    inner = cell.f0 @ ng.symbol(k, eps) @ cell.f0
-    out = np.zeros_like(gp)
-    out[:, sl] = first
-    out[sl, :] += first.conj().T
-    out[sl, sl] -= cell.f0 @ flow.integral(inner, s) @ cell.f0
-    return gp, out
+    lam_g = coeff_vector(cell.LambdaG, trunc).reshape(-1, problem.m)
+    lam_gt = coeff_vector(cell.LambdaTildeG, trunc).reshape(-1, problem.n)
+    first = (lam_g @ problem.b_of(k) + eps * lam_gt) @ ez
+    inner = f0 @ ng.symbol(k, eps) @ f0
+    return ez, first, f0 @ flow.integral(inner, s) @ f0
 
 
 def principal_term(cell, trunc, k, eps, s, cstar_check=0.0):
     """f0 exp(-B0(k,eps) s) f0 Phat as a full matrix (zero-mode block only)."""
-    return _principal_and_corrector(cell, None, trunc, k, eps, s,
-                                    cstar_check)[0]
+    ez = effective_factors(cell, None, trunc, k, eps, s, cstar_check)[0]
+    n = cell.problem.n
+    sl = _zero_block_slice(trunc, n)
+    gp = np.zeros((trunc.size * n, trunc.size * n), dtype=complex)
+    gp[sl, sl] = ez
+    return gp
 
 
 def fiber_corrector(cell, ng, trunc, k, eps, s, cstar_check=0.0):
     """Corrector matrix at one fiber: oscillating pair + closed-form integral."""
-    return _principal_and_corrector(cell, ng, trunc, k, eps, s,
-                                    cstar_check)[1]
+    _, first, integral = effective_factors(cell, ng, trunc, k, eps, s,
+                                           cstar_check)
+    sl = _zero_block_slice(trunc, cell.problem.n)
+    out = np.zeros((first.shape[0],) * 2, dtype=complex)
+    out[:, sl] = first
+    out[sl, :] += first.conj().T
+    out[sl, sl] -= integral
+    return out
+
+
+# e^{-CUT} = 2^-64: eigenpairs of B decayed past this drop out of the remainders
+CUT = 64.0 * np.log(2.0)
+
+
+def cut_value(fiber, s):
+    """Largest fiber eigenvalue the remainders at time ``s`` keep:
+    max(CUT/s, the fiber floor), every eigenvalue at s = 0."""
+    return max(CUT / s if s > 0 else np.inf, fiber.lower_bound)
+
+
+def partial_flow(fiber, s):
+    """Flow of the fiber eigenpairs with eigenvalue <= cut_value(fiber, s),
+    from one partial eigendecomposition."""
+    w, v = scipy.linalg.eigh(fiber.matrix, driver="evr",
+                             subset_by_value=(-np.inf, cut_value(fiber, s)))
+    return linalg.HermitianFlow.from_eigh(w, v)
 
 
 def remainder_norms(cell, ng, trunc, k, eps, s, constants=None, fiber=None,
-                    flow=None, mode="both"):
+                    flow=None, mode="both", effective=None):
     """Norms of R = f e^{-B(k,eps)s} f* - f0 e^{-B0 s} f0 Phat and of R - K.
 
-    One fiber exponential and one effective eigendecomposition serve both,
-    and the fiber spectrum of that exponential is checked against the
-    fiber's lower bound (PositivityViolation).  Both remainders are
-    Hermitian, so their norms are Hermitian norms.  ``mode`` ("both",
-    "principal" or "corrected") picks the norms computed; a norm not
-    computed reads 0.0.  [f] comes with the fiber.
+    Only the eigenpairs (w_r, V_r) of B with w <= cut_value(fiber, s) enter;
+    the rest add at most ||[f]||^2 2^-64.  ``flow`` may be a full flow or a
+    :func:`partial_flow` at the same ``s``, and a partial one is made when it
+    is None.  With A = [f V_r, E, first] (E the zero-mode columns) both
+    remainders are A M A*, so one QR A = Q T turns them into exact Hermitian
+    norms of (r + 2n)-sized matrices T M T*.  The kept spectrum, which holds
+    every eigenvalue below the fiber floor, is checked against that floor
+    (PositivityViolation).  ``mode`` ("both", "principal" or "corrected")
+    picks the norms computed; a norm not computed reads 0.0.  [f] comes with
+    the fiber, and ``effective`` takes this fiber's :func:`effective_factors`
+    (computed here when None).
     """
-    problem = cell.problem
-    cc = constants.cstar_check if constants is not None else 0.0
+    n = cell.problem.n
     if fiber is None:
-        fiber = assemble_fiber(problem, trunc, k, eps, constants, check=False)
+        fiber = assemble_fiber(cell.problem, trunc, k, eps, constants,
+                               check=False)
     if flow is None:
-        flow = FiberFlow(fiber.matrix)
-    check_fiber_floor(flow.w, fiber.cstar_check,
-                      float(fiber.k @ fiber.k) + fiber.eps ** 2)
-    lhs = flow.expm(s)
-    if not problem.f_is_identity:
-        lhs = fiber.f_matrix @ lhs @ fiber.f_matrix.conj().T
+        flow = partial_flow(fiber, s)
+    keep = flow.w <= cut_value(fiber, s)
+    w, v = flow.w[keep], flow.v[:, keep]
+    if w.size:
+        check_fiber_floor(w, fiber.cstar_check,
+                          float(fiber.k @ fiber.k) + fiber.eps ** 2)
     want_c = mode in ("both", "corrected")
-    gp, corrector = _principal_and_corrector(
-        cell, ng if want_c else None, trunc, k, eps, s, cc)
-    rem = lhs - gp
-    want_p = mode in ("both", "principal")
-    norm_p = float(linalg.herm_norm(rem)) if want_p else 0.0
-    norm_c = float(linalg.herm_norm(rem - corrector)) if want_c else 0.0
-    return norm_p, norm_c
+    if effective is None:
+        cc = constants.cstar_check if constants is not None else 0.0
+        effective = effective_factors(cell, ng if want_c else None, trunc, k,
+                                      eps, s, cc)
+    ez, first, integral = effective
+    r = w.size
+    a = np.zeros((v.shape[0], r + (2 if want_c else 1) * n), dtype=complex)
+    a[:, :r] = v if fiber.f_matrix is None else fiber.f_matrix @ v
+    sl = _zero_block_slice(trunc, n)
+    a[sl, r:r + n] = np.eye(n)
+    if want_c:
+        a[:, r + n:] = first
+    t = np.linalg.qr(a, mode="r")
+    tu, te, tf = t[:, :r], t[:, r:r + n], t[:, r + n:]
+    rem = [(tu * np.exp(-w * s)) @ tu.conj().T - te @ ez @ te.conj().T]
+    if want_c:
+        tft = tf @ te.conj().T
+        rem.append(rem[0] + te @ integral @ te.conj().T - tft - tft.conj().T)
+    norms = linalg.herm_norm(np.stack(rem))
+    return (float(norms[0]) if mode != "corrected" else 0.0,
+            float(norms[-1]) if want_c else 0.0)
 
 
 def fiber_remainder(cell, ng, trunc, k, eps, s, constants=None, fiber=None,

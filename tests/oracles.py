@@ -320,6 +320,28 @@ def dense_fiber_corrector(cell, ng, trunc, k, eps, s):
     return out
 
 
+def dense_remainder_norms(cell, ng, trunc, k, eps, s, fiber):
+    """Norms of R = f e^{-B s} f* - principal and of R - K from full
+    matrices: a full eigh of the fiber matrix, its D x D exponential, the
+    principal term from a scipy exponential of the effective block, the
+    dense corrector, and max|eigvalsh| of the D x D remainders."""
+    from scipy.linalg import expm
+
+    k = np.asarray(k, dtype=float)
+    w, v = np.linalg.eigh(fiber.matrix)
+    rem = (v * np.exp(-w * s)) @ v.conj().T
+    if fiber.f_matrix is not None:
+        rem = fiber.f_matrix @ rem @ fiber.f_matrix.conj().T
+    n = cell.problem.n
+    z = trunc.zero_index
+    sl = slice(z * n, (z + 1) * n)
+    H = _herm(cell.f0 @ L_hat_point(cell, k, eps) @ cell.f0)
+    rem[sl, sl] -= cell.f0 @ expm(-s * H) @ cell.f0
+    rem_c = rem - dense_fiber_corrector(cell, ng, trunc, k, eps, s)
+    return tuple(float(np.abs(np.linalg.eigvalsh(_herm(r))).max())
+                 for r in (rem, rem_c))
+
+
 def L_hat_point(cell, q, eps):
     """Effective symbol at one frequency q (d,)."""
     p = cell.problem

@@ -344,12 +344,13 @@ def test_convergence_sweep_threads_match_serial():
 
 
 def test_convergence_sweep_keeps_no_fiber_cache(monkeypatch):
-    # the sweep assembles each fiber where it is used; nothing goes through
-    # (or is stored by) the evolution setup's fiber cache
-    def no_cache(setup, idx):
-        raise AssertionError("convergence_sweep read the fiber cache")
+    # the sweep assembles each fiber where it is used and needs only the
+    # fiber quasimomenta: without probes it builds no evolution setup, so
+    # neither its box index maps nor its fiber cache
+    def refuse(setup):
+        raise AssertionError("convergence_sweep built an EvolutionSetup")
 
-    monkeypatch.setattr(ev.EvolutionSetup, "fiber", no_cache)
+    monkeypatch.setattr(ev.EvolutionSetup, "__post_init__", refuse)
     prob = presets.osc1d_full(n_modes=6)
     tr = Truncation(6, 1)
     rows = ev.convergence_sweep(prob, tr, [0.5, 0.25, 0.125], 0.5,
@@ -402,15 +403,20 @@ def test_stacked_fine_flow_matches_per_fiber_flows(preset, n_modes, n_cells):
 
 
 def test_convergence_sweep_multiplications_independent_of_fibers(monkeypatch):
-    # every multiplication matrix is built once per sweep, not per fiber
+    # every multiplication matrix is built once per sweep and the corrector's
+    # coefficient columns once per eps, not per fiber
     calls = []
-    original = fd.mult_matrix
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counting(original):
+        def wrapper(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(fd, "mult_matrix", counting)
+    monkeypatch.setattr(fd, "mult_matrix", counting(fd.mult_matrix))
+    for module in (cl, fb):
+        monkeypatch.setattr(module, "coeff_vector",
+                            counting(cl.coeff_vector))
     prob = presets.random_fiber_instance(3, d=2, n_modes=4)
     tr = Truncation(4, 2)
     counts = []
@@ -420,3 +426,30 @@ def test_convergence_sweep_multiplications_independent_of_fibers(monkeypatch):
                              box_size=box)
         counts.append(len(calls))
     assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("preset,n_modes,n_cells", [("osc1d", 4, 5),
+                                                    ("divergence_free_2d", 3, 3),
+                                                    ("divergence_free_2d", 3, 4)])
+def test_fiber_quasimomenta_match_setup(preset, n_modes, n_cells):
+    setup = make_setup(preset=preset, n_modes=n_modes, n_cells=n_cells)
+    got = ev.fiber_quasimomenta(setup.cell.problem.lattice, n_cells)
+    assert np.array_equal(got, setup.fiber_k)
+
+
+def test_convergence_sweep_decomposes_no_fiber_matrix(monkeypatch):
+    # the fine side is one partial eigendecomposition per fiber and both
+    # norms live on an (r + 2n)-dimensional range, so no numpy eigh or
+    # eigvalsh sees a D x D matrix
+    shapes = []
+    for name in ("eigh", "eigvalsh"):
+        def recording(a, *args, _original=getattr(np.linalg, name), **kw):
+            shapes.append(np.shape(a))
+            return _original(a, *args, **kw)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    prob = presets.osc1d_full(n_modes=6)
+    tr = Truncation(6, 1)
+    ev.convergence_sweep(prob, tr, [0.5, 0.25, 0.125], 0.5, box_size=2.0)
+    assert shapes
+    assert max(sh[-1] for sh in shapes) < tr.size * prob.n

@@ -102,6 +102,13 @@ def test_remainder_norms_enforce_fiber_floor():
                                 2.0 * wmin / (k @ k + eps ** 2), tr, fib.n)
     with pytest.raises(PositivityViolation):
         fb.remainder_norms(sol, ng, tr, k, eps, 1.0, consts, inflated)
+    # at a large s the cut CUT/s lies below the inflated floor; the partial
+    # flow then reaches up to that floor, so the check still sees wmin
+    s_big = 10.0 * fb.CUT / wmin
+    assert fb.CUT / s_big < inflated.lower_bound
+    fb.remainder_norms(sol, ng, tr, k, eps, s_big, consts, fib)
+    with pytest.raises(PositivityViolation):
+        fb.remainder_norms(sol, ng, tr, k, eps, s_big, consts, inflated)
 
 
 def test_kernel_dimension_at_origin():
@@ -353,3 +360,82 @@ def test_cross_validation_bounds_dominate_planted_residuals():
         assert bound >= linalg.opnorm(h)
         if scale == 0.0:
             assert bound == pytest.approx(linalg.opnorm(h), rel=1e-13)
+
+
+def _parity_tol(fib, s, ref):
+    """Rounding of the fiber eigenvalues amplified by s, plus 1e-13
+    relative for the O(1) parts.  The oracle's divide-and-conquer eigh and
+    the partial MRRR eigh each put the small eigenvalues a few ||B||_2 u
+    from the exact ones: on random_fiber_2d at k = 0, eps = 0.0234 a 30-digit
+    value put them 3.7 and 0.35 ||B||_2 u off with two OpenBLAS threads."""
+    return (4.0 * s * np.linalg.norm(fib.matrix, 2) * 2.0 ** -52
+            + 1e-13 * max(1.0, ref))
+
+
+def _sol_ng(prob, tr):
+    sol = cl.solve_cell_problems(prob, tr)
+    return sol, cl.ng_coefficients(prob, sol)
+
+
+@pytest.mark.parametrize("name,prob,tr", BLOCK_STACK_PROBLEMS,
+                         ids=[p[0] for p in BLOCK_STACK_PROBLEMS])
+def test_remainder_norms_match_dense_oracle(name, prob, tr):
+    # no flow, a full flow and a partial flow all give the dense norms
+    consts = fb.estimate_constants(prob)
+    sol, ng = _sol_ng(prob, tr)
+    pencil = fb.FiberPencil(prob, tr)
+    for k, eps in ((0.3, 0.25), (-0.7, 0.1), (1.4, 0.6)):
+        kv = k * np.arange(1.0, prob.d + 1.0)
+        fib = pencil.fiber(kv, eps, consts, check=False)
+        full = fb.FiberFlow(fib.matrix)
+        for s in (0.0, 1.0, 0.5 / eps ** 2):
+            ref = oracles.dense_remainder_norms(sol, ng, tr, kv, eps, s, fib)
+            for flow in (None, full, fb.partial_flow(fib, s)):
+                got = fb.remainder_norms(sol, ng, tr, kv, eps, s, consts,
+                                         fib, flow)
+                for g, r in zip(got, ref):
+                    assert abs(g - r) <= _parity_tol(fib, s, r), (k, eps, s)
+
+
+def test_remainder_norms_with_an_eigenvalue_at_the_cut():
+    _, prob, tr = BLOCK_STACK_PROBLEMS[2]
+    consts = fb.estimate_constants(prob)
+    sol, ng = _sol_ng(prob, tr)
+    k, eps = np.array([0.4, -0.2]), 0.3
+    fib = fb.FiberPencil(prob, tr).fiber(k, eps, consts, check=False)
+    w = np.linalg.eigvalsh(fib.matrix)
+    for delta, kept in ((-5e-7, 1), (5e-7, 2)):
+        s = fb.CUT / (w[1] + delta)          # w[1] within 1e-6 of the cut
+        assert fb.partial_flow(fib, s).w.size == kept
+        got = fb.remainder_norms(sol, ng, tr, k, eps, s, consts, fib)
+        ref = oracles.dense_remainder_norms(sol, ng, tr, k, eps, s, fib)
+        for g, r in zip(got, ref):
+            assert abs(g - r) <= _parity_tol(fib, s, r), delta
+
+
+_ORACLE_SOL_NG = _sol_ng(_PENCIL_CASE[1], _PENCIL_CASE[2])
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi),
+       st.floats(0.02, 1.0), st.floats(0.0, 200.0))
+def test_remainder_norms_match_dense_oracle_at_random_points(k1, k2, eps, s):
+    _, prob, tr = _PENCIL_CASE
+    sol, ng = _ORACLE_SOL_NG
+    kv = np.array([k1, k2])
+    fib = _PENCIL.fiber(kv, eps, check=False)
+    got = fb.remainder_norms(sol, ng, tr, kv, eps, s, fiber=fib)
+    ref = oracles.dense_remainder_norms(sol, ng, tr, kv, eps, s, fib)
+    for g, r in zip(got, ref):
+        assert abs(g - r) <= _parity_tol(fib, s, r)
+
+
+def test_effective_factors_batched_match_single_points():
+    _, prob, tr = BLOCK_STACK_PROBLEMS[0]
+    sol, ng = _sol_ng(prob, tr)
+    ks = np.random.default_rng(4).uniform(-np.pi, np.pi, (3, 4, prob.d))
+    stacked = fb.effective_factors(sol, ng, tr, ks, 0.2, 3.0)
+    for idx in np.ndindex(ks.shape[:-1]):
+        single = fb.effective_factors(sol, ng, tr, ks[idx], 0.2, 3.0)
+        for got, ref in zip(stacked, single):
+            assert _close(got[idx], ref), idx
