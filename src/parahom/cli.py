@@ -459,6 +459,10 @@ def run_converge(cfg, report, svg=False):
         vals = {**r, "slope_running": running}
         table.append([vals[k] for k in header])
     report.tables["sweep"] = (header, table)
+    # fiber counts and argmax quasimomenta stay out of the fixed CSV columns
+    report.summary["sweep_fibers"] = [
+        {key: r[key] for key in r if key.startswith(("eps", "n_", "k_"))}
+        for r in rows]
     report.summary["rate"] = {}
     for kind, (lo, hi) in (("principal", (0.75, 1.25)),
                            ("corrected", (1.75, 2.25))):

@@ -450,6 +450,10 @@ def convergence_sweep(problem, trunc, eps_list, s, mode="both",
     Per eps, the box holds box_size/(eps*period) cells per direction, and the
     exact error is the supremum of per-fiber remainder norms over the box's
     quasimomenta -- with and without the corrector unless ``mode`` picks one.
+    Fibers whose :func:`fibers.partial_flow` keeps no pair are normed from
+    the effective side alone, in one batch per eps.  Rows also record
+    ``n_fibers``, ``n_decomposed`` (fibers that kept a pair) and the
+    quasimomentum ``k_argmax_<kind>`` attaining each computed sup.
     With n_probes > 0 a randomized solution-level battery runs alongside and
     the report flags a probe error above the exact norm.
     """
@@ -466,33 +470,51 @@ def convergence_sweep(problem, trunc, eps_list, s, mode="both",
     want_c = mode in ("both", "corrected")
     # the pencil serves every eps and every fiber
     pencil = fb.FiberPencil(problem, trunc)
+    dim = trunc.size * problem.n
     rows = []
     for eps in eps_list:
         n_cells = max(3, int(round(box_size / (eps * period))))
         fiber_k = fiber_quasimomenta(problem.lattice, n_cells)
         s_scaled = s / eps ** 2
         # the effective side of every fiber in one batched evaluation
-        ez, first, integral = fb.effective_factors(
+        effective = fb.effective_factors(
             cell_sol, ng if want_c else None, trunc, fiber_k, eps, s_scaled,
             constants.cstar_check)
 
-        # each fiber is evaluated, used and dropped: memory O(D^2 threads)
+        def effective_at(sel):
+            return tuple(None if x is None else x[sel] for x in effective)
+
+        # each fiber is evaluated, used and dropped: memory O(D^2 threads);
+        # one whose spectrum lies above the cut is left to the batch below
         def one_fiber(idx):
             fiber = pencil.fiber(fiber_k[idx], eps, constants, check=False)
-            effective = ((ez[idx], first[idx], integral[idx]) if want_c
-                         else (ez[idx], None, None))
+            flow = fb.partial_flow(fiber, s_scaled)
+            if not flow.w.size:
+                return None
             return fb.remainder_norms(cell_sol, ng, trunc, fiber_k[idx], eps,
-                                      s_scaled, constants, fiber, mode=mode,
-                                      effective=effective)
+                                      s_scaled, constants, fiber, flow,
+                                      mode=mode, effective=effective_at(idx))
 
         results = fb.parallel_map(one_fiber, range(len(fiber_k)), threads)
-        sup_p = max(r[0] for r in results)
-        sup_c = max(r[1] for r in results)
+        batch = np.array([r is None for r in results])
+        norms = np.array([(0.0, 0.0) if r is None else r for r in results])
+        # no fiber eigenpair: the effective side alone, one stacked QR and
+        # one stacked Hermitian norm for all such fibers
+        n_batch = int(batch.sum())
+        norms[batch] = fb.projected_norms(
+            trunc, np.zeros((n_batch, dim, 0)), np.zeros((n_batch, 0)),
+            effective_at(batch), mode)
+        sup_p, sup_c = (float(x) for x in norms.max(axis=0))
         decay = np.exp(-0.5 * constants.cstar_check * s)
         row = {"eps": eps, "s": s, "n_cells": n_cells,
                "err_principal": sup_p, "err_corrected": sup_c,
                "envelope_principal": eps / np.sqrt(s + eps ** 2) * decay,
-               "envelope_corrected": eps ** 2 / (s + eps ** 2) * decay}
+               "envelope_corrected": eps ** 2 / (s + eps ** 2) * decay,
+               "n_fibers": len(fiber_k), "n_decomposed": int((~batch).sum())}
+        for j, kind in enumerate(("principal", "corrected")):
+            if mode in ("both", kind):
+                row[f"k_argmax_{kind}"] = \
+                    fiber_k[int(np.argmax(norms[:, j]))].tolist()
         row["err_exact"] = sup_c if want_c else sup_p
         if n_probes:
             setup = EvolutionSetup(cell_sol, ng, constants, eps, n_cells, trunc)

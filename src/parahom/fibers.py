@@ -342,12 +342,68 @@ def cut_value(fiber, s):
     return max(CUT / s if s > 0 else np.inf, fiber.lower_bound)
 
 
+def spectrum_above(matrix, mu):
+    """True when one Cholesky proves every eigenvalue of the Hermitian
+    ``matrix`` (D, D) above ``mu``; False if it fails or an entry or mu is
+    not finite.
+
+    zpotrf runs on matrix - (mu + gamma) I.  Success gives R*R = that matrix
+    + dA with ||dA||_2 <= gamma1 = D c (1+c) nrm, c = sqrt(2)(D+2)u/(1-(D+2)u)
+    (Higham, Accuracy and Stability, Thm 10.3 with complex arithmetic) and
+    nrm >= ||matrix - mu I||_inf; gamma adds 4u(nrm + gamma1) for the rounded
+    diagonal shift.  So lambda_min > mu.
+    """
+    u, dim = 2.0 ** -53, matrix.shape[-1]
+    shifted = matrix.copy()
+    diag = shifted.reshape(-1)[::dim + 1]
+    diag -= mu
+    # row sums of |Re| + |Im| bound the infinity norm from above
+    nrm = np.abs(shifted.view(float)).sum(axis=-1).max()
+    if not np.isfinite(nrm):         # OpenBLAS's zpotrf passes NaN pivots
+        return False
+    c = np.sqrt(2.0) * (dim + 2) * u / (1.0 - (dim + 2) * u)
+    gamma = dim * c * (1.0 + c) * nrm
+    diag -= gamma + 4.0 * u * (nrm + gamma)
+    # the transpose is Fortran-ordered with the same spectrum: no copy
+    return scipy.linalg.lapack.zpotrf(shifted.T, overwrite_a=True)[1] == 0
+
+
 def partial_flow(fiber, s):
-    """Flow of the fiber eigenpairs with eigenvalue <= cut_value(fiber, s),
-    from one partial eigendecomposition."""
+    """Flow of the fiber eigenpairs with eigenvalue <= cut_value(fiber, s):
+    empty (w (0,), v (D, 0)) when :func:`spectrum_above` proves the spectrum
+    above the cut, else from one partial eigendecomposition (MRRR)."""
+    vu = cut_value(fiber, s)
+    if spectrum_above(fiber.matrix, vu):
+        return linalg.HermitianFlow.from_eigh(np.empty(0), fiber.matrix[:, :0])
     w, v = scipy.linalg.eigh(fiber.matrix, driver="evr",
-                             subset_by_value=(-np.inf, cut_value(fiber, s)))
+                             subset_by_value=(-np.inf, vu))
     return linalg.HermitianFlow.from_eigh(w, v)
+
+
+def projected_norms(trunc, vf, decay, effective, mode):
+    """The norms of :func:`remainder_norms`, batched over leading axes, from
+    ``vf`` (..., D, r) = [f] V_r, ``decay`` (..., r) = e^{-w_r s} and the
+    :func:`effective_factors` (ez, first, J).  Both remainders are A M A* with
+    A = [vf, E, first] (E the zero-mode columns), so one QR A = Q T gives
+    them as exact Hermitian norms of (r + 2n)-sized T M T*.  Returns (..., 2),
+    0.0 for a norm that ``mode`` does not compute.
+    """
+    ez, first, integral = effective
+    n, r = ez.shape[-1], decay.shape[-1]
+    want_c = mode in ("both", "corrected")
+    a = np.zeros((*vf.shape[:-1], r + (2 if want_c else 1) * n), dtype=complex)
+    a[..., :r] = vf
+    a[..., _zero_block_slice(trunc, n), r:r + n] = np.eye(n)
+    if want_c:
+        a[..., r + n:] = first
+    t = np.linalg.qr(a, mode="r")
+    tu, te, tf = t[..., :r], t[..., r:r + n], t[..., r + n:]
+    rem = [(tu * decay[..., None, :]) @ adj(tu) - te @ ez @ adj(te)]
+    if want_c:
+        tft = tf @ adj(te)
+        rem.append(rem[0] + te @ integral @ adj(te) - tft - adj(tft))
+    norms = linalg.herm_norm(np.stack(rem, axis=-3))
+    return norms[..., [0, -1]] * [mode != "corrected", want_c]
 
 
 def remainder_norms(cell, ng, trunc, k, eps, s, constants=None, fiber=None,
@@ -357,16 +413,13 @@ def remainder_norms(cell, ng, trunc, k, eps, s, constants=None, fiber=None,
     Only the eigenpairs (w_r, V_r) of B with w <= cut_value(fiber, s) enter;
     the rest add at most ||[f]||^2 2^-64.  ``flow`` may be a full flow or a
     :func:`partial_flow` at the same ``s``, and a partial one is made when it
-    is None.  With A = [f V_r, E, first] (E the zero-mode columns) both
-    remainders are A M A*, so one QR A = Q T turns them into exact Hermitian
-    norms of (r + 2n)-sized matrices T M T*.  The kept spectrum, which holds
-    every eigenvalue below the fiber floor, is checked against that floor
-    (PositivityViolation).  ``mode`` ("both", "principal" or "corrected")
-    picks the norms computed; a norm not computed reads 0.0.  [f] comes with
-    the fiber, and ``effective`` takes this fiber's :func:`effective_factors`
-    (computed here when None).
+    is None.  The norms come from :func:`projected_norms`.  The kept
+    spectrum, which holds every eigenvalue below the fiber floor, is checked
+    against that floor (PositivityViolation).  ``mode`` ("both", "principal"
+    or "corrected") picks the norms computed; a norm not computed reads 0.0.
+    [f] comes with the fiber, and ``effective`` takes this fiber's
+    :func:`effective_factors` (computed here when None).
     """
-    n = cell.problem.n
     if fiber is None:
         fiber = assemble_fiber(cell.problem, trunc, k, eps, constants,
                                check=False)
@@ -377,28 +430,14 @@ def remainder_norms(cell, ng, trunc, k, eps, s, constants=None, fiber=None,
     if w.size:
         check_fiber_floor(w, fiber.cstar_check,
                           float(fiber.k @ fiber.k) + fiber.eps ** 2)
-    want_c = mode in ("both", "corrected")
     if effective is None:
         cc = constants.cstar_check if constants is not None else 0.0
-        effective = effective_factors(cell, ng if want_c else None, trunc, k,
-                                      eps, s, cc)
-    ez, first, integral = effective
-    r = w.size
-    a = np.zeros((v.shape[0], r + (2 if want_c else 1) * n), dtype=complex)
-    a[:, :r] = v if fiber.f_matrix is None else fiber.f_matrix @ v
-    sl = _zero_block_slice(trunc, n)
-    a[sl, r:r + n] = np.eye(n)
-    if want_c:
-        a[:, r + n:] = first
-    t = np.linalg.qr(a, mode="r")
-    tu, te, tf = t[:, :r], t[:, r:r + n], t[:, r + n:]
-    rem = [(tu * np.exp(-w * s)) @ tu.conj().T - te @ ez @ te.conj().T]
-    if want_c:
-        tft = tf @ te.conj().T
-        rem.append(rem[0] + te @ integral @ te.conj().T - tft - tft.conj().T)
-    norms = linalg.herm_norm(np.stack(rem))
-    return (float(norms[0]) if mode != "corrected" else 0.0,
-            float(norms[-1]) if want_c else 0.0)
+        effective = effective_factors(
+            cell, ng if mode in ("both", "corrected") else None, trunc, k,
+            eps, s, cc)
+    vf = v if fiber.f_matrix is None else fiber.f_matrix @ v
+    p, c = projected_norms(trunc, vf, np.exp(-w * s), effective, mode)
+    return float(p), float(c)
 
 
 def fiber_remainder(cell, ng, trunc, k, eps, s, constants=None, fiber=None,

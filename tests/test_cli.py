@@ -160,6 +160,36 @@ prefix = rep
         == (out_b / "rep_sweep.csv").read_bytes()
 
 
+def test_converge_summary_records_sweep_fibers(tmp_path):
+    # fiber counts and argmax quasimomenta go to the summary; the CSV keeps
+    # its fixed columns
+    cfg = _write(tmp_path, """
+[problem]
+preset = osc1d_full
+n_modes = 6
+[truncation]
+n_modes = 6
+[sweep]
+eps = 0.25, 0.125, 0.0625
+s = 0.5
+mode = both
+box_size = 2.0
+[output]
+prefix = fib
+""")
+    assert cli.main(["converge", "--config", cfg, "--out", str(tmp_path)]) == 0
+    header = (tmp_path / "fib_sweep.csv").read_text().splitlines()[0]
+    assert header == ("eps,s,err_principal,err_corrected,envelope_principal,"
+                      "envelope_corrected,slope_running")
+    data = json.loads((tmp_path / "fib_summary.json").read_text())
+    fibers = data["summary"]["sweep_fibers"]
+    assert [f["eps"] for f in fibers] == [0.25, 0.125, 0.0625]
+    assert [f["n_fibers"] for f in fibers] == [8, 16, 32]
+    for f in fibers:
+        assert 0 < f["n_decomposed"] < f["n_fibers"]
+        assert len(f["k_argmax_principal"]) == len(f["k_argmax_corrected"]) == 1
+
+
 def test_converge_probes_agree_with_exact_norm(tmp_path):
     # a probe's solution-level error is bounded by the exact operator norm
     # (the sup over the box fibers), so no row may read probe > exact

@@ -453,3 +453,153 @@ def test_convergence_sweep_decomposes_no_fiber_matrix(monkeypatch):
     ev.convergence_sweep(prob, tr, [0.5, 0.25, 0.125], 0.5, box_size=2.0)
     assert shapes
     assert max(sh[-1] for sh in shapes) < tr.size * prob.n
+
+
+_STACK = {name: (prob, tr) for name, prob, tr in oracles.block_stack_problems()}
+PARITY_PROBLEMS = [
+    ("osc1d_full", presets.osc1d_full(n_modes=16), Truncation(16, 1), 2.0),
+    ("scalar_example_2d", *_STACK["scalar_example_2d"], 1.0),
+    ("random_fiber_2d", *_STACK["random_fiber_2d"], 1.0),
+    ("weighted_f_1d", *_STACK["weighted_f_1d"], 2.0)]
+
+
+@pytest.mark.parametrize("name,prob,tr,box", PARITY_PROBLEMS,
+                         ids=[c[0] for c in PARITY_PROBLEMS])
+def test_certified_sweep_matches_exhaustive_route(name, prob, tr, box,
+                                                  monkeypatch):
+    # with the certificate switched off every fiber is decomposed; a
+    # per-fiber loop over remainder_norms is the reference of both routes
+    eps_list, s = [0.5, 0.25, 0.125], 0.5
+    consts = fb.estimate_constants(prob)
+    sol = cl.solve_cell_problems(prob, tr)
+    ng = cl.ng_coefficients(prob, sol)
+    pencil = fb.FiberPencil(prob, tr)
+    kw = dict(box_size=box, constants=consts, cell_solution=sol, ng_coeffs=ng)
+    for mode in ("both", "principal", "corrected"):
+        certified = ev.convergence_sweep(prob, tr, eps_list, s, mode=mode, **kw)
+        with monkeypatch.context() as mp:
+            mp.setattr(fb, "spectrum_above", lambda matrix, mu: False)
+            exhaustive = ev.convergence_sweep(prob, tr, eps_list, s,
+                                              mode=mode, **kw)
+            reference = []
+            for row in certified:
+                eps = row["eps"]
+                norms = [fb.remainder_norms(
+                    sol, ng, tr, k, eps, s / eps ** 2, consts,
+                    pencil.fiber(k, eps, consts, check=False), mode=mode)
+                    for k in ev.fiber_quasimomenta(prob.lattice,
+                                                   row["n_cells"])]
+                reference.append(np.max(norms, axis=0))
+        for got, ex, ref in zip(certified, exhaustive, reference):
+            eps = got["eps"]
+            b0 = np.linalg.norm(pencil.fiber(np.zeros(prob.d), eps).matrix, 2)
+            tol = s / eps ** 2 * b0 * 2.0 ** -52
+            for j, key in enumerate(("err_principal", "err_corrected")):
+                assert abs(got[key] - ex[key]) <= tol, (mode, eps, key)
+                assert abs(got[key] - ref[j]) <= tol, (mode, eps, key)
+        # the certified route did leave fibers to the batch
+        assert any(r["n_decomposed"] < r["n_fibers"] for r in certified)
+
+
+def test_sweep_decomposes_only_uncertified_fibers(monkeypatch):
+    # the sweep_2d benchmark configuration: 89 fibers over three eps; only
+    # those the Cholesky cannot certify reach scipy's partial eigh
+    from parahom import scalar_example as se
+    import scipy.linalg
+    prob, _ = se.build_scalar_problem(se.scalar_preset(d=2, n_modes=5,
+                                                       seed=201))
+    tr = Truncation(5, 2)
+    calls = {"eigh": 0, "uncertified": 0}
+    original_eigh, original_above = scipy.linalg.eigh, fb.spectrum_above
+
+    def eigh(*args, **kwargs):
+        calls["eigh"] += 1
+        return original_eigh(*args, **kwargs)
+
+    def above(matrix, mu):
+        ok = original_above(matrix, mu)
+        calls["uncertified"] += not ok
+        return ok
+
+    monkeypatch.setattr(scipy.linalg, "eigh", eigh)
+    monkeypatch.setattr(fb, "spectrum_above", above)
+    rows = ev.convergence_sweep(prob, tr, [0.5, 0.25, 0.125], 0.5,
+                                box_size=1.0)
+    assert sum(r["n_fibers"] for r in rows) == 89
+    assert calls["eigh"] == calls["uncertified"] \
+        == sum(r["n_decomposed"] for r in rows)
+    assert calls["eigh"] < 89
+
+
+def test_sweep_enforces_fiber_floor_above_the_cut():
+    # a floor between the fiber and the effective spectra, above CUT/s at
+    # the violating fiber: the cut is the floor, so the Cholesky fails there
+    # and the decomposed spectrum trips the floor check
+    prob = presets.osc1d_full(n_modes=6)
+    tr = Truncation(6, 1)
+    consts = fb.estimate_constants(prob)
+    sol = cl.solve_cell_problems(prob, tr)
+    pencil = fb.FiberPencil(prob, tr)
+    eps, s, box = 0.5, 2.0, 2.0
+    ks = ev.fiber_quasimomenta(prob.lattice, int(round(box / eps)))
+    tau_sq = np.sum(ks ** 2, axis=1) + eps ** 2
+    fiber_ratio = [np.linalg.eigvalsh(pencil.fiber(k, eps).matrix).min()
+                   for k in ks] / tau_sq
+    eff_ratio = [np.linalg.eigvalsh(fb.effective_zero_block(sol, k, eps)).min()
+                 for k in ks] / tau_sq
+    c = 0.5 * (fiber_ratio.min() + eff_ratio.min())
+    assert fiber_ratio.min() < c < eff_ratio.min()
+    assert c * tau_sq[np.argmin(fiber_ratio)] > fb.CUT * eps ** 2 / s
+    inflated = dataclasses.replace(consts, cstar_check=c)
+    with pytest.raises(PositivityViolation):
+        ev.convergence_sweep(prob, tr, [eps, eps / 2, eps / 4], s,
+                             box_size=box, constants=inflated)
+
+
+def test_sweep_argmax_fiber_attains_the_reported_sup():
+    prob = presets.osc1d_full(n_modes=8)
+    tr = Truncation(8, 1)
+    consts = fb.estimate_constants(prob)
+    sol = cl.solve_cell_problems(prob, tr)
+    ng = cl.ng_coefficients(prob, sol)
+    s = 0.5
+    rows = ev.convergence_sweep(prob, tr, [0.25, 0.125, 0.0625], s,
+                                box_size=2.0, constants=consts,
+                                cell_solution=sol, ng_coeffs=ng)
+    pencil = fb.FiberPencil(prob, tr)
+    for row in rows:
+        eps = row["eps"]
+        for j, kind in enumerate(("principal", "corrected")):
+            k = np.array(row[f"k_argmax_{kind}"])
+            fib = pencil.fiber(k, eps, consts, check=False)
+            got = fb.remainder_norms(sol, ng, tr, k, eps, s / eps ** 2,
+                                     consts, fib, fb.FiberFlow(fib.matrix))[j]
+            tol = (4.0 * s / eps ** 2 * np.linalg.norm(fib.matrix, 2)
+                   * 2.0 ** -52 + 1e-13 * got)
+            assert abs(got - row[f"err_{kind}"]) <= tol, (eps, kind)
+
+
+def test_sweep_with_every_fiber_certified():
+    # at s = 20 no fiber keeps a pair, so each sup comes from the batch
+    # alone; it must match the per-fiber norms relatively, tiny as they are
+    prob = presets.osc1d_full(n_modes=8)
+    tr = Truncation(8, 1)
+    consts = fb.estimate_constants(prob)
+    sol = cl.solve_cell_problems(prob, tr)
+    ng = cl.ng_coefficients(prob, sol)
+    pencil = fb.FiberPencil(prob, tr)
+    s = 20.0
+    rows = ev.convergence_sweep(prob, tr, [0.5, 0.25, 0.125], s, box_size=2.0,
+                                constants=consts, cell_solution=sol,
+                                ng_coeffs=ng)
+    for row in rows:
+        eps = row["eps"]
+        assert row["n_decomposed"] == 0
+        ref = np.max([fb.remainder_norms(
+            sol, ng, tr, k, eps, s / eps ** 2, consts,
+            pencil.fiber(k, eps, consts, check=False))
+            for k in ev.fiber_quasimomenta(prob.lattice, row["n_cells"])],
+            axis=0)
+        got = [row["err_principal"], row["err_corrected"]]
+        assert np.all(ref > 0.0)
+        assert np.allclose(got, ref, rtol=1e-12, atol=0.0), eps

@@ -439,3 +439,70 @@ def test_effective_factors_batched_match_single_points():
         single = fb.effective_factors(sol, ng, tr, ks[idx], 0.2, 3.0)
         for got, ref in zip(stacked, single):
             assert _close(got[idx], ref), idx
+
+
+def _planted_fiber(lam_min, dim=40, seed=5):
+    """Hermitian fiber with spectrum lam_min, then 1, 2, ... above it."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim))
+                        + 1j * rng.standard_normal((dim, dim)))
+    w = np.concatenate(([lam_min], lam_min + np.arange(1.0, dim)))
+    mat = linalg.herm((q * w) @ q.conj().T)
+    return fb.FiberOperator(np.zeros(1), 0.1, mat, 0.0, None, 1)
+
+
+def test_spectrum_above_decides_a_planted_eigenvalue_at_the_cut():
+    # the margin gamma is ~1e-12 here, far inside the 1e-6 offsets: the
+    # certificate holds just above the cut and the partial eigh runs below
+    vu = 2.5
+    s = fb.CUT / vu
+    for rel, kept in ((1e-6, 0), (-1e-6, 1)):
+        fib = _planted_fiber(vu * (1.0 + rel))
+        assert fb.spectrum_above(fib.matrix, vu) == (kept == 0)
+        flow = fb.partial_flow(fib, s)
+        assert flow.w.size == kept
+        assert flow.v.shape == (fib.matrix.shape[0], kept)
+    # an eigenvalue at the cut is kept, so the margin must not certify it
+    assert not fb.spectrum_above(_planted_fiber(vu).matrix, vu)
+
+
+def test_spectrum_above_never_certifies_nan_or_an_infinite_cut():
+    fib = _planted_fiber(5.0)
+    assert fb.spectrum_above(fib.matrix, 1.0)
+    # s = 0 keeps every pair: the cut is infinite and nothing is certified
+    assert not fb.spectrum_above(fib.matrix, np.inf)
+    assert fb.partial_flow(fib, 0.0).w.size == fib.matrix.shape[0]
+    # a NaN entry fails the Cholesky and reaches eigh's finiteness check
+    bad = fib.matrix.copy()
+    bad[3, 7] = bad[7, 3] = np.nan
+    assert not fb.spectrum_above(bad, 1.0)
+    with pytest.raises(ValueError):
+        fb.partial_flow(fb.FiberOperator(fib.k, fib.eps, bad, 0.0, None, 1),
+                        fb.CUT / 1.0)
+
+
+@pytest.mark.parametrize("name,prob,tr", BLOCK_STACK_PROBLEMS,
+                         ids=[p[0] for p in BLOCK_STACK_PROBLEMS])
+def test_projected_norms_batch_matches_single_fibers(name, prob, tr):
+    # fibers away from k = 0 keep no pair at this s; the sweep norms them in
+    # one stacked call, which must give each fiber's remainder_norms
+    consts = fb.estimate_constants(prob)
+    sol, ng = _sol_ng(prob, tr)
+    pencil = fb.FiberPencil(prob, tr)
+    eps, s = 0.125, 8.0
+    ks = np.random.default_rng(6).uniform(1.5, np.pi, (5, prob.d))
+    fibs = [pencil.fiber(k, eps, consts, check=False) for k in ks]
+    assert all(fb.partial_flow(f, s).w.size == 0 for f in fibs)
+    dim = fibs[0].matrix.shape[0]
+    for mode in ("both", "principal", "corrected"):
+        effective = fb.effective_factors(
+            sol, ng if mode != "principal" else None, tr, ks, eps, s)
+        got = fb.projected_norms(tr, np.zeros((len(ks), dim, 0)),
+                                 np.zeros((len(ks), 0)), effective, mode)
+        for k, f, row in zip(ks, fibs, got):
+            ref = fb.remainder_norms(sol, ng, tr, k, eps, s, consts, f,
+                                     mode=mode)
+            assert np.allclose(row, ref, rtol=1e-12, atol=0.0), (mode, k)
+        # the norms are tiny but positive; a norm not computed reads 0.0
+        computed = [mode != "corrected", mode != "principal"]
+        assert np.all((got > 0.0) == computed), mode
