@@ -107,22 +107,20 @@ class ThresholdData:
 
 
 def _x0_svd(X0, n_kernel=None, rel_tol=KERNEL_RTOL):
-    """One SVD of X0, split into (U_r, sigma_r, V_r, u).
-
-    X0 = U_r diag(sigma_r) V_r* and the columns of u are an orthonormal basis
-    of Ker X0.  The kernel has dimension ``n_kernel`` when given; otherwise
+    """(sigma_r, V_r, u) with X0 = U_r diag(sigma_r) V_r* and u an orthonormal
+    basis of Ker X0, from the SVD of the R factor of X0 = QR; U_r is never
+    formed.  The kernel has dimension ``n_kernel`` when given; otherwise
     singular values below rel_tol * max(sigma_max, 1) count as zero.
     """
-    X0 = np.asarray(X0, dtype=complex)
-    # a wide X0 needs the full V to span its kernel
-    U, sing, vh = np.linalg.svd(X0, full_matrices=X0.shape[0] < X0.shape[1])
+    R = np.linalg.qr(np.asarray(X0, dtype=complex), mode="r")
+    sing, vh = np.linalg.svd(R, full_matrices=True)[1:]
     if n_kernel is None:
         smax = sing[0] if sing.size else 0.0
         r = int(np.sum(sing > rel_tol * max(smax, 1.0)))
     else:
         r = X0.shape[1] - n_kernel
     V = vh.conj().T
-    return U[:, :r], sing[:r], V[:, :r], V[:, r:]
+    return sing[:r], V[:, :r], V[:, r:]
 
 
 def _gram_pinv(sing, V_r, rhs, cond_cap):
@@ -146,7 +144,7 @@ def kernel_projection(X0, rel_tol=KERNEL_RTOL):
     eigenvalue of X0*X0.  Singular values below rel_tol * sigma_max count as
     zero.
     """
-    _, sing, _, u = _x0_svd(X0, rel_tol=rel_tol)
+    sing, _, u = _x0_svd(X0, rel_tol=rel_tol)
     return _kernel_data(sing, u)
 
 
@@ -162,7 +160,7 @@ def _solve_off_kernel(family, P, n, rhs, cond_cap):
     """-(X0*X0)^+ rhs with Ker X0 of dimension n (default: trace P)."""
     if n is None:
         n = int(round(np.real(np.trace(P))))
-    _, sing, V_r, _ = _x0_svd(family.X0, n)
+    sing, V_r, _ = _x0_svd(family.X0, n)
     return -_gram_pinv(sing, V_r, rhs, cond_cap)
 
 
@@ -182,18 +180,18 @@ def compute_threshold(family, delta=None, tau0=None, cond_cap=1e12):
     """All threshold objects of the pencil in one pass.
 
     Every object is supported on Ker X0 = span(u): Z = z u*, Ztilde = zt u*,
-    R = r u*, and the germ and N blocks are u (n x n) u*.  One economy SVD of
-    X0 gives u, the pseudo-inverse of X0*X0 and the range of X0, so the work
-    is O(dim^2 n) past that SVD.
+    R = r u*, and the germ and N blocks are u (n x n) u*.  One SVD of the R
+    factor of X0 gives u and the pseudo-inverse of X0*X0, so the work is
+    O(dim^2 n) past that SVD.
     """
-    U_r, sing, V_r, u = _x0_svd(family.X0)
+    sing, V_r, u = _x0_svd(family.X0)
     P, n, d0 = _kernel_data(sing, u)
     x1u = family.X1 @ u
     z = -_gram_pinv(sing, V_r, family.X0.conj().T @ x1u, cond_cap)
     zt = -_gram_pinv(sing, V_r, family.Y0.conj().T @ (family.Y2 @ u),
                      cond_cap)
-    # R = P_* X1 P with P_* = I - U_r U_r* the projector onto Ker X0^*
-    r = x1u - U_r @ (U_r.conj().T @ x1u)
+    # R = P_* X1 P = (X1 + X0 Z) P, as X0 z = -U_r U_r* X1 u = (P_* - I) X1 u
+    r = x1u + family.X0 @ z
     blocks = _kernel_blocks(family, u, z, zt, r)
 
     consts = family.form_constants

@@ -49,10 +49,11 @@ def column_split_norm(a, cols):
     return opnorm(a[:, cols]) + float(np.linalg.norm(rest))
 
 
-def herm_split_norm(a):
-    """Upper bound ||(A + A*)/2||_2 + ||(A - A*)/2||_F of ||A||_2, exact up to
-    the Frobenius term on (numerically) Hermitian A."""
-    return float(herm_norm(a)) + float(np.linalg.norm(a - herm(a)))
+def range_split_norm(a, q):
+    """Upper bound ||Q*AQ||_2 + ||A - Q Q*AQ Q*||_F of ||A||_2 for orthonormal
+    columns ``q``, exact up to the Frobenius term when A = Q Q*AQ Q*."""
+    m = q.conj().T @ a @ q
+    return opnorm(m) + float(np.linalg.norm(a - q @ m @ q.conj().T))
 
 
 def check_floor(w, cstar_check, tau_sq, error, what, tol=1e-9):
@@ -70,11 +71,6 @@ def check_floor(w, cstar_check, tau_sq, error, what, tol=1e-9):
     if bad.size:
         i = bad[0]
         raise error(f"{what} eigenvalue {wmin[i]:.3e} below bound {floor[i]:.3e}")
-
-
-def eigh_herm(a):
-    """Eigendecomposition of a (numerically) Hermitian matrix."""
-    return np.linalg.eigh(herm(a))
 
 
 def confluent_weights_batch(lam, s):
@@ -140,7 +136,7 @@ class HermitianFlow:
 
 def inv_sqrtm_herm(a):
     """A^{-1/2} for Hermitian positive definite A."""
-    w, v = eigh_herm(a)
+    w, v = np.linalg.eigh(herm(a))
     if w.min() <= 0:
         raise IllConditioned("matrix not positive definite")
     return (v * (w ** -0.5)) @ v.conj().T

@@ -111,6 +111,86 @@ def test_threshold_matches_dense_formulas(n, degenerate):
     assert np.abs(u @ u.conj().T - ref["P"]).max() < 1e-12
 
 
+def _cplx(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _family_with_X0(X0, seed):
+    """Random pencil around a given X0, with no sampled constants."""
+    rng = np.random.default_rng(seed)
+    dim_star, dim = X0.shape
+    return ab.AbstractFamily(
+        X0, _cplx(rng, dim_star, dim), _cplx(rng, dim + 1, dim),
+        _cplx(rng, dim + 1, dim), _cplx(rng, dim + 1, dim),
+        linalg.herm(_cplx(rng, dim, dim)), np.eye(dim, dtype=complex), 1.0)
+
+
+def _full_svd_threshold(fam, rel_tol=ab.KERNEL_RTOL):
+    """Kernel data, Z, Ztilde and R = (I - U_r U_r*) X1 P from a full SVD
+    of X0 with its left singular vectors."""
+    U, sing, vh = np.linalg.svd(fam.X0)
+    r = int(np.sum(sing > rel_tol * max(sing[0], 1.0)))
+    V = vh.conj().T
+    P = V[:, r:] @ V[:, r:].conj().T
+    gram_pinv = (V[:, :r] / sing[:r] ** 2) @ V[:, :r].conj().T
+    U_r = U[:, :r]
+    X1P = fam.X1 @ P
+    return {"n": fam.dim_H - r, "d0": sing[r - 1] ** 2, "P": P,
+            "Z": -gram_pinv @ fam.X0.conj().T @ X1P,
+            "Ztilde": -gram_pinv @ fam.Y0.conj().T @ fam.Y2 @ P,
+            "R": X1P - U_r @ (U_r.conj().T @ X1P)}
+
+
+def _rank_factor(rng, rows, cols, rank):
+    return _cplx(rng, rows, rank) @ _cplx(rng, rank, cols)
+
+
+@pytest.mark.parametrize("shape,rank", [
+    ((14, 10), 8),     # tall
+    ((6, 10), 6),      # wide, full row rank
+    ((6, 10), 4),      # wide, rank-deficient
+    ((10, 10), 7)])    # square, rank-deficient
+def test_r_factor_threshold_matches_full_svd_oracle(shape, rank):
+    rng = np.random.default_rng(sum(shape) + rank)
+    fam = _family_with_X0(_rank_factor(rng, *shape, rank), rank)
+    th = ab.compute_threshold(fam)
+    ref = _full_svd_threshold(fam)
+    assert th.n == ref["n"] == shape[1] - rank
+    assert th.d0 == pytest.approx(ref["d0"], rel=1e-12)
+    for name in ("P", "Z", "Ztilde", "R"):
+        val = ref[name]
+        err = np.abs(getattr(th, name) - val).max()
+        assert err <= 1e-12 * max(1.0, float(np.abs(val).max())), name
+    P, n, d0 = ab.kernel_projection(fam.X0)
+    assert n == ref["n"] and d0 == pytest.approx(ref["d0"], rel=1e-12)
+    assert np.abs(P - ref["P"]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("shape", [(14, 10), (10, 10)])
+def test_r_factor_route_raises_on_trivial_kernel(shape):
+    rng = np.random.default_rng(shape[0])
+    fam = _family_with_X0(_cplx(rng, *shape), 1)
+    with pytest.raises(DegenerateKernel):
+        ab.compute_threshold(fam)
+    with pytest.raises(DegenerateKernel):
+        ab.kernel_projection(fam.X0)
+
+
+def test_r_factor_route_raises_on_ill_conditioned_gram():
+    # a wide X0 with singular values 1 ... 1e-7 off a 6-dimensional kernel
+    # (test_ill_conditioned_gram_raises covers a tall one), and X0 = 0
+    rng = np.random.default_rng(6)
+    left = np.linalg.qr(_cplx(rng, 6, 4))[0]
+    right = np.linalg.qr(_cplx(rng, 10, 4))[0]
+    X0 = (left * np.geomspace(1.0, 1e-7, 4)) @ right.conj().T
+    fam = _family_with_X0(X0, 2)
+    with pytest.raises(IllConditioned):
+        ab.compute_threshold(fam)
+    assert ab.compute_threshold(fam, cond_cap=1e15).n == 6
+    with pytest.raises(IllConditioned):
+        ab.compute_threshold(_family_with_X0(np.zeros((6, 10)), 2))
+
+
 def test_ill_conditioned_gram_raises(family):
     # singular values 1, ..., 1e-7 off a 2-dimensional kernel: the restricted
     # Gram condition (sigma_1/sigma_r)^2 is 1e14

@@ -8,7 +8,8 @@ from parahom import fields as fd
 from parahom import linalg
 from parahom import presets
 from parahom.abstract import kernel_projection
-from parahom.errors import NonPositiveEffective, PositivityViolation
+from parahom.errors import (MismatchBeyondTolerance, NonPositiveEffective,
+                            PositivityViolation)
 from parahom.fields import Truncation
 from parahom.lattice import cubic_lattice
 
@@ -221,6 +222,31 @@ def test_cross_validation_d1(seed, d, n_modes):
     assert rep["germ"] < 1e-7 and rep["L"] < 1e-7 and rep["N"] < 1e-6
 
 
+@pytest.mark.parametrize("theta,tau", [
+    ([0.0], 0.1), ([np.nan], 0.1), ([np.inf], 0.1), ([1.0, 0.0], 0.1),
+    ([1.0], 0.0), ([1.0], -0.1), ([1.0], np.nan), ([1.0], np.inf)])
+def test_cross_validation_rejects_invalid_direction_and_radius(
+        monkeypatch, theta, tau):
+    prob = presets.random_fiber_instance(42, d=1, n_modes=6)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the arguments were checked")
+
+    monkeypatch.setattr(fb, "estimate_constants", no_work)
+    monkeypatch.setattr(fb, "hatted_family", no_work)
+    with pytest.raises(ValueError):
+        fb.cross_validate_abstract(prob, Truncation(6, 1), theta, tau)
+
+
+def test_cross_validation_never_passes_a_nan_residual(monkeypatch):
+    prob = presets.random_fiber_instance(42, d=1, n_modes=6)
+    consts = fb.estimate_constants(prob)
+    monkeypatch.setattr(linalg, "opnorm", lambda a: np.nan)
+    with pytest.raises(MismatchBeyondTolerance):
+        fb.cross_validate_abstract(prob, Truncation(6, 1), [1.0],
+                                   0.5 * consts.tau0, constants=consts)
+
+
 @pytest.mark.parametrize("seed,d", [(5, 1), (201, 2)])
 def test_grid_rectangles_match_einsum_construction(seed, d):
     prob = presets.random_fiber_instance(seed, d=d, n_modes=6)
@@ -347,6 +373,14 @@ def test_cross_validation_bounds_dominate_planted_residuals():
     def cplx(*shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
+    # span[u, E] for a random pair, and for the production case: the kernel
+    # vector u is the zero-mode column e0 up to a tilt near rounding
+    e0 = np.eye(dim)[:, [19]]
+    bases = [cplx(dim, 2)]
+    for tilt in (1e-9, 1e-15):
+        u = e0 + tilt * cplx(dim, 1)
+        bases.append(np.concatenate([u / np.linalg.norm(u), e0], axis=1))
+
     for scale in (0.0, 1e-8, 1e-3, 1.0):
         r = np.zeros((dim, dim), dtype=complex)
         r[:, cols] = cplx(dim, len(cols))
@@ -355,11 +389,14 @@ def test_cross_validation_bounds_dominate_planted_residuals():
         assert bound >= linalg.opnorm(r)
         if scale == 0.0:
             assert bound == pytest.approx(linalg.opnorm(r), rel=1e-13)
-        h = linalg.herm(cplx(dim, dim)) + scale * cplx(dim, dim)
-        bound = linalg.herm_split_norm(h)
-        assert bound >= linalg.opnorm(h)
-        if scale == 0.0:
-            assert bound == pytest.approx(linalg.opnorm(h), rel=1e-13)
+        for basis in bases:
+            q = np.linalg.qr(basis)[0]
+            h = (basis @ linalg.herm(cplx(2, 2)) @ basis.conj().T
+                 + scale * cplx(dim, dim))
+            bound = linalg.range_split_norm(h, q)
+            assert bound >= linalg.opnorm(h)
+            if scale == 0.0:
+                assert bound == pytest.approx(linalg.opnorm(h), rel=1e-13)
 
 
 def _parity_tol(fib, s, ref):
