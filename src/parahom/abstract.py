@@ -320,17 +320,6 @@ def kernel_approximation(th, t, eps, s):
     return e_full, first + second - u @ integral @ u.conj().T
 
 
-def exp_L_P(th, t, eps, s):
-    """exp(-L(t,eps) s) P as a full-space matrix."""
-    u = th.kernel_basis
-    return u @ _kernel_flow(th, t, eps).expm(s) @ u.conj().T
-
-
-def corrector_K(th, t, eps, s):
-    """Corrector K(t,eps,s): oscillating pair plus the closed-form integral."""
-    return kernel_approximation(th, t, eps, s)[1]
-
-
 def remainder_envelopes(cstar_check, tau_sq, s):
     """Reference envelopes e^{-c tau^2 s/2}/s (inf at s = 0) and
     e^{-c tau^2 s/2}/(1+s) of a semigroup remainder."""
@@ -561,16 +550,6 @@ def bordered_approximation(bf, data, t, eps, s):
     J = flow.integral(M0 @ NG_n @ M0, s)
     J_full = uh @ (M0 @ J @ M0) @ uh.conj().T
     return E_full, ZG_t @ E_full + E_full @ ZG_t.conj().T - J_full
-
-
-def bordered_principal(bf, data, t, eps, s):
-    """M0 exp(-M0 Lhat M0 s) M0 Phat as a full matrix."""
-    return bordered_approximation(bf, data, t, eps, s)[0]
-
-
-def bordered_corrector(bf, data, t, eps, s):
-    """K_G(t,eps,s) for the bordered pencil (kernel-space closed forms)."""
-    return bordered_approximation(bf, data, t, eps, s)[1]
 
 
 def bordered_remainder(bf, t, eps, s, data=None):

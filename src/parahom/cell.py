@@ -15,8 +15,6 @@ from . import linalg
 from .errors import DataError, IllConditioned
 from .lattice import Lattice
 
-_DENSE_SOLVE_LIMIT = 4096
-
 
 @dataclass
 class PeriodicProblem:
@@ -345,8 +343,6 @@ class NGCoefficients:
         t21 = mg2 + adj(mg2) + tg + adj(tg) + lin(self.abar_tilde)
         return (bqh @ lin(self.M_G_symbols) @ bq + eps * t12 + eps ** 2 * t21
                 + eps ** 3 * self.N22)
-
-    symbols = symbol
 
 
 def ng_coefficients(problem, cell):

@@ -1,6 +1,6 @@
 """Configuration-driven command line front end.
 
-Usage:  homog <command> --config <path> [--out <dir>] [--threads N] [--seed S]
+Usage:  homog <command> --config <path> [--out <dir>] [--seed S] [--svg]
 
 Commands: cell-solve, fiber-check, abstract-check, converge, evolve,
 scalar-example.  Configs are INI files with one section per module (see
@@ -91,7 +91,6 @@ class ExperimentConfig:
     raw: configparser.ConfigParser
     path: str
     seed: int = 0
-    threads: int = 1
     out_dir: str = "."
 
     def section(self, name):
@@ -132,6 +131,7 @@ class ExperimentConfig:
 
 
 def load_config(path, command, seed=None, threads=None, out_dir=None):
+    # nothing reads ``threads``; it stays while perfbench passes threads=1
     if not os.path.exists(path):
         raise ConfigError(f"config file {path} does not exist")
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
@@ -142,9 +142,6 @@ def load_config(path, command, seed=None, threads=None, out_dir=None):
     cfg = ExperimentConfig(command, parser, path)
     cfg.seed = seed if seed is not None else int(
         parser.get("run", "seed", fallback="0"))
-    env_threads = os.environ.get("HOMOG_THREADS")
-    cfg.threads = threads or int(parser.get(
-        "run", "threads", fallback=env_threads or "1"))
     cfg.out_dir = out_dir or "."
     if cfg.command not in COMMANDS:
         raise ConfigError(f"unknown command {cfg.command!r}")
@@ -357,21 +354,14 @@ def run_fiber_check(cfg, report):
 
     pencil = fb.FiberPencil(problem, trunc)
 
-    def work(k):
+    for k in k_points:
         fib = pencil.fiber(k, eps, consts, check=False)
         flow = fb.FiberFlow(fib.matrix)
         lam_min = float(flow.w.min())
-        out = []
+        lam_ratio = min(lam_ratio, lam_min / (float(k @ k) + eps ** 2))
         for s in s_list:
             rep = fb.fiber_remainder(sol, ng, trunc, k, eps, s, consts,
                                      fib, flow)
-            out.append((k, s, rep, lam_min))
-        return out
-
-    for chunk in fb.parallel_map(work, k_points, cfg.threads):
-        for k, s, rep, lam_min in chunk:
-            tau_sq = float(k @ k) + eps ** 2
-            lam_ratio = min(lam_ratio, lam_min / tau_sq)
             rows.append([*np.asarray(k), eps, s, rep["remainder_norm"],
                          rep["envelope_s_pos"], rep["ratio_s_pos"], lam_min])
     report.tables["fibers"] = (
@@ -441,8 +431,7 @@ def run_converge(cfg, report, svg=False):
     box = cfg.get("sweep", "box_size", default=8.0, cast=float)
     probes = cfg.get("sweep", "probes", default=0, cast=int)
     rows = ev.convergence_sweep(problem, trunc, eps_list, s, mode=mode,
-                                box_size=box, n_probes=probes, seed=cfg.seed,
-                                threads=cfg.threads)
+                                box_size=box, n_probes=probes, seed=cfg.seed)
     header = ["eps", "s", "err_principal", "err_corrected",
               "envelope_principal", "envelope_corrected", "slope_running"]
     if probes:
@@ -579,14 +568,13 @@ def main(argv=None):
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", default=".")
-    parser.add_argument("--threads", type=int, default=None)
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--svg", action="store_true",
                         help="also write SVG charts for plot series")
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config, args.command, seed=args.seed,
-                          threads=args.threads, out_dir=args.out)
+                          out_dir=args.out)
         report = run(cfg)
     except (ConfigError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)

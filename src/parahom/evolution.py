@@ -457,6 +457,7 @@ def convergence_sweep(problem, trunc, eps_list, s, mode="both",
     With n_probes > 0 a randomized solution-level battery runs alongside and
     the report flags a probe error above the exact norm.
     """
+    # nothing reads ``threads``; it stays while perfbench passes threads=1
     from .cell import solve_cell_problems, ng_coefficients
 
     eps_list = sorted((float(e) for e in eps_list), reverse=True)
@@ -484,20 +485,18 @@ def convergence_sweep(problem, trunc, eps_list, s, mode="both",
         def effective_at(sel):
             return tuple(None if x is None else x[sel] for x in effective)
 
-        # each fiber is evaluated, used and dropped: memory O(D^2 threads);
-        # one whose spectrum lies above the cut is left to the batch below
-        def one_fiber(idx):
-            fiber = pencil.fiber(fiber_k[idx], eps, constants, check=False)
+        # each fiber is evaluated, used and dropped: memory O(D^2); one
+        # whose spectrum lies above the cut is left to the batch below
+        norms = np.zeros((len(fiber_k), 2))
+        batch = np.ones(len(fiber_k), dtype=bool)
+        for idx, k in enumerate(fiber_k):
+            fiber = pencil.fiber(k, eps, constants, check=False)
             flow = fb.partial_flow(fiber, s_scaled)
-            if not flow.w.size:
-                return None
-            return fb.remainder_norms(cell_sol, ng, trunc, fiber_k[idx], eps,
-                                      s_scaled, constants, fiber, flow,
-                                      mode=mode, effective=effective_at(idx))
-
-        results = fb.parallel_map(one_fiber, range(len(fiber_k)), threads)
-        batch = np.array([r is None for r in results])
-        norms = np.array([(0.0, 0.0) if r is None else r for r in results])
+            if flow.w.size:
+                batch[idx] = False
+                norms[idx] = fb.remainder_norms(
+                    cell_sol, ng, trunc, k, eps, s_scaled, constants, fiber,
+                    flow, mode=mode, effective=effective_at(idx))
         # no fiber eigenpair: the effective side alone, one stacked QR and
         # one stacked Hermitian norm for all such fibers
         n_batch = int(batch.sum())

@@ -14,7 +14,6 @@ grid so that X(t)*X(t) reproduces the Galerkin matrices exactly; this is what
 makes the abstract-vs-explicit identities hold to solver precision.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -257,14 +256,6 @@ class FiberFlow(linalg.HermitianFlow):
         # perfbench traces fiber decompositions through this class's own
         # __init__; the inherited one would count every HermitianFlow
         super().__init__(matrix)
-
-
-def parallel_map(fn, items, threads):
-    """[fn(x) for x in items], on a thread pool when threads > 1."""
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------

@@ -41,37 +41,6 @@ class Lattice:
                if any(i)]
         return np.array([self.dual_vector(i) for i in idx])
 
-    def in_brillouin(self, zeta, shell_radius=2, tol=0.0):
-        """Voronoi membership test: |zeta| <= |zeta - b| for all nearby b != 0."""
-        zeta = np.asarray(zeta, dtype=float)
-        nz = zeta @ zeta
-        for b in self.dual_shell(shell_radius):
-            if nz > (zeta - b) @ (zeta - b) + tol:
-                return False
-        return True
-
-    def fold(self, zeta, shell_radius=2):
-        """Translate ``zeta`` by a dual lattice vector into clos(Brillouin zone)."""
-        zeta = np.asarray(zeta, dtype=float)
-        coeff = np.linalg.solve(self.dual_basis.T, zeta)
-        base = np.round(coeff).astype(int)
-        best = None
-        best_norm = np.inf
-        for off in product(range(-shell_radius, shell_radius + 1), repeat=self.dimension):
-            cand = zeta - self.dual_vector(base + np.asarray(off))
-            n = cand @ cand
-            if n < best_norm - 1e-15:
-                best_norm = n
-                best = cand
-        return best
-
-    def grid_points(self, shape):
-        """Affine sample grid x = sum_l (i_l / G_l) a_l, shape (*shape, d)."""
-        axes = [np.arange(g) / g for g in shape]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        frac = np.stack(mesh, axis=-1)
-        return frac @ self.basis
-
 
 def _voronoi_vertex_radius(dual_basis):
     """Circumradius of the origin's Voronoi cell of the dual lattice."""

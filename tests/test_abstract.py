@@ -315,7 +315,7 @@ def test_corrector_zero_when_all_vanish():
                             np.eye(dim), lam=1.0,
                             form_constants=dict(base.form_constants))
     th = ab.compute_threshold(fam)
-    K = ab.corrector_K(th, 0.05, 0.03, 1.0)
+    K = ab.kernel_approximation(th, 0.05, 0.03, 1.0)[1]
     # Z = Ztilde = 0 and N has only the lam-part which vanishes since Zt = 0
     assert np.abs(K).max() < 1e-13
 
@@ -323,7 +323,7 @@ def test_corrector_zero_when_all_vanish():
 def test_corrector_s_zero_form(family):
     fam, th = family
     t, e = 0.4 * th.tau0 * THETA
-    K0 = ab.corrector_K(th, t, e, 0.0)
+    K0 = ab.kernel_approximation(th, t, e, 0.0)[1]
     expected = (t * th.Z + e * th.Ztilde) @ th.P \
         + th.P @ (t * th.Z + e * th.Ztilde).conj().T
     assert np.abs(K0 - expected).max() < 1e-13
@@ -344,7 +344,7 @@ def test_corrector_integral_vs_quadrature(family):
 def test_corrector_hermitian(family):
     _, th = family
     t, e = 0.4 * th.tau0 * THETA
-    K = ab.corrector_K(th, t, e, 0.8)
+    K = ab.kernel_approximation(th, t, e, 0.8)[1]
     assert linalg.hermiticity_defect(K) < 1e-12
 
 
@@ -354,7 +354,7 @@ def test_corrector_nonpositive_L_raises(family):
     shift = 2.0 * np.linalg.norm(th.D_block, 2) + 1.0
     bad = dataclasses.replace(th, D_block=th.D_block - shift * th.P)
     with pytest.raises(NonPositiveL):
-        ab.corrector_K(bad, 0.0, 0.5 * th.tau0, 1.0)
+        ab.kernel_approximation(bad, 0.0, 0.5 * th.tau0, 1.0)
 
 
 def test_remainder_envelope_bounded(family):
@@ -394,8 +394,8 @@ def test_remainder_block_diagonal_trivial_case():
     t, e = 0.5 * th.tau0 * THETA
     s = 1.0
     B = fam.B(t, e)
-    rem = linalg.HermitianFlow(B).expm(s) - ab.exp_L_P(th, t, e, s) \
-        - ab.corrector_K(th, t, e, s)
+    e_full, K = ab.kernel_approximation(th, t, e, s)
+    rem = linalg.HermitianFlow(B).expm(s) - e_full - K
     restricted = th.P @ rem @ th.P
     assert np.abs(restricted).max() < 1e-10
 
@@ -561,11 +561,11 @@ def test_bordered_exp_and_corrector_identities(bordered):
     bf, data = bordered
     th = data["th"]
     t, e, s = 0.18 * th.tau0, 0.24 * th.tau0, 1.3
-    lhs = bf.M @ ab.exp_L_P(th, t, e, s) @ bf.M.conj().T
-    rhs = ab.bordered_principal(bf, data, t, e, s)
+    e_full, K = ab.kernel_approximation(th, t, e, s)
+    rhs, kg = ab.bordered_approximation(bf, data, t, e, s)
+    lhs = bf.M @ e_full @ bf.M.conj().T
     assert np.abs(lhs - rhs).max() < 1e-12
-    kg_direct = bf.M @ ab.corrector_K(th, t, e, s) @ bf.M.conj().T
-    kg = ab.bordered_corrector(bf, data, t, e, s)
+    kg_direct = bf.M @ K @ bf.M.conj().T
     assert np.abs(kg_direct - kg).max() < 1e-12
 
 
@@ -588,9 +588,9 @@ def test_bordered_kernel_block_zero_for_trivial_lower_order():
     th = data["th"]
     t, e, s = 0.0, 0.008, 1.0
     B = bf.base.B(t, e)
+    e_bord, kg = ab.bordered_approximation(bf, data, t, e, s)
     rem_full = bf.M @ linalg.HermitianFlow(B).expm(s) @ bf.M.conj().T \
-        - ab.bordered_principal(bf, data, t, e, s) \
-        - ab.bordered_corrector(bf, data, t, e, s)
+        - e_bord - kg
     minv = data["Minv"]
     blk = th.P @ (minv @ rem_full @ minv.conj().T) @ th.P
     assert np.abs(blk).max() < 1e-10

@@ -233,11 +233,53 @@ prefix = sc
     assert data["passed"]
 
 
-def test_threads_env_fallback(tmp_path, monkeypatch):
-    cfg = _write(tmp_path, "[problem]\npreset = osc1d\n")
-    monkeypatch.setenv("HOMOG_THREADS", "3")
-    loaded = cli.load_config(cfg, "cell-solve")
-    assert loaded.threads == 3
+@pytest.mark.parametrize("command,body,table", [
+    ("converge", """
+[problem]
+preset = osc1d
+n_modes = 8
+[truncation]
+n_modes = 8
+[sweep]
+eps = 0.25, 0.125, 0.0625
+s = 0.5
+mode = both
+box_size = 2.0
+[output]
+prefix = out
+""", "sweep"),
+    ("fiber-check", """
+[problem]
+preset = osc1d_full
+n_modes = 8
+[truncation]
+n_modes = 8
+[fiber]
+k_grid = 3
+s = 0.5, 2.0
+[output]
+prefix = out
+""", "fibers"),
+], ids=["converge", "fiber-check"])
+def test_run_threads_key_is_inert(tmp_path, monkeypatch, command, body,
+                                  table):
+    # perfbench still writes ``[run] threads``: any value runs the same
+    # serial fiber loop, and no thread pool is ever built
+    import concurrent.futures
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("thread pool built")
+
+    monkeypatch.setattr(concurrent.futures.ThreadPoolExecutor, "__init__",
+                        refuse)
+    csv_bytes = []
+    for threads in (1, 2):
+        cfg = _write(tmp_path, f"[run]\nthreads = {threads}\n{body}",
+                     name=f"t{threads}.ini")
+        out = tmp_path / f"t{threads}"
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 0
+        csv_bytes.append((out / f"out_{table}.csv").read_bytes())
+    assert csv_bytes[0] == csv_bytes[1]
 
 
 def test_grid_file_problem_roundtrip(tmp_path):

@@ -334,15 +334,6 @@ def test_convergence_sweep_insufficient_points():
         ev.convergence_sweep(prob, tr, [0.5, 0.25], 0.4)
 
 
-def test_convergence_sweep_threads_match_serial():
-    prob = presets.osc1d_full(n_modes=6)
-    tr = Truncation(6, 1)
-    args = (prob, tr, [0.5, 0.25, 0.125], 0.5)
-    serial = ev.convergence_sweep(*args, box_size=2.0, threads=1)
-    pooled = ev.convergence_sweep(*args, box_size=2.0, threads=2)
-    assert pooled == serial
-
-
 def test_convergence_sweep_keeps_no_fiber_cache(monkeypatch):
     # the sweep assembles each fiber where it is used and needs only the
     # fiber quasimomenta: without probes it builds no evolution setup, so

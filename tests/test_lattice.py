@@ -45,22 +45,3 @@ def test_hexagonal_radii_vs_voronoi_oracle():
 def test_singular_basis_raises():
     with pytest.raises(SingularBasis):
         build_lattice(np.array([[1.0, 2.0], [0.5, 1.0]]))
-
-
-def test_fold_lands_in_zone():
-    rng = np.random.default_rng(0)
-    lat = build_lattice(np.array([[1.0, 0.0], [0.5, np.sqrt(3) / 2]]))
-    for _ in range(50):
-        zeta = 20.0 * rng.standard_normal(2)
-        folded = lat.fold(zeta)
-        assert lat.in_brillouin(folded, tol=1e-9)
-        # difference must be a dual lattice vector
-        coeff = np.linalg.solve(lat.dual_basis.T, zeta - folded)
-        assert np.abs(coeff - np.round(coeff)).max() < 1e-9
-
-
-def test_grid_points_shape():
-    lat = cubic_lattice(2, period=2.0)
-    pts = lat.grid_points((4, 4))
-    assert pts.shape == (4, 4, 2)
-    assert pts[1, 0] == pytest.approx([0.5, 0.0])

@@ -1,9 +1,11 @@
-"""Every function the benchmark tracer patches must exist in parahom.
+"""The benchmark must keep running against parahom.
 
 ``perfbench/tracing.py`` looks its targets up by name when a traced run
-starts; a refactor that drops or renames one would only show there.  This
-loads the tracer's target list by path and resolves each entry, including
-``Class.method`` paths.
+starts, and ``perfbench/workloads.py`` calls parahom with fixed keywords
+and attributes; a refactor that drops or renames one would only show in a
+benchmark run.  This loads both files by path, resolves each tracer target
+(including ``Class.method`` paths), and runs one checked round of each
+workload.
 """
 
 import importlib
@@ -12,19 +14,19 @@ import os
 
 import pytest
 
-_TRACING = os.path.join(os.path.dirname(os.path.dirname(__file__)),
-                        "perfbench", "tracing.py")
+_PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                          "perfbench")
 
 
-def _targets():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing",
-                                                  _TRACING)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", os.path.join(_PERFBENCH, f"{name}.py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.TARGETS
+    return module
 
 
-@pytest.mark.parametrize("module_name,path", _targets(),
+@pytest.mark.parametrize("module_name,path", _load("tracing").TARGETS,
                          ids=lambda v: str(v))
 def test_traced_target_resolves(module_name, path):
     obj = importlib.import_module(f"parahom.{module_name}")
@@ -32,3 +34,15 @@ def test_traced_target_resolves(module_name, path):
         assert hasattr(obj, attr), f"parahom.{module_name}.{path}"
         obj = getattr(obj, attr)
     assert callable(obj)
+
+
+_WORKLOADS = _load("workloads")
+
+
+@pytest.mark.parametrize("name", sorted(_WORKLOADS.WORKLOADS))
+def test_workload_round_checks_ok(name, tmp_path):
+    workload = _WORKLOADS.WORKLOADS[name](201, str(tmp_path))
+    _, record = workload.run_round()
+    statuses, _ = workload.check([record])
+    assert statuses and all(st == _WORKLOADS.OK
+                            for row in statuses for st in row), statuses
