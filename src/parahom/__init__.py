@@ -19,7 +19,7 @@ from .fibers import FiberOperator, FiberPencil, assemble_fiber, \
     cross_validate_abstract, estimate_constants, fiber_corrector, \
     fiber_remainder
 from .abstract import AbstractFamily, BorderedFamily, ThresholdData, \
-    compute_threshold, kernel_projection, solve_Z, solve_Ztilde
+    compute_threshold
 
 __all__ = [
     "Lattice", "build_lattice", "cubic_lattice", "Truncation",
@@ -28,7 +28,7 @@ __all__ = [
     "FiberOperator", "FiberPencil", "assemble_fiber", "estimate_constants",
     "fiber_corrector", "fiber_remainder", "cross_validate_abstract",
     "AbstractFamily", "BorderedFamily", "ThresholdData",
-    "compute_threshold", "kernel_projection", "solve_Z", "solve_Ztilde",
+    "compute_threshold",
 ]
 
 __version__ = "0.1.0"

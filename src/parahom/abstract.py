@@ -5,9 +5,10 @@ The object of study is the Hermitian pencil
     B(t, eps) = X(t)*X(t) + eps (Y2*Y(t) + Y(t)*Y2) + eps^2 (Q + lambda Q0),
 
 X(t) = X0 + t X1, Y(t) = Y0 + t Y1, on finite-dimensional spaces.  The engine
-computes the kernel projection of X0, the first-order solution operators Z and
-Ztilde, the spectral germ, the third-order operator N(t, eps), the corrector
-K(t, eps, s), and measures the remainder of the semigroup approximation
+computes an orthonormal basis u of Ker X0, the first-order solution operators
+Z and Ztilde, the spectral germ, the third-order operator N(t, eps), all kept
+in that basis, and the corrector K(t, eps, s), and measures the remainder of
+the semigroup approximation
 
     exp(-B(t,eps) s) ~= exp(-L(t,eps) s) P + K(t, eps, s),
 
@@ -55,14 +56,6 @@ class AbstractFamily:
     def dim_H(self):
         return self.X0.shape[1]
 
-    @property
-    def dim_Hstar(self):
-        return self.X0.shape[0]
-
-    @property
-    def dim_Htilde(self):
-        return self.Y0.shape[0]
-
     def X(self, t):
         return self.X0 + t * self.X1
 
@@ -85,42 +78,62 @@ class AbstractFamily:
 
 @dataclass
 class ThresholdData:
-    """Kernel projection, Z/Ztilde solutions, germ blocks, and N blocks."""
+    """Threshold objects in the kernel basis u of Ker X0, where P = u u*.
 
-    P: np.ndarray           # orthogonal projector onto Ker X0
+    Z = z u*, Ztilde = zt u* and R = P_* X1 P = r u* are kept as their
+    n-column factors.  The germ blocks S, C, D (S(theta) = th1^2 S +
+    th1 th2 C + th2^2 D) and the cubic blocks N11, N12, N21, N22 (N = t^3 N11
+    + t^2 e N12 + t e^2 N21 + e^3 N22) are kept as n x n middles M whose
+    full-space form is u M u*.  The dense P, Z, Ztilde and S_block are
+    rebuilt on every read.
+    """
+
+    kernel_basis: np.ndarray    # dim_H x n orthonormal columns spanning Ker X0
+    z: np.ndarray               # dim_H x n
+    zt: np.ndarray              # dim_H x n
+    r: np.ndarray               # dim_H* x n
+    germ_blocks: np.ndarray     # (3, n, n): S, C, D
+    n_blocks: np.ndarray        # (4, n, n): N11, N12, N21, N22
     n: int
-    d0: float               # smallest nonzero eigenvalue of X0*X0
-    kernel_basis: np.ndarray   # dim_H x n orthonormal columns spanning Ker X0
-    Z: np.ndarray
-    Ztilde: np.ndarray
-    R: np.ndarray           # P_* X1 P, a map H -> H*
-    S_block: np.ndarray     # coefficient of theta1^2 in the germ (on H, P-supported)
-    C_block: np.ndarray     # coefficient of theta1*theta2
-    D_block: np.ndarray     # coefficient of theta2^2
-    N11: np.ndarray
-    N12: np.ndarray
-    N21: np.ndarray
-    N22: np.ndarray
+    d0: float                   # smallest nonzero eigenvalue of X0*X0
     delta: float
     tau0: float
     cstar_check: float
 
+    def expand(self, middle):
+        """Full-space form u M u* of an n x n middle M, symmetrized."""
+        u = self.kernel_basis
+        return linalg.herm(u @ middle @ u.conj().T)
 
-def _x0_svd(X0, n_kernel=None, rel_tol=KERNEL_RTOL):
+    @property
+    def P(self):
+        return self.expand(np.eye(self.n))
+
+    @property
+    def Z(self):
+        return self.z @ self.kernel_basis.conj().T
+
+    @property
+    def Ztilde(self):
+        return self.zt @ self.kernel_basis.conj().T
+
+    @property
+    def S_block(self):
+        return self.expand(self.germ_blocks[0])
+
+
+def _x0_svd(X0, rel_tol=KERNEL_RTOL):
     """(sigma_r, V_r, u) with X0 = U_r diag(sigma_r) V_r* and u an orthonormal
     basis of Ker X0, from the SVD of the R factor of X0 = QR; U_r is never
-    formed.  The kernel has dimension ``n_kernel`` when given; otherwise
-    singular values below rel_tol * max(sigma_max, 1) count as zero.
+    formed.  Singular values below rel_tol * max(sigma_max, 1) count as zero.
     """
     R = np.linalg.qr(np.asarray(X0, dtype=complex), mode="r")
     sing, vh = np.linalg.svd(R, full_matrices=True)[1:]
-    if n_kernel is None:
-        smax = sing[0] if sing.size else 0.0
-        r = int(np.sum(sing > rel_tol * max(smax, 1.0)))
-    else:
-        r = X0.shape[1] - n_kernel
+    smax = sing[0] if sing.size else 0.0
+    r = int(np.sum(sing > rel_tol * max(smax, 1.0)))
     V = vh.conj().T
-    return sing[:r], V[:, :r], V[:, r:]
+    # u is kept: copy it, or the view would hold all of V
+    return sing[:r], V[:, :r], V[:, r:].copy()
 
 
 def _gram_pinv(sing, V_r, rhs, cond_cap):
@@ -137,62 +150,24 @@ def _gram_pinv(sing, V_r, rhs, cond_cap):
     return V_r @ ((V_r.conj().T @ rhs) / sing[:, None] ** 2)
 
 
-def kernel_projection(X0, rel_tol=KERNEL_RTOL):
-    """Orthogonal projector onto Ker X0 via SVD.
-
-    Returns (P, n, d0) with n = dim of the kernel and d0 the smallest nonzero
-    eigenvalue of X0*X0.  Singular values below rel_tol * sigma_max count as
-    zero.
-    """
-    sing, _, u = _x0_svd(X0, rel_tol=rel_tol)
-    return _kernel_data(sing, u)
-
-
-def _kernel_data(sing, u):
-    """(P, n, d0) from the split SVD of X0."""
-    if u.shape[1] == 0:
-        raise DegenerateKernel("Ker X0 is trivial")
-    d0 = float(sing[-1] ** 2) if sing.size else 0.0
-    return linalg.herm(u @ u.conj().T), u.shape[1], d0
-
-
-def _solve_off_kernel(family, P, n, rhs, cond_cap):
-    """-(X0*X0)^+ rhs with Ker X0 of dimension n (default: trace P)."""
-    if n is None:
-        n = int(round(np.real(np.trace(P))))
-    sing, V_r, _ = _x0_svd(family.X0, n)
-    return -_gram_pinv(sing, V_r, rhs, cond_cap)
-
-
-def solve_Z(family, P, n=None, cond_cap=1e12):
-    """First-order solution operator: X0*X0 Z = -X0*X1 P on Ker(X0)^perp."""
-    rhs = family.X0.conj().T @ (family.X1 @ P)
-    return _solve_off_kernel(family, P, n, rhs, cond_cap)
-
-
-def solve_Ztilde(family, P, n=None, cond_cap=1e12):
-    """Companion solution operator: X0*X0 Zt = -Y0*Y2 P on Ker(X0)^perp."""
-    rhs = family.Y0.conj().T @ (family.Y2 @ P)
-    return _solve_off_kernel(family, P, n, rhs, cond_cap)
-
-
 def compute_threshold(family, delta=None, tau0=None, cond_cap=1e12):
-    """All threshold objects of the pencil in one pass.
+    """All threshold objects of the pencil in one pass, in the kernel basis.
 
-    Every object is supported on Ker X0 = span(u): Z = z u*, Ztilde = zt u*,
-    R = r u*, and the germ and N blocks are u (n x n) u*.  One SVD of the R
-    factor of X0 gives u and the pseudo-inverse of X0*X0, so the work is
-    O(dim^2 n) past that SVD.
+    One SVD of the R factor of X0 gives u and the pseudo-inverse of X0*X0;
+    Z and Ztilde solve X0*X0 Z = -X0*X1 P and X0*X0 Zt = -Y0*Y2 P on
+    Ker(X0)^perp.  The work is O(dim^2 n) past that SVD.
     """
     sing, V_r, u = _x0_svd(family.X0)
-    P, n, d0 = _kernel_data(sing, u)
+    if u.shape[1] == 0:
+        raise DegenerateKernel("Ker X0 is trivial")
     x1u = family.X1 @ u
     z = -_gram_pinv(sing, V_r, family.X0.conj().T @ x1u, cond_cap)
     zt = -_gram_pinv(sing, V_r, family.Y0.conj().T @ (family.Y2 @ u),
                      cond_cap)
     # R = P_* X1 P = (X1 + X0 Z) P, as X0 z = -U_r U_r* X1 u = (P_* - I) X1 u
     r = x1u + family.X0 @ z
-    blocks = _kernel_blocks(family, u, z, zt, r)
+    blocks = linalg.herm(np.stack(_kernel_blocks(family, u, z, zt, r)))
+    d0 = float(sing[-1] ** 2)
 
     consts = family.form_constants
     if delta is None:
@@ -201,9 +176,7 @@ def compute_threshold(family, delta=None, tau0=None, cond_cap=1e12):
     if tau0 is None:
         tau0 = _default_tau0(family, delta)
     cstar = consts.get("cstar_check", 0.0)
-    uh = u.conj().T
-    return ThresholdData(P, n, d0, u, z @ uh, zt @ uh,
-                         r @ uh, *(linalg.herm(u @ b @ uh) for b in blocks),
+    return ThresholdData(u, z, zt, r, blocks[:3], blocks[3:], u.shape[1], d0,
                          delta=float(delta), tau0=float(tau0),
                          cstar_check=float(cstar))
 
@@ -273,33 +246,25 @@ def _kernel_blocks(family, u, z, zt, r):
 # germ, L, N, corrector
 
 
-def germ(th, theta):
-    """Full-space germ S(theta) = th1^2 S + th1 th2 C + th2^2 D, P-supported."""
-    t1, t2 = theta
-    return t1 ** 2 * th.S_block + t1 * t2 * th.C_block + t2 ** 2 * th.D_block
-
-
-def germ_restricted(th, theta):
-    """Germ as an n x n matrix in the kernel basis."""
-    u = th.kernel_basis
-    return linalg.herm(u.conj().T @ germ(th, theta) @ u)
+def _kernel_poly(blocks, t, eps):
+    """sum_j t^(m-j) eps^j blocks[j] over an (m+1, n, n) stack of middles."""
+    j = np.arange(len(blocks))
+    return np.tensordot(t ** (len(blocks) - 1 - j) * eps ** j, blocks, axes=1)
 
 
 def L_operator(th, t, eps):
     """L(t, eps) = t^2 S + t eps C + eps^2 D on the kernel (full-space form)."""
-    return t ** 2 * th.S_block + t * eps * th.C_block + eps ** 2 * th.D_block
+    return th.expand(_kernel_poly(th.germ_blocks, t, eps))
 
 
 def n_operator(th, t, eps):
     """N(t, eps) = t^3 N11 + t^2 eps N12 + t eps^2 N21 + eps^3 N22."""
-    return (t ** 3 * th.N11 + t ** 2 * eps * th.N12
-            + t * eps ** 2 * th.N21 + eps ** 3 * th.N22)
+    return th.expand(_kernel_poly(th.n_blocks, t, eps))
 
 
 def _kernel_flow(th, t, eps):
-    """Flow of L(t,eps) restricted to the kernel; positivity check."""
-    u = th.kernel_basis
-    flow = linalg.HermitianFlow(u.conj().T @ L_operator(th, t, eps) @ u)
+    """Flow of L(t,eps) in the kernel basis; positivity check."""
+    flow = linalg.HermitianFlow(_kernel_poly(th.germ_blocks, t, eps))
     linalg.check_floor(flow.w, th.cstar_check, t ** 2 + eps ** 2, NonPositiveL,
                        "L(t,eps)")
     return flow
@@ -311,13 +276,14 @@ def kernel_approximation(th, t, eps, s):
     K is the oscillating pair plus the closed-form integral.
     """
     u = th.kernel_basis
+    uh = u.conj().T
     flow = _kernel_flow(th, t, eps)
-    e_full = u @ flow.expm(s) @ u.conj().T
-    first = (t * th.Z + eps * th.Ztilde) @ e_full
-    second = e_full @ (t * th.Z + eps * th.Ztilde).conj().T
-    n_ker = u.conj().T @ n_operator(th, t, eps) @ u
-    integral = flow.integral(n_ker, s)
-    return e_full, first + second - u @ integral @ u.conj().T
+    e_ker = flow.expm(s)
+    # (t Z + eps Ztilde) exp(-Ls) P = (t z + eps zt) e_ker u*, with e_ker
+    # the flow in the kernel basis
+    first = (t * th.z + eps * th.zt) @ e_ker @ uh
+    integral = flow.integral(_kernel_poly(th.n_blocks, t, eps), s)
+    return u @ e_ker @ uh, first + first.conj().T - u @ integral @ uh
 
 
 def remainder_envelopes(cstar_check, tau_sq, s):
@@ -361,10 +327,11 @@ def threshold_projector_checks(family, th, tau, theta):
     """Norms of F - P and F - P - tau*F1 at one point of the tau-ball."""
     t, eps = tau * theta[0], tau * theta[1]
     F = spectral_projector(family, th, t, eps)
-    F1 = (theta[0] * (th.Z + th.Z.conj().T)
-          + theta[1] * (th.Ztilde + th.Ztilde.conj().T))
-    n1 = linalg.opnorm(F - th.P)
-    n2 = linalg.opnorm(F - th.P - tau * F1)
+    P = th.P
+    z_theta = (theta[0] * th.z + theta[1] * th.zt) @ th.kernel_basis.conj().T
+    F1 = z_theta + z_theta.conj().T
+    n1 = linalg.opnorm(F - P)
+    n2 = linalg.opnorm(F - P - tau * F1)
     return {"F_minus_P": float(n1), "F_minus_P_tauF1": float(n2)}
 
 
@@ -378,12 +345,14 @@ def threshold_order_norms(family, th, tau, theta):
     F = spectral_projector(family, th, t, eps)
     B = family.B(t, eps)
     checks = threshold_projector_checks(family, th, tau, theta)
-    S_full = germ(th, theta)        # equals S(theta) P on the kernel
+    S_full = L_operator(th, *theta)     # S(theta) P
     BF = B @ F
     n3 = linalg.opnorm(BF - tau ** 2 * S_full)
-    K0 = (theta[0] * (th.Z @ S_full + S_full @ th.Z.conj().T)
-          + theta[1] * (th.Ztilde @ S_full + S_full @ th.Ztilde.conj().T))
-    N_theta = n_operator(th, theta[0], theta[1])
+    # K0 = Z(theta) S_full + S_full Z(theta)*, Z(theta) = (th1 z + th2 zt) u*
+    zs = ((theta[0] * th.z + theta[1] * th.zt)
+          @ (th.kernel_basis.conj().T @ S_full))
+    K0 = zs + zs.conj().T
+    N_theta = n_operator(th, *theta)
     n4 = linalg.opnorm(BF - tau ** 2 * S_full - tau ** 3 * (K0 + N_theta))
     checks["BF_minus_SP"] = float(n3)
     checks["BF_minus_SP_K"] = float(n4)
@@ -430,13 +399,9 @@ def dyadic_order_sweep(family, th, theta, n_points=8, start="auto"):
 
 def germ_eigendata(th, theta):
     """Eigenpairs (gamma_l, omega_l) of S(theta) and N(theta) in that basis."""
-    S_n = germ_restricted(th, theta)
-    gam, om = np.linalg.eigh(S_n)
-    u = th.kernel_basis
-    N_theta = n_operator(th, theta[0], theta[1])
-    N_n = u.conj().T @ N_theta @ u
-    N_in_basis = om.conj().T @ N_n @ om
-    return gam, om, linalg.herm(N_in_basis)
+    gam, om = np.linalg.eigh(_kernel_poly(th.germ_blocks, *theta))
+    N_n = _kernel_poly(th.n_blocks, *theta)
+    return gam, om, linalg.herm(om.conj().T @ N_n @ om)
 
 
 def n_star_offdiagonal(th, theta):
@@ -523,30 +488,28 @@ def bordered_data(bf):
     G_n = linalg.herm(uh.conj().T @ bf.G @ uh)
     M0_n = linalg.inv_sqrtm_herm(G_n)
     Minv = np.linalg.inv(bf.M)
-    ZG = bf.M @ th.Z @ Minv @ th_hat.P
-    ZtG = bf.M @ th.Ztilde @ Minv @ th_hat.P
+    # u* M^{-1} uh carries the hatted kernel basis to the base one, so
+    # Z M^{-1} Phat = z (u* M^{-1} uh) uh*
+    ker_map = th.kernel_basis.conj().T @ Minv @ uh
+    ZG = bf.M @ th.z @ ker_map @ uh.conj().T
+    ZtG = bf.M @ th.zt @ ker_map @ uh.conj().T
     return {"th": th, "th_hat": th_hat, "G_n": G_n, "M0_n": M0_n,
-            "ZG": ZG, "ZtG": ZtG, "Minv": Minv}
-
-
-def bordered_NG(bf, data, t, eps):
-    """N_G(t,eps) = Phat (M*)^{-1} N(t,eps) M^{-1} Phat."""
-    th, th_hat = data["th"], data["th_hat"]
-    Minv = data["Minv"]
-    N = n_operator(th, t, eps)
-    return th_hat.P @ Minv.conj().T @ N @ Minv @ th_hat.P
+            "ZG": ZG, "ZtG": ZtG, "Minv": Minv, "ker_map": ker_map}
 
 
 def bordered_approximation(bf, data, t, eps, s):
     """Bordered principal term M0 exp(-M0 Lhat M0 s) M0 Phat and K_G(t,eps,s),
     both from one flow of M0 Lhat M0 (kernel-space closed forms)."""
-    uh = data["th_hat"].kernel_basis
+    th_hat = data["th_hat"]
+    uh = th_hat.kernel_basis
     M0 = data["M0_n"]
-    L_n = linalg.herm(uh.conj().T @ L_operator(data["th_hat"], t, eps) @ uh)
-    flow = linalg.HermitianFlow(M0 @ L_n @ M0)
+    flow = linalg.HermitianFlow(
+        M0 @ _kernel_poly(th_hat.germ_blocks, t, eps) @ M0)
     E_full = uh @ (M0 @ flow.expm(s) @ M0) @ uh.conj().T
     ZG_t = t * data["ZG"] + eps * data["ZtG"]
-    NG_n = uh.conj().T @ bordered_NG(bf, data, t, eps) @ uh
+    # N_G = Phat (M*)^{-1} N(t,eps) M^{-1} Phat in the hatted kernel basis
+    km = data["ker_map"]
+    NG_n = km.conj().T @ _kernel_poly(data["th"].n_blocks, t, eps) @ km
     J = flow.integral(M0 @ NG_n @ M0, s)
     J_full = uh @ (M0 @ J @ M0) @ uh.conj().T
     return E_full, ZG_t @ E_full + E_full @ ZG_t.conj().T - J_full

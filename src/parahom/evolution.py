@@ -16,6 +16,7 @@ import numpy as np
 from . import fields as fd
 from . import fibers as fb
 from . import linalg
+from .cell import ng_coefficients, solve_cell_problems
 from .errors import (InsufficientDecades, NonPositiveEffective,
                      QuadratureUnderResolved, RegimeViolation)
 
@@ -458,8 +459,6 @@ def convergence_sweep(problem, trunc, eps_list, s, mode="both",
     the report flags a probe error above the exact norm.
     """
     # nothing reads ``threads``; it stays while perfbench passes threads=1
-    from .cell import solve_cell_problems, ng_coefficients
-
     eps_list = sorted((float(e) for e in eps_list), reverse=True)
     if len(eps_list) < 3:
         raise InsufficientDecades("need at least three eps points")

@@ -21,8 +21,9 @@ import scipy.linalg
 
 from . import fields as fd
 from . import linalg
-from .abstract import AbstractFamily, compute_threshold, remainder_envelopes
-from .cell import adj, coeff_vector
+from .abstract import (AbstractFamily, L_operator, compute_threshold,
+                       n_operator, remainder_envelopes)
+from .cell import adj, coeff_vector, ng_coefficients, solve_cell_problems
 from .errors import MismatchBeyondTolerance, NonPositiveEffective, PositivityViolation
 
 
@@ -262,11 +263,6 @@ class FiberFlow(linalg.HermitianFlow):
 # effective fiber objects and the corrector
 
 
-def effective_zero_block(cell, k, eps):
-    """f0 L_hat(k,eps) f0 on the averaged subspace."""
-    return linalg.herm(cell.B0_symbol(k, eps))
-
-
 def _zero_block_slice(trunc, n):
     z = trunc.zero_index
     return slice(z * n, (z + 1) * n)
@@ -285,7 +281,7 @@ def effective_factors(cell, ng, trunc, k, eps, s, cstar_check=0.0):
     """
     problem, f0 = cell.problem, cell.f0
     k = np.asarray(k, dtype=float)
-    flow = linalg.HermitianFlow(effective_zero_block(cell, k, eps))
+    flow = linalg.HermitianFlow(cell.B0_symbol(k, eps))
     linalg.check_floor(flow.w, cstar_check, np.sum(k * k, axis=-1) + eps ** 2,
                        NonPositiveEffective, "effective symbol")
     ez = f0 @ flow.expm(s) @ f0
@@ -570,30 +566,30 @@ def cross_validate_abstract(problem, trunc, theta, tau, constants=None,
     Checks, on the hatted family: Z(theta) = [Lambda] b(theta) Phat,
     Ztilde = [LambdaTilde] Phat, the germ block = b(theta)* g0 b(theta),
     L(t,eps) = effective symbol on the averaged subspace, and N(t,eps) =
-    third-order coefficient symbol.  ValueError unless ``theta`` is a
-    finite nonzero vector in R^d and ``tau`` is finite and positive.
+    third-order coefficient symbol.  Before any work: ValueError unless
+    ``theta`` is a finite nonzero vector in R^d and ``tau`` is finite and
+    positive, and NotImplementedError unless f is the identity.
     """
-    from .abstract import L_operator, n_operator
-    from .cell import solve_cell_problems, ng_coefficients
-
     theta = np.asarray(theta, dtype=float)
     norm = np.linalg.norm(theta)
     if theta.shape != (problem.d,) or not (np.isfinite(norm) and norm > 0):
         raise ValueError(f"theta must be finite and nonzero, got {theta!r}")
     if not (np.isfinite(tau) and tau > 0):
         raise ValueError(f"tau must be finite and positive, got {tau!r}")
+    if not problem.f_is_identity:
+        raise NotImplementedError("cross-validation runs on the hatted pencil")
     theta = theta / norm
     if constants is None:
         constants = estimate_constants(problem)
-    if not problem.f_is_identity:
-        raise NotImplementedError("cross-validation runs on the hatted pencil")
 
+    # cell problems first, so that their working memory is freed before the
+    # dim x dim family is built
+    sol = solve_cell_problems(problem, trunc)
+    ng = ng_coefficients(problem, sol)
     if grid_shape is None:
         grid_shape = rectangle_grid(problem, trunc)
     fam = hatted_family(problem, trunc, theta, constants, grid_shape)
     th = compute_threshold(fam, delta=constants.delta, tau0=constants.tau0)
-    sol = solve_cell_problems(problem, trunc)
-    ng = ng_coefficients(problem, sol)
 
     n = problem.n
     sl = _zero_block_slice(trunc, n)

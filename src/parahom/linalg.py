@@ -20,14 +20,6 @@ def herm(a):
     return 0.5 * (a + np.swapaxes(a.conj(), -1, -2))
 
 
-def hermiticity_defect(a):
-    """Relative Hermiticity defect ||A - A*|| / max(||A||, 1e-300)."""
-    n = np.linalg.norm(a)
-    if n == 0.0:
-        return 0.0
-    return np.linalg.norm(a - a.conj().T) / n
-
-
 def opnorm(a):
     """Spectral norm (largest singular value) from a full SVD."""
     return float(np.linalg.norm(np.asarray(a), 2))

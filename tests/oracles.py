@@ -114,6 +114,14 @@ def _herm(a):
     return 0.5 * (a + a.conj().T)
 
 
+def hermiticity_defect(a):
+    """Relative Hermiticity defect ||A - A*|| / max(||A||, 1e-300)."""
+    n = np.linalg.norm(a)
+    if n == 0.0:
+        return 0.0
+    return np.linalg.norm(a - a.conj().T) / n
+
+
 def _gram_eigh_solve(gram, rhs, kernel_dim):
     """gram^+ rhs from the eigendecomposition of the Hermitian Gram matrix,
     dropping its ``kernel_dim`` smallest eigenvalues."""
@@ -140,7 +148,8 @@ def dense_threshold(fam, rel_tol=1e-10):
     The route mirrors the definitions: a full SVD for Ker X0, the Gram
     eigendecomposition for Z and Ztilde, a QR of Ran X0 for R = P_* X1 P,
     and every germ and N block formed as a product of dim x dim matrices
-    against P.  Returns a dict keyed by the ThresholdData field names.
+    against P.  Returns a dict of the dense objects: P, n, d0, Z, Ztilde, R,
+    S_block, C_block, D_block and N11..N22.
     """
     X0, X1, Y0, Y1, Y2 = fam.X0, fam.X1, fam.Y0, fam.Y1, fam.Y2
     Q, Q0, lam = fam.Q, fam.Q0, fam.lam
@@ -184,6 +193,17 @@ def dense_threshold(fam, rel_tol=1e-10):
             "S_block": _herm(P @ S @ P), "C_block": _herm(P @ C @ P),
             "D_block": _herm(P @ D @ P), "N11": _herm(N11),
             "N12": _herm(N12), "N21": _herm(N21), "N22": _herm(N22)}
+
+
+def dense_objects(th):
+    """Dense full-space forms of a ThresholdData, keyed as in
+    :func:`dense_threshold`: its properties, R = r u* and u (block) u*."""
+    names = ("S_block", "C_block", "D_block", "N11", "N12", "N21", "N22")
+    blocks = np.concatenate([th.germ_blocks, th.n_blocks])
+    dense = {name: th.expand(b) for name, b in zip(names, blocks)}
+    dense.update(P=th.P, n=th.n, d0=th.d0, Z=th.Z, Ztilde=th.Ztilde,
+                 R=th.r @ th.kernel_basis.conj().T)
+    return dense
 
 
 def grid_rectangles_einsum(rect, theta):

@@ -1,10 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import parahom
 from parahom import abstract as ab
+from parahom import fibers as fb
 from parahom import linalg
+from parahom import presets
 from parahom.errors import (DegenerateKernel, IllConditioned, NonPositiveL,
                             OutsideThresholdBall, RankMismatch)
+from parahom.fields import Truncation
 
 import oracles
 
@@ -17,17 +23,53 @@ def family():
     return fam, ab.compute_threshold(fam)
 
 
+def test_public_names_resolve():
+    for name in parahom.__all__:
+        assert hasattr(parahom, name), name
+
+
+def _assert_kernel_shaped(th):
+    # every stored array is an n-column factor or an (m, n, n) stack, and so
+    # is the array it may be a view of, which a view keeps alive
+    arrays = {k: v for k, v in vars(th).items() if isinstance(v, np.ndarray)}
+    for name, val in arrays.items():
+        while isinstance(val.base, np.ndarray):
+            val = val.base
+        if val.ndim == 3:
+            assert val.shape[1:] == (th.n, th.n), name
+        else:
+            assert val.ndim == 2 and val.shape[1] <= th.n, (name, val.shape)
+    assert {"kernel_basis", "z", "zt", "r", "germ_blocks",
+            "n_blocks"} <= set(arrays)
+
+
+def test_threshold_data_holds_only_kernel_factors(family):
+    _assert_kernel_shaped(family[1])
+
+
+def test_hatted_threshold_data_holds_only_kernel_factors():
+    prob = presets.random_fiber_instance(3, d=2, n_modes=3)
+    tr = Truncation(3, 2)
+    consts = fb.estimate_constants(prob)
+    fam = fb.hatted_family(prob, tr, np.array([0.6, 0.8]), consts)
+    th = ab.compute_threshold(fam, delta=consts.delta, tau0=consts.tau0)
+    assert fam.dim_H == 49 * prob.n and th.n == prob.n
+    _assert_kernel_shaped(th)
+
+
 def test_kernel_projection_zero_matrix():
-    P, n, _ = ab.kernel_projection(np.zeros((2, 2)))
-    assert n == 2
-    assert np.allclose(P, np.eye(2))
+    # compute_threshold raises IllConditioned on X0 = 0 (no positive
+    # spectrum), so the kernel split is read off _x0_svd
+    _, _, u = ab._x0_svd(np.zeros((2, 2)))
+    assert u.shape[1] == 2
+    assert np.allclose(u @ u.conj().T, np.eye(2))
 
 
 def test_kernel_projection_diag():
-    P, n, d0 = ab.kernel_projection(np.diag([0.0, 1.0]))
-    assert n == 1
-    assert np.allclose(P, np.diag([1.0, 0.0]))
-    assert d0 == pytest.approx(1.0)
+    th = ab.compute_threshold(_family_with_X0(np.diag([0.0, 1.0]), 0))
+    assert th.n == 1
+    assert np.allclose(th.P, np.diag([1.0, 0.0]))
+    assert th.d0 == pytest.approx(1.0)
 
 
 def test_kernel_projection_rank_factor_vs_nullspace_oracle():
@@ -35,15 +77,15 @@ def test_kernel_projection_rank_factor_vs_nullspace_oracle():
     left = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
     right = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
     X0 = left @ right                      # rank 3, kernel dim 1
-    P, n, _ = ab.kernel_projection(X0)
+    th = ab.compute_threshold(_family_with_X0(X0, 3))
     P_ref, n_ref = oracles.null_projector(X0)
-    assert n == n_ref == 1
-    assert np.abs(P - P_ref).max() < 1e-12
+    assert th.n == n_ref == 1
+    assert np.abs(th.P - P_ref).max() < 1e-12
 
 
 def test_kernel_projection_trivial_kernel_raises():
     with pytest.raises(DegenerateKernel):
-        ab.kernel_projection(np.eye(3))
+        ab.compute_threshold(_family_with_X0(np.eye(3), 0))
 
 
 def test_projector_invariants(family):
@@ -58,7 +100,7 @@ def test_solve_Z_zero_X1(family):
     fam, th = family
     fam0 = ab.AbstractFamily(fam.X0, np.zeros_like(fam.X1), fam.Y0, fam.Y1,
                              fam.Y2, fam.Q, fam.Q0, fam.lam)
-    assert np.abs(ab.solve_Z(fam0, th.P)).max() < 1e-14
+    assert np.abs(ab.compute_threshold(fam0).Z).max() < 1e-14
 
 
 def test_solve_Z_orthogonal_range(family):
@@ -70,7 +112,7 @@ def test_solve_Z_orthogonal_range(family):
     X1 = tail @ (tail.conj().T @ fam.X1)
     fam0 = ab.AbstractFamily(fam.X0, X1, fam.Y0, fam.Y1, fam.Y2,
                              fam.Q, fam.Q0, fam.lam)
-    assert np.abs(ab.solve_Z(fam0, th.P)).max() < 1e-12
+    assert np.abs(ab.compute_threshold(fam0).Z).max() < 1e-12
 
 
 def test_solve_Z_pinv_oracle(family):
@@ -86,10 +128,10 @@ def test_solve_Ztilde_trivial_and_oracle(family):
     fam, th = family
     fam0 = ab.AbstractFamily(fam.X0, fam.X1, fam.Y0, fam.Y1,
                              np.zeros_like(fam.Y2), fam.Q, fam.Q0, fam.lam)
-    assert np.abs(ab.solve_Ztilde(fam0, th.P)).max() < 1e-14
+    assert np.abs(ab.compute_threshold(fam0).Ztilde).max() < 1e-14
     fam1 = ab.AbstractFamily(fam.X0, fam.X1, np.zeros_like(fam.Y0), fam.Y1,
                              fam.Y2, fam.Q, fam.Q0, fam.lam)
-    assert np.abs(ab.solve_Ztilde(fam1, th.P)).max() < 1e-14
+    assert np.abs(ab.compute_threshold(fam1).Ztilde).max() < 1e-14
     Zt_ref = oracles.pinv_solution(fam.X0, fam.Y0.conj().T @ fam.Y2, th.P)
     assert np.abs(th.Ztilde - Zt_ref).max() < 1e-12
 
@@ -103,9 +145,19 @@ def test_threshold_matches_dense_formulas(n, degenerate):
                            degenerate_copies=degenerate)
     th = ab.compute_threshold(fam)
     ref = oracles.dense_threshold(fam)
+    got = oracles.dense_objects(th)
+    assert np.array_equal(got["S_block"], th.S_block)
+    t, e = 0.3, 0.2
+    ref["L"] = (t ** 2 * ref["S_block"] + t * e * ref["C_block"]
+                + e ** 2 * ref["D_block"])
+    got["L"] = ab.L_operator(th, t, e)
+    ref["N"] = (t ** 3 * ref["N11"] + t ** 2 * e * ref["N12"]
+                + t * e ** 2 * ref["N21"] + e ** 3 * ref["N22"])
+    got["N"] = ab.n_operator(th, t, e)
+    assert set(got) == set(ref)
     for name, val in ref.items():
         scale = max(1.0, float(np.abs(val).max()))
-        assert np.abs(getattr(th, name) - val).max() < 1e-12 * scale, name
+        assert np.abs(got[name] - val).max() < 1e-12 * scale, name
     u = th.kernel_basis
     assert np.abs(u.conj().T @ u - np.eye(th.n)).max() < 1e-12
     assert np.abs(u @ u.conj().T - ref["P"]).max() < 1e-12
@@ -157,13 +209,11 @@ def test_r_factor_threshold_matches_full_svd_oracle(shape, rank):
     ref = _full_svd_threshold(fam)
     assert th.n == ref["n"] == shape[1] - rank
     assert th.d0 == pytest.approx(ref["d0"], rel=1e-12)
+    got = oracles.dense_objects(th)
     for name in ("P", "Z", "Ztilde", "R"):
         val = ref[name]
-        err = np.abs(getattr(th, name) - val).max()
+        err = np.abs(got[name] - val).max()
         assert err <= 1e-12 * max(1.0, float(np.abs(val).max())), name
-    P, n, d0 = ab.kernel_projection(fam.X0)
-    assert n == ref["n"] and d0 == pytest.approx(ref["d0"], rel=1e-12)
-    assert np.abs(P - ref["P"]).max() <= 1e-12
 
 
 @pytest.mark.parametrize("shape", [(14, 10), (10, 10)])
@@ -172,8 +222,6 @@ def test_r_factor_route_raises_on_trivial_kernel(shape):
     fam = _family_with_X0(_cplx(rng, *shape), 1)
     with pytest.raises(DegenerateKernel):
         ab.compute_threshold(fam)
-    with pytest.raises(DegenerateKernel):
-        ab.kernel_projection(fam.X0)
 
 
 def test_r_factor_route_raises_on_ill_conditioned_gram():
@@ -203,8 +251,6 @@ def test_ill_conditioned_gram_raises(family):
                             fam.Q0, fam.lam, dict(fam.form_constants))
     with pytest.raises(IllConditioned):
         ab.compute_threshold(bad)
-    with pytest.raises(IllConditioned):
-        ab.solve_Z(bad, th.P)
     assert ab.compute_threshold(bad, cond_cap=1e15).n == 2
 
 
@@ -228,7 +274,7 @@ def test_germ_theta10_pure_S():
     rng = np.random.default_rng(5)
     fam = ab.random_family(rng, dim_H=7, n=2)
     th = ab.compute_threshold(fam)
-    g = ab.germ(th, (1.0, 0.0))
+    g = ab.L_operator(th, 1.0, 0.0)
     assert np.abs(g - th.S_block).max() < 1e-14
 
 
@@ -242,13 +288,14 @@ def test_germ_theta01_identity_case():
                             np.eye(dim), np.eye(dim), lam=1.0,
                             form_constants=dict(base.form_constants))
     th = ab.compute_threshold(fam)
-    g = ab.germ_restricted(th, (0.0, 1.0))
+    u = th.kernel_basis
+    g = u.conj().T @ ab.L_operator(th, 0.0, 1.0) @ u
     assert np.abs(g - 2.0 * np.eye(th.n)).max() < 1e-12  # Q + lam Q0 = 2I
 
 
 def test_germ_hermitian_and_bounded_below(family):
     fam, th = family
-    gam = np.linalg.eigvalsh(ab.germ_restricted(th, THETA))
+    gam = ab.germ_eigendata(th, THETA)[0]
     assert gam.min() >= th.cstar_check - 1e-10
 
 
@@ -277,13 +324,14 @@ def test_n_operator_trivial_zero():
 def test_n_operator_t_zero_only_N22(family):
     _, th = family
     eps = 0.1
-    assert np.abs(ab.n_operator(th, 0.0, eps) - eps ** 3 * th.N22).max() < 1e-14
+    N22 = th.expand(th.n_blocks[3])
+    assert np.abs(ab.n_operator(th, 0.0, eps) - eps ** 3 * N22).max() < 1e-14
 
 
 def test_n_operator_hermitian(family):
     _, th = family
     N = ab.n_operator(th, 0.2, 0.1)
-    assert linalg.hermiticity_defect(N) < 1e-12
+    assert oracles.hermiticity_defect(N) < 1e-12
 
 
 def test_n_star_zero_for_n1():
@@ -345,14 +393,15 @@ def test_corrector_hermitian(family):
     _, th = family
     t, e = 0.4 * th.tau0 * THETA
     K = ab.kernel_approximation(th, t, e, 0.8)[1]
-    assert linalg.hermiticity_defect(K) < 1e-12
+    assert oracles.hermiticity_defect(K) < 1e-12
 
 
 def test_corrector_nonpositive_L_raises(family):
     fam, th = family
-    import dataclasses
-    shift = 2.0 * np.linalg.norm(th.D_block, 2) + 1.0
-    bad = dataclasses.replace(th, D_block=th.D_block - shift * th.P)
+    shift = 2.0 * np.linalg.norm(th.germ_blocks[2], 2) + 1.0
+    blocks = th.germ_blocks.copy()
+    blocks[2] -= shift * np.eye(th.n)
+    bad = dataclasses.replace(th, germ_blocks=blocks)
     with pytest.raises(NonPositiveL):
         ab.kernel_approximation(bad, 0.0, 0.5 * th.tau0, 1.0)
 
@@ -415,7 +464,6 @@ def test_threshold_projector_tau_zero(family):
 
 def test_threshold_rank_mismatch_raises(family):
     fam, th = family
-    import dataclasses
     bad = dataclasses.replace(th, delta=th.d0 * 10)
     with pytest.raises(RankMismatch):
         ab.spectral_projector(fam, bad, 0.0, 0.0)
@@ -520,7 +568,7 @@ def test_bordered_ZG_against_direct_solve(bordered):
     # by the G-orthogonality constraint
     uh = th_hat.kernel_basis
     G = bf.G
-    phi0 = ab.solve_Z(hat, th_hat.P)
+    phi0 = th_hat.Z
     corr = uh @ np.linalg.solve(data["G_n"], uh.conj().T @ (G @ phi0))
     ZG_direct = phi0 - corr
     assert np.abs(data["ZG"] - ZG_direct @ th_hat.P).max() < 1e-10

@@ -7,6 +7,7 @@ from parahom import cell as cl
 from parahom import evolution as ev
 from parahom import fibers as fb
 from parahom import fields as fd
+from parahom import linalg
 from parahom import presets
 from parahom.errors import (NonPositiveEffective, PositivityViolation,
                             QuadratureUnderResolved, RegimeViolation)
@@ -536,7 +537,7 @@ def test_sweep_enforces_fiber_floor_above_the_cut():
     tau_sq = np.sum(ks ** 2, axis=1) + eps ** 2
     fiber_ratio = [np.linalg.eigvalsh(pencil.fiber(k, eps).matrix).min()
                    for k in ks] / tau_sq
-    eff_ratio = [np.linalg.eigvalsh(fb.effective_zero_block(sol, k, eps)).min()
+    eff_ratio = [np.linalg.eigvalsh(linalg.herm(sol.B0_symbol(k, eps))).min()
                  for k in ks] / tau_sq
     c = 0.5 * (fiber_ratio.min() + eff_ratio.min())
     assert fiber_ratio.min() < c < eff_ratio.min()

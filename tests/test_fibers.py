@@ -7,7 +7,7 @@ from parahom import fibers as fb
 from parahom import fields as fd
 from parahom import linalg
 from parahom import presets
-from parahom.abstract import kernel_projection
+from parahom.abstract import _x0_svd
 from parahom.errors import (MismatchBeyondTolerance, NonPositiveEffective,
                             PositivityViolation)
 from parahom.fields import Truncation
@@ -72,7 +72,7 @@ def test_fiber_hermitian_and_lower_bound():
         k = np.array([rng.uniform(-np.pi, np.pi)])
         eps = rng.uniform(0.05, 1.0)
         fib = fb.assemble_fiber(prob, tr, k, eps, consts)
-        rel = linalg.hermiticity_defect(fib.matrix)
+        rel = oracles.hermiticity_defect(fib.matrix)
         assert rel < 1e-10
         wmin = np.linalg.eigvalsh(fib.matrix).min()
         assert wmin >= fib.lower_bound - 1e-9
@@ -117,7 +117,7 @@ def test_kernel_dimension_at_origin():
         prob = presets.random_fiber_instance(7, d=1, n_modes=max(8, n_modes))
         tr = Truncation(n_modes, 1)
         fib = fb.assemble_fiber(prob, tr, np.array([0.0]), 0.0, check=False)
-        _, n_kernel, _ = kernel_projection(fib.matrix)
+        n_kernel = _x0_svd(fib.matrix)[2].shape[1]
         assert n_kernel == prob.n
 
 
@@ -167,7 +167,7 @@ def test_fiber_corrector_integral_vs_quadrature():
     sol = cl.solve_cell_problems(prob, tr)
     ng = cl.ng_coefficients(prob, sol)
     k, eps, s = np.array([0.2]), 0.15, 0.8
-    H = fb.effective_zero_block(sol, k, eps)
+    H = linalg.herm(sol.B0_symbol(k, eps))
     inner = sol.f0 @ ng.symbol(k, eps) @ sol.f0
     ref = sol.f0 @ oracles.semigroup_integral_quad(H, inner, s) @ sol.f0
     # read the integral term off the zero-mode block of the corrector
@@ -228,14 +228,26 @@ def test_cross_validation_d1(seed, d, n_modes):
 def test_cross_validation_rejects_invalid_direction_and_radius(
         monkeypatch, theta, tau):
     prob = presets.random_fiber_instance(42, d=1, n_modes=6)
+    _forbid_cross_validation_work(monkeypatch)
+    with pytest.raises(ValueError):
+        fb.cross_validate_abstract(prob, Truncation(6, 1), theta, tau)
 
+
+def _forbid_cross_validation_work(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the arguments were checked")
 
-    monkeypatch.setattr(fb, "estimate_constants", no_work)
-    monkeypatch.setattr(fb, "hatted_family", no_work)
-    with pytest.raises(ValueError):
-        fb.cross_validate_abstract(prob, Truncation(6, 1), theta, tau)
+    for name in ("estimate_constants", "solve_cell_problems", "hatted_family"):
+        monkeypatch.setattr(fb, name, no_work)
+
+
+def test_cross_validation_rejects_weighted_f_before_any_work(monkeypatch):
+    _, prob, tr = next(p for p in BLOCK_STACK_PROBLEMS
+                       if p[0] == "weighted_f_1d")
+    assert not prob.f_is_identity
+    _forbid_cross_validation_work(monkeypatch)
+    with pytest.raises(NotImplementedError):
+        fb.cross_validate_abstract(prob, tr, [1.0], 0.1)
 
 
 def test_cross_validation_never_passes_a_nan_residual(monkeypatch):
@@ -272,9 +284,10 @@ def test_hatted_threshold_matches_dense_formulas():
     from parahom.abstract import compute_threshold
     th = compute_threshold(fam, delta=consts.delta, tau0=consts.tau0)
     ref = oracles.dense_threshold(fam)
+    got = oracles.dense_objects(th)
     for name, val in ref.items():
         scale = max(1.0, float(np.abs(val).max()))
-        assert np.abs(getattr(th, name) - val).max() < 1e-12 * scale, name
+        assert np.abs(got[name] - val).max() < 1e-12 * scale, name
 
 
 def test_cross_validation_constant_coefficients():
@@ -331,7 +344,7 @@ def test_fiber_effective_block_enforces_floor():
     ng = cl.ng_coefficients(prob, sol)
     k, eps, s = np.array([0.3]), 0.25, 2.0
     fb.fiber_corrector(sol, ng, tr, k, eps, s, consts.cstar_check)
-    wmin = float(np.linalg.eigvalsh(fb.effective_zero_block(sol, k, eps)).min())
+    wmin = float(np.linalg.eigvalsh(linalg.herm(sol.B0_symbol(k, eps))).min())
     inflated = 2.0 * wmin / (k @ k + eps ** 2)
     with pytest.raises(NonPositiveEffective):
         fb.principal_term(sol, tr, k, eps, s, inflated)
