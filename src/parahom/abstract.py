@@ -312,7 +312,10 @@ def exponential_remainder(family, th, t, eps, s):
 
 def spectral_projector(family, th, t, eps):
     """Projector of B(t,eps) onto [0, 2*delta]; rank must equal n."""
-    B = family.B(t, eps)
+    return _window_projector(family.B(t, eps), th)
+
+
+def _window_projector(B, th):
     w, v = np.linalg.eigh(B)
     keep = w <= 2.0 * th.delta
     rank = int(np.sum(keep))
@@ -323,40 +326,32 @@ def spectral_projector(family, th, t, eps):
     return vv @ vv.conj().T
 
 
-def threshold_projector_checks(family, th, tau, theta):
-    """Norms of F - P and F - P - tau*F1 at one point of the tau-ball."""
-    t, eps = tau * theta[0], tau * theta[1]
-    F = spectral_projector(family, th, t, eps)
-    P = th.P
-    z_theta = (theta[0] * th.z + theta[1] * th.zt) @ th.kernel_basis.conj().T
-    F1 = z_theta + z_theta.conj().T
-    n1 = linalg.opnorm(F - P)
-    n2 = linalg.opnorm(F - P - tau * F1)
-    return {"F_minus_P": float(n1), "F_minus_P_tauF1": float(n2)}
-
-
 def threshold_order_norms(family, th, tau, theta):
     """The four threshold-approximation residual norms at one tau.
 
     Returns ||F-P||, ||F-P-tau F1||, ||BF - tau^2 S P||, and
-    ||BF - tau^2 S P - tau^3 K|| with K = K0 + N.
+    ||BF - tau^2 S P - tau^3 K|| with K = K0 + N, from one B(t,eps) and
+    one eigendecomposition of it.
     """
     t, eps = tau * theta[0], tau * theta[1]
-    F = spectral_projector(family, th, t, eps)
     B = family.B(t, eps)
-    checks = threshold_projector_checks(family, th, tau, theta)
+    F = _window_projector(B, th)
+    # Z(theta) = (th1 z + th2 zt) u* and F1 = Z(theta) + Z(theta)*
+    z_theta = theta[0] * th.z + theta[1] * th.zt
+    zu = z_theta @ th.kernel_basis.conj().T
+    F1 = zu + zu.conj().T
     S_full = L_operator(th, *theta)     # S(theta) P
     BF = B @ F
-    n3 = linalg.opnorm(BF - tau ** 2 * S_full)
-    # K0 = Z(theta) S_full + S_full Z(theta)*, Z(theta) = (th1 z + th2 zt) u*
-    zs = ((theta[0] * th.z + theta[1] * th.zt)
-          @ (th.kernel_basis.conj().T @ S_full))
+    # K0 = Z(theta) S_full + S_full Z(theta)*
+    zs = z_theta @ (th.kernel_basis.conj().T @ S_full)
     K0 = zs + zs.conj().T
     N_theta = n_operator(th, *theta)
-    n4 = linalg.opnorm(BF - tau ** 2 * S_full - tau ** 3 * (K0 + N_theta))
-    checks["BF_minus_SP"] = float(n3)
-    checks["BF_minus_SP_K"] = float(n4)
-    return checks
+    return {
+        "F_minus_P": float(linalg.opnorm(F - th.P)),
+        "F_minus_P_tauF1": float(linalg.opnorm(F - th.P - tau * F1)),
+        "BF_minus_SP": float(linalg.opnorm(BF - tau ** 2 * S_full)),
+        "BF_minus_SP_K": float(linalg.opnorm(
+            BF - tau ** 2 * S_full - tau ** 3 * (K0 + N_theta)))}
 
 
 def expanded_tau_start(family, th, theta, max_doublings=16):

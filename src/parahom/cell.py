@@ -231,7 +231,7 @@ def galerkin_matrix(problem, trunc, k=None):
     return linalg.herm(fd.times_blockdiag(gb.conj().T, bk)), bk
 
 
-def _solve_zero_mean(A, rhs, trunc, grid, cond_cap=1e12):
+def solve_zero_mean(A, rhs, trunc, grid, cond_cap=1e12):
     """Zero-mean solutions of A x = rhs for (M, n, c) coefficient columns.
 
     The zero-mode block is removed (zero cell average); returns the
@@ -265,7 +265,7 @@ def solve_cell_problems(problem, trunc, cond_cap=1e12):
         div_a = sum(spectral_derivative(adj(problem.a[j]), problem.lattice, j)
                     for j in range(d))
         rhs = np.concatenate([rhs, -coeff_vector(div_a, trunc)], axis=-1)
-    sol = _solve_zero_mean(A, rhs, trunc, grid, cond_cap)
+    sol = solve_zero_mean(A, rhs, trunc, grid, cond_cap)
     Lambda = sol[..., :m]
     if problem.a is not None:
         LambdaTilde = sol[..., m:]

@@ -20,10 +20,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import abstract as ab
 from . import cell as cl
 from . import evolution as ev
 from . import fibers as fb
 from . import presets
+from . import scalar_example as se
 from .errors import (ConfigError, DataError, DegenerateSeries,
                      InsufficientDecades, ParahomError)
 from .fields import Truncation, read_field
@@ -384,8 +386,6 @@ def run_fiber_check(cfg, report):
 
 
 def run_abstract_check(cfg, report):
-    from . import abstract as ab
-
     rng = np.random.default_rng(cfg.seed)
     count = cfg.get("abstract", "count", default=10, cast=int)
     dim = cfg.get("abstract", "dim", default=10, cast=int)
@@ -514,8 +514,6 @@ def run_evolve(cfg, report):
 
 
 def run_scalar_example(cfg, report):
-    from . import scalar_example as se
-
     d = cfg.get("scalar", "d", default=2, cast=int)
     n_modes = cfg.get("truncation", "n_modes", default=8, cast=int)
     inp = se.scalar_preset(d=d, n_modes=n_modes, seed=cfg.seed)

@@ -10,6 +10,7 @@ fiber exponentials at time s/eps^2.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -17,8 +18,7 @@ from . import fields as fd
 from . import fibers as fb
 from . import linalg
 from .cell import ng_coefficients, solve_cell_problems
-from .errors import (InsufficientDecades, NonPositiveEffective,
-                     QuadratureUnderResolved, RegimeViolation)
+from .errors import InsufficientDecades, QuadratureUnderResolved, RegimeViolation
 
 
 def _signed_residue(m, n_cells):
@@ -40,8 +40,11 @@ def fiber_quasimomenta(lattice, n_cells):
 class EvolutionSetup:
     """Box discretization bound to one (problem, cell solution, eps).
 
-    Fibers are evaluated from one fiber pencil and the fine flow is one
-    stacked eigendecomposition over all box fibers, both built on first use.
+    The setup owns the box: each box-grid object below (fiber pencil, zone
+    mask, effective flow, symbol grids, tiled cell fields) is built once, on
+    first use, and every box transform goes through the FFT pair
+    :meth:`fft` / :meth:`ifft`.  The fine flow is one stacked
+    eigendecomposition over all box fibers.
     """
 
     cell: "object"              # CellSolution
@@ -61,13 +64,7 @@ class EvolutionSetup:
         self.d = d
         self.n = problem.n
         self._build_index_maps()
-        self._pencil = None
         self._fine_flow = None
-        self._zone_mask = None
-        self._hom_flow = None
-        self._nsym_grid = None
-        self._b_grid = None
-        self._tiles = {}
 
     # -- frequency bookkeeping ------------------------------------------------
 
@@ -81,6 +78,7 @@ class EvolutionSetup:
         j = (m_idx - r) // n_cells
         if np.abs(j).max() > N:
             raise ValueError("box frequency fell outside the cell truncation")
+        self.freq_m = m_idx                 # signed box frequency indices
         self.freq_r = r                     # per-axis quasimomentum residues
         self.freq_fiber = np.ravel_multi_index(
             (r + n_cells // 2).T, (n_cells,) * d)
@@ -103,44 +101,43 @@ class EvolutionSetup:
 
     def random_band_limited(self, rng, band=None):
         """Random field with box frequencies limited to |m| <= band per axis."""
-        g = self.box_shape[0]
-        band = band if band is not None else g // 4
-        coeffs = np.zeros((*self.box_shape, self.n), dtype=complex)
-        axes = [np.fft.fftfreq(gg, 1.0 / gg).astype(int) for gg in self.box_shape]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        mask = np.ones(self.box_shape, dtype=bool)
-        for a in mesh:
-            mask &= np.abs(a) <= band
+        band = band if band is not None else self.box_shape[0] // 4
+        mask = np.all(np.abs(self.freq_m) <= band, axis=1)
         vals = rng.standard_normal((*self.box_shape, self.n)) \
             + 1j * rng.standard_normal((*self.box_shape, self.n))
-        coeffs[mask] = vals[mask]
-        out = np.fft.ifftn(coeffs, axes=tuple(range(self.d)))
-        flat = out.reshape(-1, self.n)
+        flat = self.ifft(np.where(mask[:, None], vals.reshape(-1, self.n), 0.0))
         return flat / max(self.box_norm(flat), 1e-300)
 
-    # -- Bloch transform ------------------------------------------------------
+    # -- the box FFT pair and the Bloch transform -----------------------------
+
+    def fft(self, values):
+        """Box DFT of grid values (G^d, q), rows in box-frequency order."""
+        v = values.reshape(*self.box_shape, -1)
+        return np.fft.fftn(v, axes=tuple(range(self.d))).reshape(values.shape)
+
+    def ifft(self, vhat):
+        """Inverse of :meth:`fft`."""
+        v = vhat.reshape(*self.box_shape, -1)
+        return np.fft.ifftn(v, axes=tuple(range(self.d))).reshape(vhat.shape)
 
     def decompose(self, values):
         """Grid values (G^d, n) -> per-fiber coefficient array (F, M, n)."""
-        v = values.reshape(*self.box_shape, self.n)
-        vhat = np.fft.fftn(v, axes=tuple(range(self.d))).reshape(-1, self.n)
         out = np.zeros((self.n_fibers, self.trunc.size, self.n), dtype=complex)
-        out[self.freq_fiber, self.freq_modepos] = vhat
+        out[self.freq_fiber, self.freq_modepos] = self.fft(values)
         return out
 
     def recompose(self, fiber_coeffs):
-        vhat = fiber_coeffs[self.freq_fiber, self.freq_modepos]
-        v = np.fft.ifftn(vhat.reshape(*self.box_shape, self.n),
-                         axes=tuple(range(self.d)))
-        return v.reshape(-1, self.n)
+        return self.ifft(fiber_coeffs[self.freq_fiber, self.freq_modepos])
 
     # -- fiber flows ----------------------------------------------------------
 
+    @cached_property
+    def pencil(self):
+        return fb.FiberPencil(self.cell.problem, self.trunc)
+
     def fiber(self, idx):
         """FiberOperator of box fiber ``idx``, evaluated afresh."""
-        if self._pencil is None:
-            self._pencil = fb.FiberPencil(self.cell.problem, self.trunc)
-        return self._pencil.fiber(self.fiber_k[idx], self.eps, self.constants,
+        return self.pencil.fiber(self.fiber_k[idx], self.eps, self.constants,
                                  check=False)
 
     def fine_flow(self):
@@ -167,33 +164,58 @@ class EvolutionSetup:
         flow = self.fine_flow()
         return linalg.HermitianFlow.from_eigh(flow.w[idx], flow.v[idx])
 
-    # -- pointwise multipliers ------------------------------------------------
+    # -- box multipliers and tiled cell fields --------------------------------
+
+    @cached_property
+    def effective_flow(self):
+        """:func:`fibers.effective_flow` over all box frequencies."""
+        return fb.effective_flow(self.cell, self.freq_zeta, self.eps,
+                                 self.constants.cstar_check)
+
+    def hom_flow_symbols(self, s):
+        """Symbols f0 exp(-B0 s) f0 of the homogenized flow at physical time s."""
+        f0 = self.cell.f0
+        return f0 @ self.effective_flow.expm(s / self.eps ** 2) @ f0
+
+    @cached_property
+    def ng_grid(self):
+        return self.ng.symbol(self.freq_zeta, self.eps)
+
+    @cached_property
+    def b_grid(self):
+        return self.cell.problem.b_of(self.freq_zeta)
+
+    @cached_property
+    def zone_mask(self):
+        return brillouin_mask(self)
 
     def cell_field_on_box(self, cell_field):
-        """Tile a cell-periodic field onto the box grid: (G^d, p, q)."""
-        m_cell = 2 * self.trunc.n_modes + 1
-        coeffs = fd.fft_coeffs(cell_field)
-        p, q = coeffs.shape[-2:]
-        small = np.zeros((*(m_cell,) * self.d, p, q), dtype=complex)
-        N = self.trunc.n_modes
-        modes = self.trunc.modes
-        src = tuple(modes[:, ax] % cell_field.shape[ax] for ax in range(self.d))
-        dst = tuple(modes[:, ax] % m_cell for ax in range(self.d))
-        small[dst] = coeffs[src]
-        one_cell = fd.field_from_coeffs(small)
+        """Tile a cell-periodic field, cut to the truncation's modes, onto
+        the box grid: (G^d, p, q)."""
+        one_cell = fd.resample_field(
+            cell_field, (2 * self.trunc.n_modes + 1,) * self.d)
         tiled = np.tile(one_cell, (*(self.n_cells,) * self.d, 1, 1))
-        return tiled.reshape(-1, p, q)
+        return tiled.reshape(-1, *one_cell.shape[-2:])
+
+    @cached_property
+    def tiled_f(self):
+        """f on the box grid; None for f = identity."""
+        problem = self.cell.problem
+        if problem.f_is_identity:
+            return None
+        return self.cell_field_on_box(problem.f_field())
+
+    @cached_property
+    def tiled_lambda_g(self):
+        return self.cell_field_on_box(self.cell.LambdaG)
+
+    @cached_property
+    def tiled_lambda_tilde_g(self):
+        return self.cell_field_on_box(self.cell.LambdaTildeG)
 
     def apply_symbol(self, values, symbol):
         """Fourier multiplier with a matrix symbol of the scaled frequency."""
-        q = values.shape[-1]
-        v = values.reshape(*self.box_shape, q)
-        vhat = np.fft.fftn(v, axes=tuple(range(self.d))).reshape(-1, q)
-        out = np.einsum("gpq,gq->gp", symbol, vhat)
-        p = out.shape[-1]
-        out = np.fft.ifftn(out.reshape(*self.box_shape, p),
-                           axes=tuple(range(self.d)))
-        return out.reshape(-1, p)
+        return self.ifft(np.einsum("gpq,gq->gp", symbol, self.fft(values)))
 
 
 # ---------------------------------------------------------------------------
@@ -213,31 +235,18 @@ def brillouin_mask(setup, tol=1e-12):
 
 def smoothing_apply(setup, values):
     """Sharp Fourier cutoff to frequencies inside the Brillouin zone / eps."""
-    if setup._zone_mask is None:
-        setup._zone_mask = brillouin_mask(setup)
-    mask = setup._zone_mask
-    v = values.reshape(*setup.box_shape, setup.n)
-    vhat = np.fft.fftn(v, axes=tuple(range(setup.d))).reshape(-1, setup.n)
-    vhat[~mask] = 0.0
-    out = np.fft.ifftn(vhat.reshape(*setup.box_shape, setup.n),
-                       axes=tuple(range(setup.d)))
-    return out.reshape(-1, setup.n)
+    vhat = setup.fft(values)
+    vhat[~setup.zone_mask] = 0.0
+    return setup.ifft(vhat)
 
 
 # ---------------------------------------------------------------------------
 # flows
 
 
-def _f_values(setup):
-    problem = setup.cell.problem
-    if problem.f_is_identity:
-        return None
-    return setup.cell_field_on_box(problem.f_field())
-
-
 def evolve_fine(setup, phi, s):
     """u_eps(., s) = f^eps exp(-B_eps s) (f^eps)* phi via Bloch synthesis."""
-    fvals = _f_values(setup)
+    fvals = setup.tiled_f
     w = phi if fvals is None else np.einsum(
         "gqp,gq->gp", fvals.conj(), phi)
     coeffs = setup.decompose(w)
@@ -249,62 +258,23 @@ def evolve_fine(setup, phi, s):
     return u
 
 
-def _effective_flow(setup):
-    """Flow of f0 L_hat(zeta, eps) f0, batched over all box frequencies."""
-    if setup._hom_flow is None:
-        eps = setup.eps
-        flow = linalg.HermitianFlow(setup.cell.B0_symbol(setup.freq_zeta, eps))
-        linalg.check_floor(flow.w, setup.constants.cstar_check,
-                           np.sum(setup.freq_zeta ** 2, axis=1) + eps ** 2,
-                           NonPositiveEffective, "box-grid effective symbol")
-        setup._hom_flow = flow
-    return setup._hom_flow
-
-
-def _hom_flow_symbols(setup, s):
-    """Symbols f0 exp(-B0 s) f0 of the homogenized flow at physical time s."""
-    f0 = setup.cell.f0
-    return f0 @ _effective_flow(setup).expm(s / setup.eps ** 2) @ f0
-
-
 def evolve_homogenized(setup, phi, s):
     """u0(., s) = f0 exp(-B0 s) f0 phi as a Fourier multiplier."""
-    return setup.apply_symbol(phi, _hom_flow_symbols(setup, s))
+    return setup.apply_symbol(phi, setup.hom_flow_symbols(s))
 
 
-def _ng_symbols(setup):
-    if setup._nsym_grid is None:
-        setup._nsym_grid = setup.ng.symbol(setup.freq_zeta, setup.eps)
-    return setup._nsym_grid
-
-
-def _b_symbols_grid(setup):
-    if setup._b_grid is None:
-        setup._b_grid = setup.cell.problem.b_of(setup.freq_zeta)
-    return setup._b_grid
-
-
-def _tile(setup, name, field):
-    if name not in setup._tiles:
-        setup._tiles[name] = setup.cell_field_on_box(field)
-    return setup._tiles[name]
-
-
-def _oscillating_pair(setup, phi, phi_s, flow_sym, smooth):
+def oscillating_pair(setup, phi, phi_s, flow_sym, smooth):
     """(Lambda_G^eps b(D) + eps tilde-Lambda_G^eps) u0 plus the homogenized
     flow of the adjoint multiplier applied to phi; u0 is the flow of phi_s."""
     eps = setup.eps
-    cell = setup.cell
     u0s = setup.apply_symbol(phi_s, flow_sym)
-    lam_g = _tile(setup, "LambdaG", cell.LambdaG)
-    lam_gt = _tile(setup, "LambdaTildeG", cell.LambdaTildeG)
-    b_grid = _b_symbols_grid(setup)
-    bd_u0 = setup.apply_symbol(u0s, b_grid)
+    lam_g, lam_gt = setup.tiled_lambda_g, setup.tiled_lambda_tilde_g
+    bd_u0 = setup.apply_symbol(u0s, setup.b_grid)
     t1 = np.einsum("gpq,gq->gp", lam_g, bd_u0) \
         + eps * np.einsum("gpq,gq->gp", lam_gt, u0s)
 
     wadj = np.einsum("gqp,gq->gp", lam_g.conj(), phi)
-    wadj = setup.apply_symbol(wadj, np.swapaxes(b_grid.conj(), -1, -2))
+    wadj = setup.apply_symbol(wadj, np.swapaxes(setup.b_grid.conj(), -1, -2))
     wadj = wadj + eps * np.einsum("gqp,gq->gp", lam_gt.conj(), phi)
     if smooth:
         wadj = smoothing_apply(setup, wadj)
@@ -315,11 +285,11 @@ def _corrector(setup, phi, s, smooth):
     """Corrector field K_eps(s) phi; no regime check on s."""
     f0 = setup.cell.f0
     phi_s = smoothing_apply(setup, phi) if smooth else phi
-    pair = _oscillating_pair(setup, phi, phi_s, _hom_flow_symbols(setup, s),
-                             smooth)
+    pair = oscillating_pair(setup, phi, phi_s, setup.hom_flow_symbols(s),
+                            smooth)
     # constant-coefficient integral term, closed form per frequency
-    inner = f0 @ _ng_symbols(setup) @ f0
-    j_sym = f0 @ _effective_flow(setup).integral(inner, s / setup.eps ** 2) @ f0
+    inner = f0 @ setup.ng_grid @ f0
+    j_sym = f0 @ setup.effective_flow.integral(inner, s / setup.eps ** 2) @ f0
     return (pair - setup.apply_symbol(phi_s, j_sym)) / setup.eps
 
 

@@ -268,6 +268,17 @@ def _zero_block_slice(trunc, n):
     return slice(z * n, (z + 1) * n)
 
 
+def effective_flow(cell, k, eps, cstar_check=0.0):
+    """HermitianFlow of the effective symbol f0 L_hat(k, eps) f0, batched over
+    the leading axes of the quasimomenta ``k`` (..., d); its spectra are held
+    to the floor (NonPositiveEffective)."""
+    k = np.asarray(k, dtype=float)
+    flow = linalg.HermitianFlow(cell.B0_symbol(k, eps))
+    linalg.check_floor(flow.w, cstar_check, np.sum(k * k, axis=-1) + eps ** 2,
+                       NonPositiveEffective, "effective symbol")
+    return flow
+
+
 def effective_factors(cell, ng, trunc, k, eps, s, cstar_check=0.0):
     """Compact effective side of the fiber remainders, batched over the
     leading axes of the quasimomenta ``k`` (..., d).
@@ -276,14 +287,11 @@ def effective_factors(cell, ng, trunc, k, eps, s, cstar_check=0.0):
     principal term, and, unless ``ng`` is None, ``first`` (..., D, n) and
     ``J`` (..., n, n): the corrector is first E* + E first* - E J E*, with E
     the zero-mode columns of the identity.  One batched eigendecomposition
-    of the effective blocks serves all three, and their spectra are held to
-    the floor (NonPositiveEffective).
+    of the effective blocks, :func:`effective_flow`, serves all three.
     """
     problem, f0 = cell.problem, cell.f0
     k = np.asarray(k, dtype=float)
-    flow = linalg.HermitianFlow(cell.B0_symbol(k, eps))
-    linalg.check_floor(flow.w, cstar_check, np.sum(k * k, axis=-1) + eps ** 2,
-                       NonPositiveEffective, "effective symbol")
+    flow = effective_flow(cell, k, eps, cstar_check)
     ez = f0 @ flow.expm(s) @ f0
     if ng is None:
         return ez, None, None
@@ -588,8 +596,10 @@ def cross_validate_abstract(problem, trunc, theta, tau, constants=None,
     ng = ng_coefficients(problem, sol)
     if grid_shape is None:
         grid_shape = rectangle_grid(problem, trunc)
-    fam = hatted_family(problem, trunc, theta, constants, grid_shape)
-    th = compute_threshold(fam, delta=constants.delta, tau0=constants.tau0)
+    # no name holds the family, so it is freed before the residual phase
+    th = compute_threshold(
+        hatted_family(problem, trunc, theta, constants, grid_shape),
+        delta=constants.delta, tau0=constants.tau0)
 
     n = problem.n
     sl = _zero_block_slice(trunc, n)

@@ -14,9 +14,10 @@ import numpy as np
 
 from . import fields as fd
 from .cell import (PeriodicProblem, adj, coeff_vector, galerkin_matrix,
-                   spectral_derivative, _solve_zero_mean)
+                   spectral_derivative, solve_zero_mean)
 from .errors import MeanNotZero
-from .lattice import Lattice
+from .evolution import oscillating_pair
+from .lattice import Lattice, cubic_lattice
 
 
 @dataclass
@@ -117,7 +118,7 @@ def scalar_effective(inp, problem, trunc):
         [1j * (adj(bd) @ coeff_vector(inp.g, trunc)),
          -coeff_vector(inp.v[..., None, None], trunc),
          -coeff_vector(div_eta[..., None, None], trunc)], axis=-1)
-    sol = _solve_zero_mean(A_gal, rhs, trunc, grid)[..., 0, :]
+    sol = solve_zero_mean(A_gal, rhs, trunc, grid)[..., 0, :]
     psi, lt1, lt2 = sol[..., :d], sol[..., d], sol[..., d + 1]
 
     grad_psi = np.stack([_gradient(psi[..., j], lat) for j in range(d)],
@@ -215,17 +216,15 @@ def commuted_corrector_apply(setup, phi, s):
 
     (Psi^eps grad + LambdaTilde^eps) u0 + flow (.)* phi - s N exp(-B0 s) phi.
     """
-    from .evolution import _hom_flow_symbols, _ng_symbols, _oscillating_pair
-
     eps = setup.eps
     cell = setup.cell
     if cell.problem.n != 1:
         raise ValueError("commuted corrector needs a scalar problem")
-    flow_sym = _hom_flow_symbols(setup, s)
-    pair = _oscillating_pair(setup, phi, phi, flow_sym, smooth=False)
+    flow_sym = setup.hom_flow_symbols(s)
+    pair = oscillating_pair(setup, phi, phi, flow_sym, smooth=False)
     f0sq = cell.f0 @ cell.f0
     t3 = s / eps ** 2 * setup.apply_symbol(
-        phi, np.einsum("pq,gqr,grt->gpt", f0sq, _ng_symbols(setup), flow_sym))
+        phi, np.einsum("pq,gqr,grt->gpt", f0sq, setup.ng_grid, flow_sym))
     return (pair - t3) / eps
 
 
@@ -236,8 +235,6 @@ def commuted_corrector_apply(setup, phi, s):
 def scalar_preset(d=2, n_modes=8, seed=0, amp_g=0.4, amp_A=0.5, amp_v=0.8,
                   amp_V=0.5, lam=None, grid_factor=4):
     """Random-harmonic scalar input on the cubic lattice."""
-    from .lattice import cubic_lattice
-
     rng = np.random.default_rng(seed)
     lat = cubic_lattice(d)
     g0 = max(int(grid_factor) * n_modes, 2 * n_modes + 2)

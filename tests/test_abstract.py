@@ -457,9 +457,24 @@ def test_remainder_outside_ball_raises(family):
 
 def test_threshold_projector_tau_zero(family):
     fam, th = family
-    rep = ab.threshold_projector_checks(fam, th, 0.0, THETA)
+    rep = ab.threshold_order_norms(fam, th, 0.0, THETA)
     assert rep["F_minus_P"] < 1e-12
     assert rep["F_minus_P_tauF1"] < 1e-12
+
+
+def test_threshold_order_norms_decompose_once(family, monkeypatch):
+    # the four norms share one B(t, eps) and one eigendecomposition of it
+    fam, th = family
+    calls = []
+    real = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    ab.threshold_order_norms(fam, th, 0.25 * th.tau0, THETA)
+    assert len(calls) == 1
 
 
 def test_threshold_rank_mismatch_raises(family):

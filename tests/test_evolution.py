@@ -293,6 +293,36 @@ def test_duhamel_coarse_pass_only_fine_flow(setup_1d, phi_1d, monkeypatch):
     assert len(calls) == 2 * n + 1
 
 
+def test_duhamel_tiles_cell_fields_once_per_setup(monkeypatch):
+    # f != I: the tiled f, Lambda_G and LambdaTilde_G are built once per
+    # setup, however many quadrature nodes the solve visits
+    _, prob, tr = next(p for p in oracles.block_stack_problems()
+                       if p[0] == "weighted_f_1d")
+    assert not prob.f_is_identity
+    calls = []
+    real = ev.EvolutionSetup.cell_field_on_box
+
+    def counted(self, field):
+        calls.append(1)
+        return real(self, field)
+
+    monkeypatch.setattr(ev.EvolutionSetup, "cell_field_on_box", counted)
+    consts = fb.estimate_constants(prob)
+    sol = cl.solve_cell_problems(prob, tr)
+    ng = cl.ng_coefficients(prob, sol)
+    counts = []
+    for n_steps in (2, 4):
+        setup = ev.EvolutionSetup(sol, ng, consts, 0.25, 8, tr)
+        rng = np.random.default_rng(4)
+        phi = setup.random_band_limited(rng)
+        f_field = setup.random_band_limited(rng, band=2)
+        calls.clear()
+        ev.duhamel_solve(setup, phi, lambda t: f_field, 0.5,
+                         n_steps=n_steps, quad_tol=1.0)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 3
+
+
 def test_duhamel_underresolved_raises(setup_1d, phi_1d):
     rng = np.random.default_rng(11)
     f_field = setup_1d.random_band_limited(rng)

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -231,6 +233,30 @@ def test_cross_validation_rejects_invalid_direction_and_radius(
     _forbid_cross_validation_work(monkeypatch)
     with pytest.raises(ValueError):
         fb.cross_validate_abstract(prob, Truncation(6, 1), theta, tau)
+
+
+def test_cross_validation_frees_the_family_before_the_residuals(monkeypatch):
+    # the hatted family is the largest object of a cross-validation; nothing
+    # reads it after compute_threshold, so it must be gone by L_operator
+    refs = []
+    real_threshold, real_L = fb.compute_threshold, fb.L_operator
+
+    def threshold(family, *args, **kwargs):
+        refs.append(weakref.ref(family))
+        return real_threshold(family, *args, **kwargs)
+
+    def L_operator(*args, **kwargs):
+        alive = [ref for ref in refs if ref() is not None]
+        assert refs and not alive, "the hatted family is still alive"
+        return real_L(*args, **kwargs)
+
+    monkeypatch.setattr(fb, "compute_threshold", threshold)
+    monkeypatch.setattr(fb, "L_operator", L_operator)
+    prob = presets.random_fiber_instance(42, d=1, n_modes=6)
+    consts = fb.estimate_constants(prob)
+    fb.cross_validate_abstract(prob, Truncation(6, 1), [1.0],
+                               0.5 * consts.tau0, constants=consts)
+    assert len(refs) == 1
 
 
 def _forbid_cross_validation_work(monkeypatch):

@@ -10,7 +10,9 @@ workload.
 
 import importlib
 import importlib.util
+import inspect
 import os
+import types
 
 import pytest
 
@@ -46,3 +48,29 @@ def test_workload_round_checks_ok(name, tmp_path):
     statuses, _ = workload.check([record])
     assert statuses and all(st == _WORKLOADS.OK
                             for row in statuses for st in row), statuses
+
+
+# functions that the benchmark's tracer is meant to wrap next: the tracer
+# patches callables on their owner, so none of them may turn into a
+# property or a cached attribute
+_PLAIN_CALLABLES = [
+    ("evolution", "EvolutionSetup.fine_flow"),
+    ("fibers", "FiberPencil.fiber"),
+    ("fibers", "spectrum_above"),
+    ("fibers", "partial_flow"),
+    ("fibers", "projected_norms"),
+    ("fibers", "remainder_norms"),
+    ("linalg", "herm_norm"),
+    ("linalg", "range_split_norm"),
+]
+
+
+@pytest.mark.parametrize("module_name,path", _PLAIN_CALLABLES,
+                         ids=lambda v: str(v))
+def test_future_trace_target_is_a_plain_function(module_name, path):
+    owner = importlib.import_module(f"parahom.{module_name}")
+    *owners, attr = path.split(".")
+    for name in owners:
+        owner = getattr(owner, name)
+    assert isinstance(inspect.getattr_static(owner, attr),
+                      types.FunctionType), f"parahom.{module_name}.{path}"
