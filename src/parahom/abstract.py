@@ -373,15 +373,10 @@ def expanded_tau_start(family, th, theta, max_doublings=16):
     return 0.5 * tau
 
 
-def dyadic_order_sweep(family, th, theta, n_points=8, start="auto"):
-    """Residual norms over a dyadic tau sweep.
-
-    ``start`` is the largest tau (``"auto"`` expands from tau0 while the
-    rank-n window check passes).
-    """
-    if start == "auto":
-        start = expanded_tau_start(family, th, theta)
-    taus = float(start) * 0.5 ** np.arange(n_points)
+def dyadic_order_sweep(family, th, theta, n_points=8):
+    """Residual norms over a dyadic tau sweep, starting from the largest tau
+    that expanding from tau0 reaches while the rank-n window check passes."""
+    taus = expanded_tau_start(family, th, theta) * 0.5 ** np.arange(n_points)
     rows = []
     for tau in taus:
         rows.append((float(tau), threshold_order_norms(family, th, tau, theta)))
@@ -589,8 +584,7 @@ def estimate_form_constants(family, rng, t_samples=9, n_probe=24):
     return consts
 
 
-def random_family(rng, dim_H=8, dim_Hstar=None, dim_Htilde=None, n=2,
-                  scale_Y2=1.0, scale_Q=1.0, degenerate_copies=False):
+def random_family(rng, dim_H=8, n=2, degenerate_copies=False):
     """Random pencil satisfying the structural conditions.
 
     Y(t) = C X(t) with a random contraction-scaled C, so the subordination
@@ -598,8 +592,7 @@ def random_family(rng, dim_H=8, dim_Hstar=None, dim_Htilde=None, n=2,
     ``degenerate_copies=True`` the family is two identical diagonal blocks,
     forcing every germ eigenvalue to be doubly degenerate.
     """
-    dim_Hstar = dim_Hstar or dim_H + 2
-    dim_Htilde = dim_Htilde or dim_H
+    dim_Hstar, dim_Htilde = dim_H + 2, dim_H
 
     def cplx(shape, sc=1.0):
         return sc * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
@@ -611,8 +604,8 @@ def random_family(rng, dim_H=8, dim_Hstar=None, dim_Htilde=None, n=2,
     X1 = cplx((dim_Hstar, dim_H))
     C = cplx((dim_Htilde, dim_Hstar), 0.5)
     Y0, Y1 = C @ X0, C @ X1
-    Y2 = cplx((dim_Htilde, dim_H), scale_Y2)
-    Q = linalg.herm(cplx((dim_H, dim_H), scale_Q))
+    Y2 = cplx((dim_Htilde, dim_H))
+    Q = linalg.herm(cplx((dim_H, dim_H)))
     Q0 = np.eye(dim_H) + 0.3 * linalg.herm(cplx((dim_H, dim_H), 0.3))
     w = np.linalg.eigvalsh(Q0)
     if w.min() < 0.2:

@@ -223,10 +223,10 @@ def adj(field):
 # cell solves
 
 
-def galerkin_matrix(problem, trunc, k=None):
-    """Exact Galerkin matrix of <g b(D+k)u, b(D+k)v> on the truncated space,
-    and the (M, m, n) block stack of b(D+k)."""
-    bk = problem.b_of(trunc.freqs(problem.lattice, k))
+def galerkin_matrix(problem, trunc):
+    """Exact Galerkin matrix of <g b(D)u, b(D)v> on the truncated space,
+    and the (M, m, n) block stack of b(D)."""
+    bk = problem.b_of(trunc.freqs(problem.lattice))
     gb = fd.times_blockdiag(fd.mult_matrix(problem.g, trunc), bk)
     return linalg.herm(fd.times_blockdiag(gb.conj().T, bk)), bk
 

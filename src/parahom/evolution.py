@@ -137,25 +137,22 @@ class EvolutionSetup:
 
     def fiber(self, idx):
         """FiberOperator of box fiber ``idx``, evaluated afresh."""
-        return self.pencil.fiber(self.fiber_k[idx], self.eps, self.constants,
-                                 check=False)
+        return self.pencil.fiber(self.fiber_k[idx], self.eps, self.constants)
 
     def fine_flow(self):
         """Stacked flow of all box fibers: w (F, D), v (F, D, D).
 
-        One eigh per fiber into the preallocated stack, so no (F, D, D) stack
-        of fiber matrices is formed; the spectra are held to the fiber floor
-        (PositivityViolation).
+        One :func:`fibers.partial_flow` at s = 0 (every pair, held to the
+        fiber floor) per fiber into the preallocated stack, so no (F, D, D)
+        stack of fiber matrices is formed.
         """
         if self._fine_flow is None:
             dim = self.trunc.size * self.n
             w = np.empty((self.n_fibers, dim))
             v = np.empty((self.n_fibers, dim, dim), dtype=complex)
             for idx in range(self.n_fibers):
-                w[idx], v[idx] = np.linalg.eigh(self.fiber(idx).matrix)
-            fb.check_fiber_floor(
-                w, self.constants.cstar_check,
-                np.sum(self.fiber_k ** 2, axis=1) + self.eps ** 2)
+                flow = fb.partial_flow(self.fiber(idx), 0.0)
+                w[idx], v[idx] = flow.w, flow.v
             self._fine_flow = linalg.HermitianFlow.from_eigh(w, v)
         return self._fine_flow
 
@@ -307,14 +304,14 @@ def corrector_apply(setup, phi, s, variant="with_smoothing"):
     return _corrector(setup, phi, s, variant == "with_smoothing")
 
 
-def solution_error(setup, phi, s, corrected=True, variant="with_smoothing"):
-    """L2 errors of the homogenized (optionally corrected) solution."""
+def solution_error(setup, phi, s, corrected=True):
+    """L2 errors of the homogenized (optionally smoothed-corrected) solution."""
     u_eps = evolve_fine(setup, phi, s)
     u0 = evolve_homogenized(setup, phi, s)
     err_p = setup.box_norm(u_eps - u0)
     if not corrected:
         return {"principal": err_p}
-    k = corrector_apply(setup, phi, s, variant)
+    k = corrector_apply(setup, phi, s)
     err_c = setup.box_norm(u_eps - u0 - setup.eps * k)
     return {"principal": err_p, "corrected": err_c}
 
@@ -342,21 +339,19 @@ def _midpoint_nodes(s, n_steps):
 
 
 def duhamel_solve(setup, phi, source, s, p_norm=np.inf, n_steps=48,
-                  quad_tol=1e-3, variant="with_smoothing"):
+                  quad_tol=1e-3):
     """Fine, homogenized, and corrected solutions of the driven problem.
 
     ``source`` maps a time in [0, s] to a (G^d, n) field (zero source allowed
     by passing None).  Composite midpoint quadrature in the time variable with
-    a step-halving consistency check.
+    a step-halving consistency check.  The corrector is the smoothed one: the
+    nodes reach times s - t < eps^2, where the plain one does not apply.
     """
     if source is None:
         u_eps = evolve_fine(setup, phi, s)
         u0 = evolve_homogenized(setup, phi, s)
-        k = corrector_apply(setup, phi, s, variant)
-        corrected = u0 + setup.eps * k
+        corrected = u0 + setup.eps * corrector_apply(setup, phi, s)
         return _pair_report(setup, phi, u_eps, u0, corrected, s, p_norm, 0.0)
-
-    smooth = variant == "with_smoothing"
 
     def integrals(n, fine_only=False):
         h, nodes = _midpoint_nodes(s, n)
@@ -370,7 +365,7 @@ def duhamel_solve(setup, phi, source, s, p_norm=np.inf, n_steps=48,
                 continue
             acc_h += h * evolve_homogenized(setup, f_t, s - t)
             if p_norm > 2:
-                acc_corr += h * _corrector(setup, f_t, s - t, smooth)
+                acc_corr += h * _corrector(setup, f_t, s - t, smooth=True)
         return acc_f, acc_h, acc_corr
 
     # the coarse pass only feeds the step-halving drift of the fine integral
@@ -384,7 +379,7 @@ def duhamel_solve(setup, phi, source, s, p_norm=np.inf, n_steps=48,
 
     u_eps = evolve_fine(setup, phi, s) + i_f2
     u0 = evolve_homogenized(setup, phi, s) + i_h2
-    corrected = u0 + setup.eps * corrector_apply(setup, phi, s, variant)
+    corrected = u0 + setup.eps * corrector_apply(setup, phi, s)
     if p_norm > 2:
         corrected = corrected + setup.eps * i_corr2
     return _pair_report(setup, phi, u_eps, u0, corrected, s, p_norm, drift)
@@ -459,13 +454,13 @@ def convergence_sweep(problem, trunc, eps_list, s, mode="both",
         norms = np.zeros((len(fiber_k), 2))
         batch = np.ones(len(fiber_k), dtype=bool)
         for idx, k in enumerate(fiber_k):
-            fiber = pencil.fiber(k, eps, constants, check=False)
+            fiber = pencil.fiber(k, eps, constants)
             flow = fb.partial_flow(fiber, s_scaled)
             if flow.w.size:
                 batch[idx] = False
                 norms[idx] = fb.remainder_norms(
-                    cell_sol, ng, trunc, k, eps, s_scaled, constants, fiber,
-                    flow, mode=mode, effective=effective_at(idx))
+                    cell_sol, ng, fiber, s_scaled, flow, mode=mode,
+                    effective=effective_at(idx))
         # no fiber eigenpair: the effective side alone, one stacked QR and
         # one stacked Hermitian norm for all such fibers
         n_batch = int(batch.sum())

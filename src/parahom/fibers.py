@@ -118,7 +118,6 @@ class FiberOperator:
     matrix: np.ndarray
     cstar_check: float
     trunc: fd.Truncation
-    n: int
     f_matrix: np.ndarray = None     # [f] on the truncation; None for f = I
 
     @property
@@ -217,10 +216,9 @@ class FiberPencil:
         kk = [k[i] * k[j] for i, j in self._pairs]
         return np.concatenate(([1.0], k, kk, [eps], eps * k, [eps ** 2]))
 
-    def fiber(self, k, eps, constants=None, check=True):
-        """FiberOperator at quasimomentum k; with ``check`` and a positive
-        ``constants.cstar_check`` its spectrum is held to the fiber floor
-        (PositivityViolation)."""
+    def fiber(self, k, eps, constants=None):
+        """FiberOperator at quasimomentum k, with the fiber floor of
+        ``constants`` (none when it is None); no eigensolver runs here."""
         k = np.asarray(k, dtype=float)
         # real weights on the real view, summed without BLAS: fiber loops
         # interleave this with scipy's LAPACK, and two OpenBLAS thread pools
@@ -228,34 +226,23 @@ class FiberPencil:
         mat = linalg.herm(np.einsum("c,cij->ij", self._weights(k, eps),
                                     self.coeffs.view(float)).view(complex))
         ccheck = constants.cstar_check if constants is not None else 0.0
-        fib = FiberOperator(k, float(eps), mat, float(ccheck), self.trunc,
-                            self.problem.n, self.f_matrix)
-        if check and ccheck > 0.0:
-            check_fiber_floor(np.linalg.eigvalsh(mat), ccheck,
-                              float(k @ k) + eps ** 2)
-        return fib
+        return FiberOperator(k, float(eps), mat, float(ccheck), self.trunc,
+                             self.f_matrix)
 
 
-def assemble_fiber(problem, trunc, k, eps, constants=None, check=True):
+def assemble_fiber(problem, trunc, k, eps, constants=None):
     """Galerkin matrix of the fiber form at quasimomentum k, exact (alias-free)
     for band-limited coefficients: one evaluation of a fresh
     :class:`FiberPencil`.  Hold a pencil to evaluate many fibers."""
-    return FiberPencil(problem, trunc).fiber(k, eps, constants, check)
-
-
-def check_fiber_floor(w, cstar_check, tau_sq):
-    """PositivityViolation when fiber spectra ``w`` (..., D) fall below
-    cstar_check * tau_sq (no floor when cstar_check <= 0)."""
-    linalg.check_floor(w, cstar_check, tau_sq, PositivityViolation,
-                       "fiber (lambda too small or truncation too coarse)")
+    return FiberPencil(problem, trunc).fiber(k, eps, constants)
 
 
 class FiberFlow(linalg.HermitianFlow):
-    """Reusable Hermitian eigendecomposition of one fiber matrix."""
+    """Full eigendecomposition of one fiber matrix, kept for perfbench's
+    tracer only; the package decomposes fibers through :func:`partial_flow`."""
 
     def __init__(self, matrix):
-        # perfbench traces fiber decompositions through this class's own
-        # __init__; the inherited one would count every HermitianFlow
+        # its own __init__: tracing it must not count every HermitianFlow
         super().__init__(matrix)
 
 
@@ -364,14 +351,27 @@ def spectrum_above(matrix, mu):
 
 
 def partial_flow(fiber, s):
-    """Flow of the fiber eigenpairs with eigenvalue <= cut_value(fiber, s):
-    empty (w (0,), v (D, 0)) when :func:`spectrum_above` proves the spectrum
-    above the cut, else from one partial eigendecomposition (MRRR)."""
+    """Flow of the fiber eigenpairs with eigenvalue <= cut_value(fiber, s),
+    the one decomposition of a fiber matrix.  At s = 0 every pair comes from
+    one eigh; otherwise the flow is empty (w (0,), v (D, 0)) when
+    :func:`spectrum_above` proves the spectrum above the cut, else from one
+    partial eigendecomposition (MRRR).  The pairs are held to the fiber floor
+    (PositivityViolation); the cut is at least the floor, so every
+    eigenvalue below the floor is among them.
+    """
     vu = cut_value(fiber, s)
-    if spectrum_above(fiber.matrix, vu):
-        return linalg.HermitianFlow.from_eigh(np.empty(0), fiber.matrix[:, :0])
-    w, v = scipy.linalg.eigh(fiber.matrix, driver="evr",
-                             subset_by_value=(-np.inf, vu))
+    if vu == np.inf:
+        w, v = np.linalg.eigh(fiber.matrix)
+    elif spectrum_above(fiber.matrix, vu):
+        w, v = np.empty(0), fiber.matrix[:, :0]
+    else:
+        w, v = scipy.linalg.eigh(fiber.matrix, driver="evr",
+                                 subset_by_value=(-np.inf, vu))
+    if w.size:
+        linalg.check_floor(w, fiber.cstar_check,
+                           float(fiber.k @ fiber.k) + fiber.eps ** 2,
+                           PositivityViolation,
+                           "fiber (lambda too small or truncation too coarse)")
     return linalg.HermitianFlow.from_eigh(w, v)
 
 
@@ -401,49 +401,37 @@ def projected_norms(trunc, vf, decay, effective, mode):
     return norms[..., [0, -1]] * [mode != "corrected", want_c]
 
 
-def remainder_norms(cell, ng, trunc, k, eps, s, constants=None, fiber=None,
-                    flow=None, mode="both", effective=None):
+def remainder_norms(cell, ng, fiber, s, flow=None, mode="both",
+                    effective=None):
     """Norms of R = f e^{-B(k,eps)s} f* - f0 e^{-B0 s} f0 Phat and of R - K.
 
     Only the eigenpairs (w_r, V_r) of B with w <= cut_value(fiber, s) enter;
-    the rest add at most ||[f]||^2 2^-64.  ``flow`` may be a full flow or a
-    :func:`partial_flow` at the same ``s``, and a partial one is made when it
-    is None.  The norms come from :func:`projected_norms`.  The kept
-    spectrum, which holds every eigenvalue below the fiber floor, is checked
-    against that floor (PositivityViolation).  ``mode`` ("both", "principal"
-    or "corrected") picks the norms computed; a norm not computed reads 0.0.
-    [f] comes with the fiber, and ``effective`` takes this fiber's
-    :func:`effective_factors` (computed here when None).
+    the rest add at most ||[f]||^2 2^-64.  ``flow`` is a :func:`partial_flow`
+    of the fiber at ``s`` or at 0 (every pair), made here when None; either
+    way its spectrum is held to the fiber floor.  The norms come from
+    :func:`projected_norms`.  ``mode`` ("both", "principal" or "corrected")
+    picks the norms computed; a norm not computed reads 0.0.  k, eps, the
+    truncation, the floor and [f] come with the fiber, and ``effective``
+    takes this fiber's :func:`effective_factors` (computed here when None).
     """
-    if fiber is None:
-        fiber = assemble_fiber(cell.problem, trunc, k, eps, constants,
-                               check=False)
     if flow is None:
         flow = partial_flow(fiber, s)
     keep = flow.w <= cut_value(fiber, s)
     w, v = flow.w[keep], flow.v[:, keep]
-    if w.size:
-        check_fiber_floor(w, fiber.cstar_check,
-                          float(fiber.k @ fiber.k) + fiber.eps ** 2)
     if effective is None:
-        cc = constants.cstar_check if constants is not None else 0.0
         effective = effective_factors(
-            cell, ng if mode in ("both", "corrected") else None, trunc, k,
-            eps, s, cc)
+            cell, ng if mode in ("both", "corrected") else None, fiber.trunc,
+            fiber.k, fiber.eps, s, fiber.cstar_check)
     vf = v if fiber.f_matrix is None else fiber.f_matrix @ v
-    p, c = projected_norms(trunc, vf, np.exp(-w * s), effective, mode)
+    p, c = projected_norms(fiber.trunc, vf, np.exp(-w * s), effective, mode)
     return float(p), float(c)
 
 
-def fiber_remainder(cell, ng, trunc, k, eps, s, constants=None, fiber=None,
-                    flow=None):
+def fiber_remainder(cell, ng, fiber, s, flow=None):
     """Norm of f e^{-B(k,eps)s} f* - principal - corrector, with envelopes."""
-    nrm = remainder_norms(cell, ng, trunc, k, eps, s, constants, fiber, flow,
-                          mode="corrected")[1]
-    cc = constants.cstar_check if constants is not None else 0.0
-    k = np.asarray(k, dtype=float)
-    tau_sq = float(k @ k) + eps ** 2
-    env_pos, env_nonneg = remainder_envelopes(cc, tau_sq, s)
+    nrm = remainder_norms(cell, ng, fiber, s, flow, mode="corrected")[1]
+    tau_sq = float(fiber.k @ fiber.k) + fiber.eps ** 2
+    env_pos, env_nonneg = remainder_envelopes(fiber.cstar_check, tau_sq, s)
     ratio = nrm / env_pos if (s > 0 and env_pos > 0) else 0.0
     return {"remainder_norm": float(nrm),
             "envelope_s_pos": float(env_pos),
@@ -452,11 +440,11 @@ def fiber_remainder(cell, ng, trunc, k, eps, s, constants=None, fiber=None,
             "tau": float(np.sqrt(tau_sq))}
 
 
-def principal_remainder(cell, trunc, k, eps, s, constants=None, fiber=None,
-                        flow=None):
+def principal_remainder(cell, trunc, k, eps, s, constants=None, fiber=None):
     """Norm of f e^{-B s} f* - f0 e^{-B0 s} f0 Phat (no corrector)."""
-    return remainder_norms(cell, None, trunc, k, eps, s, constants, fiber,
-                           flow, mode="principal")[0]
+    if fiber is None:
+        fiber = assemble_fiber(cell.problem, trunc, k, eps, constants)
+    return remainder_norms(cell, None, fiber, s, mode="principal")[0]
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +556,7 @@ def rectangle_grid(problem, trunc):
 
 def cross_validate_abstract(problem, trunc, theta, tau, constants=None,
                             tol_z=1e-7, tol_L=1e-7, tol_N=1e-6,
-                            raise_on_fail=True, grid_shape=None):
+                            raise_on_fail=True):
     """Abstract threshold objects versus their explicit cell-problem forms.
 
     Checks, on the hatted family: Z(theta) = [Lambda] b(theta) Phat,
@@ -594,11 +582,10 @@ def cross_validate_abstract(problem, trunc, theta, tau, constants=None,
     # dim x dim family is built
     sol = solve_cell_problems(problem, trunc)
     ng = ng_coefficients(problem, sol)
-    if grid_shape is None:
-        grid_shape = rectangle_grid(problem, trunc)
     # no name holds the family, so it is freed before the residual phase
     th = compute_threshold(
-        hatted_family(problem, trunc, theta, constants, grid_shape),
+        hatted_family(problem, trunc, theta, constants,
+                      rectangle_grid(problem, trunc)),
         delta=constants.delta, tau0=constants.tau0)
 
     n = problem.n

@@ -5,6 +5,8 @@ from the experiment config.  Random presets draw their harmonics from a
 seeded generator so runs are reproducible.
 """
 
+import inspect
+
 import numpy as np
 
 from . import fields as fd
@@ -159,4 +161,8 @@ PRESETS = {
 def make_problem(name, **kwargs):
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; have {sorted(PRESETS)}")
+    try:
+        inspect.signature(PRESETS[name]).bind(**kwargs)
+    except TypeError as exc:
+        raise ConfigError(f"preset {name!r}: {exc}") from exc
     return PRESETS[name](**kwargs)

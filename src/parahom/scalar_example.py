@@ -233,7 +233,7 @@ def commuted_corrector_apply(setup, phi, s):
 
 
 def scalar_preset(d=2, n_modes=8, seed=0, amp_g=0.4, amp_A=0.5, amp_v=0.8,
-                  amp_V=0.5, lam=None, grid_factor=4):
+                  amp_V=0.5, lam=6.0, grid_factor=4):
     """Random-harmonic scalar input on the cubic lattice."""
     rng = np.random.default_rng(seed)
     lat = cubic_lattice(d)
@@ -268,6 +268,4 @@ def scalar_preset(d=2, n_modes=8, seed=0, amp_g=0.4, amp_A=0.5, amp_v=0.8,
     A = np.stack([scalar_harmonics(amp_A) for _ in range(d)], axis=-1)
     v = scalar_harmonics(amp_v, zero_mean=True)
     Vcal = scalar_harmonics(amp_V)
-    if lam is None:
-        lam = 6.0
     return ScalarInput(lat, gmat, A, v, Vcal, lam)

@@ -124,16 +124,15 @@ def test_criterion_06_fiber_envelope():
     for o1 in offs:
         for o2 in offs:
             k = np.array([o1, o2])
-            fib = fb.assemble_fiber(prob, tr, k, eps, consts, check=False)
-            flow = fb.FiberFlow(fib.matrix)
+            fib = fb.assemble_fiber(prob, tr, k, eps, consts)
+            flow = fb.partial_flow(fib, 0.0)
             tau_sq = float(k @ k) + eps ** 2
             cc_measured = min(cc_measured, flow.w.min() / tau_sq)
             fibers.append((k, fib, flow, tau_sq))
     for s in (0.25, 1.0, 4.0):
         sup = 0.0
         for k, fib, flow, tau_sq in fibers:
-            rep = fb.fiber_remainder(sol, ng, tr, k, eps, s, consts,
-                                     fib, flow)
+            rep = fb.fiber_remainder(sol, ng, fib, s, flow)
             q = rep["remainder_norm"] * s * np.exp(
                 0.5 * cc_measured * tau_sq * s)
             sup = max(sup, q)

@@ -60,6 +60,35 @@ def test_bad_eps_range_exit_2(tmp_path):
     assert rc == 2
 
 
+_SMALL_1D = "[problem]\npreset = osc1d\nn_modes = 4\n[truncation]\nn_modes = 4\n"
+
+
+@pytest.mark.parametrize("command,body", [
+    ("converge", _SMALL_1D + "[sweep]\neps = 0.5, 0.25, 0.125\nmode = bogus\n"),
+    ("evolve", _SMALL_1D + "[evolve]\ns =\n"),
+    ("cell-solve", "[run]\nseed = x\n[problem]\npreset = osc1d\n"),
+    ("cell-solve", "[problem]\npreset = osc1d\nfoo = 1\n"),
+    ("cell-solve", "[problem]\npreset = random_fiber\n"),
+], ids=["unknown_mode", "empty_s_list", "seed", "unknown_preset_key",
+        "missing_preset_argument"])
+def test_malformed_config_exit_2(tmp_path, command, body):
+    # a config that would check nothing, or that names a key no reader
+    # takes, is malformed: exit 2 and no traceback
+    cfg = _write(tmp_path, body)
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("command,body,check", [
+    ("abstract-check", "[abstract]\ncount = 0\n", "order_F_minus_P"),
+    ("fiber-check", _SMALL_1D + "[fiber]\nk_grid = 0\n", "fiber_lower_bound"),
+], ids=["no_instances", "no_k_points"])
+def test_check_with_nothing_measured_fails(tmp_path, capsys, command, body,
+                                           check):
+    cfg = _write(tmp_path, body)
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert f"[FAIL] {check}: inf" in capsys.readouterr().out
+
+
 def test_cell_solve_end_to_end(tmp_path, capsys):
     cfg = _write(tmp_path, """
 [run]
@@ -349,6 +378,31 @@ prefix = fib
     table = (tmp_path / "fib_fibers.csv").read_text().splitlines()
     assert "ratio" in table[0]
     assert len(table) == 1 + 4 * 2          # header + k_grid * s values
+
+
+def test_fiber_check_decomposes_through_partial_flow(tmp_path, monkeypatch):
+    from parahom import fibers as fb
+
+    calls, original = [], fb.partial_flow
+
+    def counting(fiber, s):
+        calls.append(s)
+        return original(fiber, s)
+
+    monkeypatch.setattr(fb, "partial_flow", counting)
+    cfg = _write(tmp_path, """
+[problem]
+preset = osc1d_full
+n_modes = 8
+[truncation]
+n_modes = 8
+[fiber]
+k_grid = 3
+s = 0.5, 2.0
+""")
+    assert cli.main(["fiber-check", "--config", cfg, "--out",
+                     str(tmp_path)]) == 0
+    assert calls == [0.0] * 3               # one per k point
 
 
 def test_evolve_command(tmp_path):

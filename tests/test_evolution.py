@@ -407,6 +407,20 @@ def test_fine_flow_enforces_fiber_floor():
         ev.evolve_fine(bad, phi, 0.5)
 
 
+def test_fine_flow_decomposes_through_partial_flow(monkeypatch):
+    # one full partial_flow per box fiber, which also holds the floor
+    setup = make_setup(n_cells=4)
+    calls, original = [], fb.partial_flow
+
+    def counting(fiber, s):
+        calls.append(s)
+        return original(fiber, s)
+
+    monkeypatch.setattr(fb, "partial_flow", counting)
+    setup.fine_flow()
+    assert calls == [0.0] * setup.n_fibers
+
+
 @pytest.mark.parametrize("preset,n_modes,n_cells", [("osc1d_full", 6, 8),
                                                     ("divergence_free_2d", 3, 4)])
 def test_stacked_fine_flow_matches_per_fiber_flows(preset, n_modes, n_cells):
@@ -416,7 +430,7 @@ def test_stacked_fine_flow_matches_per_fiber_flows(preset, n_modes, n_cells):
     coeffs = setup.decompose(phi)
     out = np.empty_like(coeffs)
     for idx in range(setup.n_fibers):
-        flow = fb.FiberFlow(setup.fiber(idx).matrix)
+        flow = linalg.HermitianFlow(setup.fiber(idx).matrix)
         out[idx] = flow.apply(s / setup.eps ** 2,
                               coeffs[idx].reshape(-1)).reshape(out[idx].shape)
     ref = setup.recompose(out)
@@ -507,8 +521,8 @@ def test_certified_sweep_matches_exhaustive_route(name, prob, tr, box,
             for row in certified:
                 eps = row["eps"]
                 norms = [fb.remainder_norms(
-                    sol, ng, tr, k, eps, s / eps ** 2, consts,
-                    pencil.fiber(k, eps, consts, check=False), mode=mode)
+                    sol, ng, pencil.fiber(k, eps, consts), s / eps ** 2,
+                    mode=mode)
                     for k in ev.fiber_quasimomenta(prob.lattice,
                                                    row["n_cells"])]
                 reference.append(np.max(norms, axis=0))
@@ -593,9 +607,9 @@ def test_sweep_argmax_fiber_attains_the_reported_sup():
         eps = row["eps"]
         for j, kind in enumerate(("principal", "corrected")):
             k = np.array(row[f"k_argmax_{kind}"])
-            fib = pencil.fiber(k, eps, consts, check=False)
-            got = fb.remainder_norms(sol, ng, tr, k, eps, s / eps ** 2,
-                                     consts, fib, fb.FiberFlow(fib.matrix))[j]
+            fib = pencil.fiber(k, eps, consts)
+            got = fb.remainder_norms(sol, ng, fib, s / eps ** 2,
+                                     fb.partial_flow(fib, 0.0))[j]
             tol = (4.0 * s / eps ** 2 * np.linalg.norm(fib.matrix, 2)
                    * 2.0 ** -52 + 1e-13 * got)
             assert abs(got - row[f"err_{kind}"]) <= tol, (eps, kind)
@@ -618,8 +632,7 @@ def test_sweep_with_every_fiber_certified():
         eps = row["eps"]
         assert row["n_decomposed"] == 0
         ref = np.max([fb.remainder_norms(
-            sol, ng, tr, k, eps, s / eps ** 2, consts,
-            pencil.fiber(k, eps, consts, check=False))
+            sol, ng, pencil.fiber(k, eps, consts), s / eps ** 2)
             for k in ev.fiber_quasimomenta(prob.lattice, row["n_cells"])],
             axis=0)
         got = [row["err_principal"], row["err_corrected"]]

@@ -2,6 +2,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from parahom import cell as cl
@@ -85,8 +86,39 @@ def test_positivity_violation_raises():
     prob = presets.osc1d(n_modes=6, lam=-3.0)
     tr = Truncation(6, 1)
     consts = fb.estimate_constants(presets.osc1d(n_modes=6, lam=1.0))
+    fib = fb.assemble_fiber(prob, tr, np.array([0.05]), 0.9, consts)
     with pytest.raises(PositivityViolation):
-        fb.assemble_fiber(prob, tr, np.array([0.05]), 0.9, consts)
+        fb.partial_flow(fib, 0.0)
+
+
+def test_partial_flow_at_s_zero_is_the_full_eigh():
+    # the infinite cut keeps every pair, from the one eigh of a full flow
+    prob = presets.osc1d_full(n_modes=8)
+    tr = Truncation(8, 1)
+    consts = fb.estimate_constants(prob)
+    fib = fb.assemble_fiber(prob, tr, np.array([0.3]), 0.25, consts)
+    flow = fb.partial_flow(fib, 0.0)
+    w, v = np.linalg.eigh(fib.matrix)
+    assert np.array_equal(flow.w, w) and np.array_equal(flow.v, v)
+
+
+def test_fiber_evaluation_runs_no_eigensolver(monkeypatch):
+    # the floor is checked where the fiber is decomposed, not where it is
+    # evaluated
+    prob = presets.osc1d_full(n_modes=8)
+    tr = Truncation(8, 1)
+    consts = fb.estimate_constants(prob)
+    assert consts.cstar_check > 0.0
+    pencil = fb.FiberPencil(prob, tr)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolver called")
+
+    for module in (np.linalg, scipy.linalg):
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(module, name, refuse)
+    fib = pencil.fiber(np.array([0.3]), 0.25, consts)
+    assert fib.lower_bound > 0.0
 
 
 def test_remainder_norms_enforce_fiber_floor():
@@ -99,26 +131,26 @@ def test_remainder_norms_enforce_fiber_floor():
     ng = cl.ng_coefficients(prob, sol)
     k, eps = np.array([0.3]), 0.4
     fib = fb.assemble_fiber(prob, tr, k, eps, consts)
-    fb.remainder_norms(sol, ng, tr, k, eps, 1.0, consts, fib)
+    fb.remainder_norms(sol, ng, fib, 1.0)
     wmin = float(np.linalg.eigvalsh(fib.matrix).min())
     inflated = fb.FiberOperator(fib.k, fib.eps, fib.matrix,
-                                2.0 * wmin / (k @ k + eps ** 2), tr, fib.n)
+                                2.0 * wmin / (k @ k + eps ** 2), tr)
     with pytest.raises(PositivityViolation):
-        fb.remainder_norms(sol, ng, tr, k, eps, 1.0, consts, inflated)
+        fb.remainder_norms(sol, ng, inflated, 1.0)
     # at a large s the cut CUT/s lies below the inflated floor; the partial
     # flow then reaches up to that floor, so the check still sees wmin
     s_big = 10.0 * fb.CUT / wmin
     assert fb.CUT / s_big < inflated.lower_bound
-    fb.remainder_norms(sol, ng, tr, k, eps, s_big, consts, fib)
+    fb.remainder_norms(sol, ng, fib, s_big)
     with pytest.raises(PositivityViolation):
-        fb.remainder_norms(sol, ng, tr, k, eps, s_big, consts, inflated)
+        fb.remainder_norms(sol, ng, inflated, s_big)
 
 
 def test_kernel_dimension_at_origin():
     for n_modes in (4, 8):
         prob = presets.random_fiber_instance(7, d=1, n_modes=max(8, n_modes))
         tr = Truncation(n_modes, 1)
-        fib = fb.assemble_fiber(prob, tr, np.array([0.0]), 0.0, check=False)
+        fib = fb.assemble_fiber(prob, tr, np.array([0.0]), 0.0)
         n_kernel = _x0_svd(fib.matrix)[2].shape[1]
         assert n_kernel == prob.n
 
@@ -131,7 +163,7 @@ def test_directional_consistency_with_abstract_pencil():
     theta = np.array([1.0])
     fam = fb.hatted_family(prob, tr, theta)
     t, eps = 0.33, 0.21
-    fib = fb.assemble_fiber(prob, tr, t * theta, eps, check=False)
+    fib = fb.assemble_fiber(prob, tr, t * theta, eps)
     assert np.abs(fam.B(t, eps) - fib.matrix).max() < 1e-10
 
 
@@ -193,8 +225,9 @@ def test_fiber_remainder_constant_coefficients_floor():
     consts = fb.estimate_constants(prob)
     sol = cl.solve_cell_problems(prob, tr)
     ng = cl.ng_coefficients(prob, sol)
-    rep = fb.fiber_remainder(sol, ng, tr, np.array([0.4, -0.3]), 0.5, 2.0,
-                             consts)
+    rep = fb.fiber_remainder(
+        sol, ng, fb.assemble_fiber(prob, tr, np.array([0.4, -0.3]), 0.5,
+                                   consts), 2.0)
     assert rep["remainder_norm"] < 1e-11
 
 
@@ -205,9 +238,10 @@ def test_fiber_remainder_envelope_bounded_over_s():
     sol = cl.solve_cell_problems(prob, tr)
     ng = cl.ng_coefficients(prob, sol)
     k, eps = np.array([0.4]), 0.3
+    fib = fb.assemble_fiber(prob, tr, k, eps, consts)
     ratios = []
     for s in (0.5, 1.0, 2.0, 4.0, 8.0):
-        rep = fb.fiber_remainder(sol, ng, tr, k, eps, s, consts)
+        rep = fb.fiber_remainder(sol, ng, fib, s)
         ratios.append(rep["ratio_s_pos"])
     assert max(ratios) < np.inf
     assert max(ratios) / max(min(ratios), 1e-30) < 1e3
@@ -346,7 +380,7 @@ BLOCK_STACK_PROBLEMS = oracles.block_stack_problems()
 def test_fiber_matches_dense_block_diagonal_assembly(name, prob, tr):
     for k, eps in ((0.3, 0.25), (-0.7, 0.1), (0.0, 0.0)):
         kv = np.full(prob.d, k)
-        got = fb.assemble_fiber(prob, tr, kv, eps, check=False).matrix
+        got = fb.assemble_fiber(prob, tr, kv, eps).matrix
         assert _close(got, oracles.dense_fiber(prob, tr, kv, eps)), (k, eps)
 
 
@@ -384,7 +418,7 @@ def test_pencil_matches_reference_assembly(name, prob, tr):
     pencil = fb.FiberPencil(prob, tr)
     for k, eps in ((0.3, 0.25), (-0.7, 0.1), (0.0, 0.0), (2.1, 1.3)):
         kv = k * np.arange(1.0, prob.d + 1.0)
-        got = pencil.fiber(kv, eps, check=False).matrix
+        got = pencil.fiber(kv, eps).matrix
         ref = oracles.assemble_fiber_reference(prob, tr, kv, eps)
         assert _close(got, ref), (k, eps)
 
@@ -399,7 +433,7 @@ _PENCIL = fb.FiberPencil(_PENCIL_CASE[1], _PENCIL_CASE[2])
 def test_pencil_matches_reference_at_random_points(k1, k2, eps):
     _, prob, tr = _PENCIL_CASE
     kv = np.array([k1, k2])
-    got = _PENCIL.fiber(kv, eps, check=False).matrix
+    got = _PENCIL.fiber(kv, eps).matrix
     assert _close(got, oracles.assemble_fiber_reference(prob, tr, kv, eps))
 
 
@@ -462,13 +496,12 @@ def test_remainder_norms_match_dense_oracle(name, prob, tr):
     pencil = fb.FiberPencil(prob, tr)
     for k, eps in ((0.3, 0.25), (-0.7, 0.1), (1.4, 0.6)):
         kv = k * np.arange(1.0, prob.d + 1.0)
-        fib = pencil.fiber(kv, eps, consts, check=False)
-        full = fb.FiberFlow(fib.matrix)
+        fib = pencil.fiber(kv, eps, consts)
+        full = fb.partial_flow(fib, 0.0)
         for s in (0.0, 1.0, 0.5 / eps ** 2):
             ref = oracles.dense_remainder_norms(sol, ng, tr, kv, eps, s, fib)
             for flow in (None, full, fb.partial_flow(fib, s)):
-                got = fb.remainder_norms(sol, ng, tr, kv, eps, s, consts,
-                                         fib, flow)
+                got = fb.remainder_norms(sol, ng, fib, s, flow)
                 for g, r in zip(got, ref):
                     assert abs(g - r) <= _parity_tol(fib, s, r), (k, eps, s)
 
@@ -478,12 +511,12 @@ def test_remainder_norms_with_an_eigenvalue_at_the_cut():
     consts = fb.estimate_constants(prob)
     sol, ng = _sol_ng(prob, tr)
     k, eps = np.array([0.4, -0.2]), 0.3
-    fib = fb.FiberPencil(prob, tr).fiber(k, eps, consts, check=False)
+    fib = fb.FiberPencil(prob, tr).fiber(k, eps, consts)
     w = np.linalg.eigvalsh(fib.matrix)
     for delta, kept in ((-5e-7, 1), (5e-7, 2)):
         s = fb.CUT / (w[1] + delta)          # w[1] within 1e-6 of the cut
         assert fb.partial_flow(fib, s).w.size == kept
-        got = fb.remainder_norms(sol, ng, tr, k, eps, s, consts, fib)
+        got = fb.remainder_norms(sol, ng, fib, s)
         ref = oracles.dense_remainder_norms(sol, ng, tr, k, eps, s, fib)
         for g, r in zip(got, ref):
             assert abs(g - r) <= _parity_tol(fib, s, r), delta
@@ -499,8 +532,8 @@ def test_remainder_norms_match_dense_oracle_at_random_points(k1, k2, eps, s):
     _, prob, tr = _PENCIL_CASE
     sol, ng = _ORACLE_SOL_NG
     kv = np.array([k1, k2])
-    fib = _PENCIL.fiber(kv, eps, check=False)
-    got = fb.remainder_norms(sol, ng, tr, kv, eps, s, fiber=fib)
+    fib = _PENCIL.fiber(kv, eps)
+    got = fb.remainder_norms(sol, ng, fib, s)
     ref = oracles.dense_remainder_norms(sol, ng, tr, kv, eps, s, fib)
     for g, r in zip(got, ref):
         assert abs(g - r) <= _parity_tol(fib, s, r)
@@ -524,7 +557,7 @@ def _planted_fiber(lam_min, dim=40, seed=5):
                         + 1j * rng.standard_normal((dim, dim)))
     w = np.concatenate(([lam_min], lam_min + np.arange(1.0, dim)))
     mat = linalg.herm((q * w) @ q.conj().T)
-    return fb.FiberOperator(np.zeros(1), 0.1, mat, 0.0, None, 1)
+    return fb.FiberOperator(np.zeros(1), 0.1, mat, 0.0, None)
 
 
 def test_spectrum_above_decides_a_planted_eigenvalue_at_the_cut():
@@ -553,7 +586,7 @@ def test_spectrum_above_never_certifies_nan_or_an_infinite_cut():
     bad[3, 7] = bad[7, 3] = np.nan
     assert not fb.spectrum_above(bad, 1.0)
     with pytest.raises(ValueError):
-        fb.partial_flow(fb.FiberOperator(fib.k, fib.eps, bad, 0.0, None, 1),
+        fb.partial_flow(fb.FiberOperator(fib.k, fib.eps, bad, 0.0, None),
                         fb.CUT / 1.0)
 
 
@@ -567,7 +600,7 @@ def test_projected_norms_batch_matches_single_fibers(name, prob, tr):
     pencil = fb.FiberPencil(prob, tr)
     eps, s = 0.125, 8.0
     ks = np.random.default_rng(6).uniform(1.5, np.pi, (5, prob.d))
-    fibs = [pencil.fiber(k, eps, consts, check=False) for k in ks]
+    fibs = [pencil.fiber(k, eps, consts) for k in ks]
     assert all(fb.partial_flow(f, s).w.size == 0 for f in fibs)
     dim = fibs[0].matrix.shape[0]
     for mode in ("both", "principal", "corrected"):
@@ -576,8 +609,7 @@ def test_projected_norms_batch_matches_single_fibers(name, prob, tr):
         got = fb.projected_norms(tr, np.zeros((len(ks), dim, 0)),
                                  np.zeros((len(ks), 0)), effective, mode)
         for k, f, row in zip(ks, fibs, got):
-            ref = fb.remainder_norms(sol, ng, tr, k, eps, s, consts, f,
-                                     mode=mode)
+            ref = fb.remainder_norms(sol, ng, f, s, mode=mode)
             assert np.allclose(row, ref, rtol=1e-12, atol=0.0), (mode, k)
         # the norms are tiny but positive; a norm not computed reads 0.0
         computed = [mode != "corrected", mode != "principal"]
