@@ -386,7 +386,8 @@ def run_fiber_check(cfg, report):
         s = row[d + 1]
         sups[s] = max(sups.get(s, 0.0), row[d + 4])
     vals = [v for v in sups.values() if v > 0]
-    spread = max(vals) / min(vals) if vals else 1.0
+    # no positive remainder measures no spread: nan fails the check
+    spread = max(vals) / min(vals) if vals else np.nan
     report.summary["envelope_sup_per_s"] = sups
     report.summary["envelope_spread"] = float(spread)
     report.check("envelope_spread_10x", spread <= 10.0, spread)

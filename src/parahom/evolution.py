@@ -7,6 +7,12 @@ torus of n_cells lattice cells with G = n_cells*(2*N+1) grid points per axis.
 The scaling transformation is unitary, so L2 norms and relative errors agree
 with the physical picture.  The fine flow at physical time s applies the
 fiber exponentials at time s/eps^2.
+
+The flows, the corrector and the Duhamel integrals are weighted sums
+sum_j c_j op(tau_j) f_j, accumulated in spectral coordinates: the fine flow in
+the eigen-coordinates of each fiber, the homogenized flow and the corrector
+per box frequency.  Each term costs its forward transforms; the inverse
+transforms and the fiber eigenvectors apply once per sum.
 """
 
 from dataclasses import dataclass
@@ -43,8 +49,8 @@ class EvolutionSetup:
     The setup owns the box: each box-grid object below (fiber pencil, zone
     mask, effective flow, symbol grids, tiled cell fields) is built once, on
     first use, and every box transform goes through the FFT pair
-    :meth:`fft` / :meth:`ifft`.  The fine flow is one stacked
-    eigendecomposition over all box fibers.
+    :meth:`fft` / :meth:`ifft`.  The fine flow holds, per box fiber, the
+    eigenpairs that survive at the smallest time it serves.
     """
 
     cell: "object"              # CellSolution
@@ -64,7 +70,7 @@ class EvolutionSetup:
         self.d = d
         self.n = problem.n
         self._build_index_maps()
-        self._fine_flow = None
+        self._fine_flow, self._fine_flow_s = None, np.inf
 
     # -- frequency bookkeeping ------------------------------------------------
 
@@ -122,8 +128,12 @@ class EvolutionSetup:
 
     def decompose(self, values):
         """Grid values (G^d, n) -> per-fiber coefficient array (F, M, n)."""
+        return self.fiber_coeffs(self.fft(values))
+
+    def fiber_coeffs(self, vhat):
+        """Box-frequency values (G^d, n) sorted into fibers: (F, M, n)."""
         out = np.zeros((self.n_fibers, self.trunc.size, self.n), dtype=complex)
-        out[self.freq_fiber, self.freq_modepos] = self.fft(values)
+        out[self.freq_fiber, self.freq_modepos] = vhat
         return out
 
     def recompose(self, fiber_coeffs):
@@ -139,27 +149,35 @@ class EvolutionSetup:
         """FiberOperator of box fiber ``idx``, evaluated afresh."""
         return self.pencil.fiber(self.fiber_k[idx], self.eps, self.constants)
 
-    def fine_flow(self):
-        """Stacked flow of all box fibers: w (F, D), v (F, D, D).
+    def fine_flow(self, s=0.0):
+        """Per-fiber flows of the eigenpairs that the fine flow needs at
+        physical times >= s: a list of F :class:`linalg.HermitianFlow` with
+        owned arrays w (r_i,) and v (D, r_i).
 
-        One :func:`fibers.partial_flow` at s = 0 (every pair, held to the
-        fiber floor) per fiber into the preallocated stack, so no (F, D, D)
-        stack of fiber matrices is formed.
+        Each fiber's pairs come from one :func:`fibers.partial_flow` at 0
+        (every pair, held to the fiber floor), cut to w <= cut_value(fiber,
+        s/eps^2); a dropped pair adds at most 2^-64 relative.  The flows are
+        kept: a later call with a larger s reuses them, one with a smaller s
+        rebuilds them.
         """
-        if self._fine_flow is None:
-            dim = self.trunc.size * self.n
-            w = np.empty((self.n_fibers, dim))
-            v = np.empty((self.n_fibers, dim, dim), dtype=complex)
+        if s < self._fine_flow_s:
+            self._fine_flow = None
+            flows = []
             for idx in range(self.n_fibers):
-                flow = fb.partial_flow(self.fiber(idx), 0.0)
-                w[idx], v[idx] = flow.w, flow.v
-            self._fine_flow = linalg.HermitianFlow.from_eigh(w, v)
+                fiber = self.fiber(idx)
+                flow = fb.partial_flow(fiber, 0.0)
+                # w ascends; the copies keep no view of the D x D basis
+                cut = fb.cut_value(fiber, s / self.eps ** 2)
+                r = np.searchsorted(flow.w, cut, side="right")
+                flows.append(linalg.HermitianFlow.from_eigh(
+                    flow.w[:r].copy(), flow.v[:, :r].copy()))
+            self._fine_flow, self._fine_flow_s = flows, s
         return self._fine_flow
 
     def flow(self, idx):
-        """Flow of box fiber ``idx``: a view into :meth:`fine_flow`."""
-        flow = self.fine_flow()
-        return linalg.HermitianFlow.from_eigh(flow.w[idx], flow.v[idx])
+        """Flow of box fiber ``idx`` with every pair: its entry of
+        :meth:`fine_flow` at s = 0."""
+        return self.fine_flow()[idx]
 
     # -- box multipliers and tiled cell fields --------------------------------
 
@@ -173,6 +191,14 @@ class EvolutionSetup:
         """Symbols f0 exp(-B0 s) f0 of the homogenized flow at physical time s."""
         f0 = self.cell.f0
         return f0 @ self.effective_flow.expm(s / self.eps ** 2) @ f0
+
+    def integral_symbols(self, s):
+        """Symbols f0 J f0 of the corrector's integral term at physical time
+        s, J = int_0^t e^{-B0(t-r)} f0 N f0 e^{-B0 r} dr with t = s/eps^2,
+        in closed form per frequency."""
+        f0 = self.cell.f0
+        inner = f0 @ self.ng_grid @ f0
+        return f0 @ self.effective_flow.integral(inner, s / self.eps ** 2) @ f0
 
     @cached_property
     def ng_grid(self):
@@ -241,53 +267,109 @@ def smoothing_apply(setup, values):
 # flows
 
 
+def spectral_sums(setup, terms, tau_min, fine=False, hom=False, smooth=None):
+    """Grid fields of sum_j c_j op(tau_j) f_j over ``terms`` (c_j, tau_j, f_j)
+    for op the fine flow, the homogenized flow and, unless ``smooth`` is
+    None, the corrector K(tau) with (True) or without the smoothing cutoff.
+    Returns (fine, hom, corrector), None for an op not asked for.
+
+    The fine sum runs in the eigen-coordinates of ``setup.fine_flow(tau_min)``,
+    which serves every tau_j >= tau_min.  The other two run per box
+    frequency; the corrector in frequency form, with S(tau) the homogenized
+    flow symbols, J(tau) the integral symbols and m the zone mask (identity
+    without smoothing):
+
+        A = sum c S(tau) m f^,  W = sum c m [S(tau) adj(f) - J(tau) f^],
+        K = [Lambda_G F^-1(b A) + eps LambdaTilde_G F^-1(A) + F^-1(W)] / eps,
+
+    adj(f) = b* FFT(Lambda_G* f) + eps FFT(LambdaTilde_G* f).  A term costs
+    one FFT of f_j, one more of f* f_j on the fine side when f != I, and one
+    batched FFT for adj(f_j) with the corrector; the eigenvectors, the
+    inverse FFTs, the mask and the tiled fields apply once per sum.
+    """
+    eps2 = setup.eps ** 2
+    fvals = setup.tiled_f
+    want_c = smooth is not None
+    need_hat = hom or want_c or (fine and fvals is None)
+    if fine:
+        flows = setup.fine_flow(tau_min)
+        # the coordinates of all fibers in one array, fiber i in [lo_i, hi_i)
+        w_all = np.concatenate([flow.w for flow in flows]) / eps2
+        bounds = np.cumsum([0] + [flow.w.size for flow in flows])
+        spans = list(zip(flows, bounds[:-1], bounds[1:]))
+        coords = np.zeros(w_all.shape, dtype=complex)
+        x_v = np.empty_like(coords)
+    shape = (int(np.prod(setup.box_shape)), setup.n)
+    acc_s = np.zeros(shape, dtype=complex) if hom or want_c else None
+    acc_w = np.zeros(shape, dtype=complex) if want_c else None
+    for c, tau, values in terms:
+        vhat = setup.fft(values) if need_hat else None
+        if fine:
+            xhat = vhat if fvals is None else setup.fft(
+                np.einsum("gqp,gq->gp", fvals.conj(), values))
+            x = setup.fiber_coeffs(xhat).reshape(setup.n_fibers, -1).conj()
+            for (flow, lo, hi), xf in zip(spans, x):
+                np.matmul(xf, flow.v, out=x_v[lo:hi])
+            # V* x = conj(x* V): no conjugate copy of V per term
+            coords += c * np.exp(-w_all * tau) * x_v.conj()
+        if acc_s is None:
+            continue
+        sym = setup.hom_flow_symbols(tau)
+        acc_s += c * np.einsum("gpq,gq->gp", sym, vhat)
+        if want_c:
+            adj_hat = _adjoint_hat(setup, values)
+            j_sym = setup.integral_symbols(tau)
+            acc_w += c * (np.einsum("gpq,gq->gp", sym, adj_hat)
+                          - np.einsum("gpq,gq->gp", j_sym, vhat))
+    u_fine = u_hom = k = None
+    if fine:
+        out = np.stack([flow.v @ coords[lo:hi] for flow, lo, hi in spans])
+        u_fine = setup.recompose(out.reshape(setup.n_fibers, -1, setup.n))
+        if fvals is not None:
+            u_fine = np.einsum("gpq,gq->gp", fvals, u_fine)
+    if hom:
+        u_hom = setup.ifft(acc_s)
+    if want_c:
+        if smooth:
+            acc_s[~setup.zone_mask] = 0.0
+            acc_w[~setup.zone_mask] = 0.0
+        k = _corrector_field(setup, acc_s, acc_w)
+    return u_fine, u_hom, k
+
+
+def _adjoint_hat(setup, values):
+    """b* FFT(Lambda_G* f) + eps FFT(LambdaTilde_G* f), one batched FFT."""
+    lam_g, lam_gt = setup.tiled_lambda_g, setup.tiled_lambda_tilde_g
+    m = lam_g.shape[-1]
+    both = setup.fft(np.concatenate(
+        [np.einsum("gqp,gq->gp", lam_g.conj(), values),
+         np.einsum("gqp,gq->gp", lam_gt.conj(), values)], axis=1))
+    return np.einsum("gqp,gq->gp", setup.b_grid.conj(), both[:, :m]) \
+        + setup.eps * both[:, m:]
+
+
+def _corrector_field(setup, a_hat, w_hat):
+    """K = [Lambda_G F^-1(b A) + eps LambdaTilde_G F^-1(A) + F^-1(W)] / eps
+    from the frequency arrays A and W of :func:`spectral_sums`, one batched
+    inverse FFT."""
+    eps, n = setup.eps, setup.n
+    m = setup.b_grid.shape[-2]
+    fields = setup.ifft(np.concatenate(
+        [np.einsum("gpq,gq->gp", setup.b_grid, a_hat), a_hat, w_hat], axis=1))
+    return (np.einsum("gpq,gq->gp", setup.tiled_lambda_g, fields[:, :m])
+            + eps * np.einsum("gpq,gq->gp", setup.tiled_lambda_tilde_g,
+                              fields[:, m:m + n])
+            + fields[:, m + n:]) / eps
+
+
 def evolve_fine(setup, phi, s):
     """u_eps(., s) = f^eps exp(-B_eps s) (f^eps)* phi via Bloch synthesis."""
-    fvals = setup.tiled_f
-    w = phi if fvals is None else np.einsum(
-        "gqp,gq->gp", fvals.conj(), phi)
-    coeffs = setup.decompose(w)
-    out = setup.fine_flow().apply(s / setup.eps ** 2,
-                                  coeffs.reshape(setup.n_fibers, -1))
-    u = setup.recompose(out.reshape(coeffs.shape))
-    if fvals is not None:
-        u = np.einsum("gpq,gq->gp", fvals, u)
-    return u
+    return spectral_sums(setup, [(1.0, s, phi)], s, fine=True)[0]
 
 
 def evolve_homogenized(setup, phi, s):
     """u0(., s) = f0 exp(-B0 s) f0 phi as a Fourier multiplier."""
-    return setup.apply_symbol(phi, setup.hom_flow_symbols(s))
-
-
-def oscillating_pair(setup, phi, phi_s, flow_sym, smooth):
-    """(Lambda_G^eps b(D) + eps tilde-Lambda_G^eps) u0 plus the homogenized
-    flow of the adjoint multiplier applied to phi; u0 is the flow of phi_s."""
-    eps = setup.eps
-    u0s = setup.apply_symbol(phi_s, flow_sym)
-    lam_g, lam_gt = setup.tiled_lambda_g, setup.tiled_lambda_tilde_g
-    bd_u0 = setup.apply_symbol(u0s, setup.b_grid)
-    t1 = np.einsum("gpq,gq->gp", lam_g, bd_u0) \
-        + eps * np.einsum("gpq,gq->gp", lam_gt, u0s)
-
-    wadj = np.einsum("gqp,gq->gp", lam_g.conj(), phi)
-    wadj = setup.apply_symbol(wadj, np.swapaxes(setup.b_grid.conj(), -1, -2))
-    wadj = wadj + eps * np.einsum("gqp,gq->gp", lam_gt.conj(), phi)
-    if smooth:
-        wadj = smoothing_apply(setup, wadj)
-    return t1 + setup.apply_symbol(wadj, flow_sym)
-
-
-def _corrector(setup, phi, s, smooth):
-    """Corrector field K_eps(s) phi; no regime check on s."""
-    f0 = setup.cell.f0
-    phi_s = smoothing_apply(setup, phi) if smooth else phi
-    pair = oscillating_pair(setup, phi, phi_s, setup.hom_flow_symbols(s),
-                            smooth)
-    # constant-coefficient integral term, closed form per frequency
-    inner = f0 @ setup.ng_grid @ f0
-    j_sym = f0 @ setup.effective_flow.integral(inner, s / setup.eps ** 2) @ f0
-    return (pair - setup.apply_symbol(phi_s, j_sym)) / setup.eps
+    return spectral_sums(setup, [(1.0, s, phi)], s, hom=True)[1]
 
 
 def corrector_apply(setup, phi, s, variant="with_smoothing"):
@@ -301,7 +383,8 @@ def corrector_apply(setup, phi, s, variant="with_smoothing"):
     if variant == "without_smoothing" and s < setup.eps ** 2:
         raise RegimeViolation(
             f"plain corrector needs s >= eps^2, got s={s}, eps^2={setup.eps**2}")
-    return _corrector(setup, phi, s, variant == "with_smoothing")
+    return spectral_sums(setup, [(1.0, s, phi)], s,
+                         smooth=variant == "with_smoothing")[2]
 
 
 def solution_error(setup, phi, s, corrected=True):
@@ -344,44 +427,41 @@ def duhamel_solve(setup, phi, source, s, p_norm=np.inf, n_steps=48,
 
     ``source`` maps a time in [0, s] to a (G^d, n) field (zero source allowed
     by passing None).  Composite midpoint quadrature in the time variable with
-    a step-halving consistency check.  The corrector is the smoothed one: the
-    nodes reach times s - t < eps^2, where the plain one does not apply.
+    a step-halving consistency check; each pass is one :func:`spectral_sums`.
+    The corrector is the smoothed one: the nodes reach times s - t < eps^2,
+    where the plain one does not apply.
     """
+    eps = setup.eps
+    if source is not None:
+        # the smallest node gap: one fine flow serves both passes and the
+        # free term
+        setup.fine_flow(s / (4 * n_steps))
+    u_eps, u0, k = spectral_sums(setup, [(1.0, s, phi)], s, fine=True,
+                                 hom=True, smooth=True)
     if source is None:
-        u_eps = evolve_fine(setup, phi, s)
-        u0 = evolve_homogenized(setup, phi, s)
-        corrected = u0 + setup.eps * corrector_apply(setup, phi, s)
-        return _pair_report(setup, phi, u_eps, u0, corrected, s, p_norm, 0.0)
+        return _pair_report(setup, phi, u_eps, u0, u0 + eps * k, s, p_norm,
+                            0.0)
 
-    def integrals(n, fine_only=False):
+    def integral(n, **ops):
         h, nodes = _midpoint_nodes(s, n)
-        acc_f = np.zeros((int(np.prod(setup.box_shape)), setup.n), dtype=complex)
-        acc_h = np.zeros_like(acc_f)
-        acc_corr = np.zeros_like(acc_f)
-        for t in nodes:
-            f_t = source(t)
-            acc_f += h * evolve_fine(setup, f_t, s - t)
-            if fine_only:
-                continue
-            acc_h += h * evolve_homogenized(setup, f_t, s - t)
-            if p_norm > 2:
-                acc_corr += h * _corrector(setup, f_t, s - t, smooth=True)
-        return acc_f, acc_h, acc_corr
+        return spectral_sums(setup, ((h, s - t, source(t)) for t in nodes),
+                             h / 2, fine=True, **ops)
 
     # the coarse pass only feeds the step-halving drift of the fine integral
-    i_f = integrals(n_steps, fine_only=True)[0]
-    i_f2, i_h2, i_corr2 = integrals(2 * n_steps)
+    i_f = integral(n_steps)[0]
+    i_f2, i_h2, i_corr2 = integral(2 * n_steps, hom=True,
+                                   smooth=True if p_norm > 2 else None)
     scale = max(setup.box_norm(i_f2), 1e-300)
     drift = setup.box_norm(i_f - i_f2) / scale
     if drift > quad_tol:
         raise QuadratureUnderResolved(
             f"halving the time step moved the integral by {drift:.2e}")
 
-    u_eps = evolve_fine(setup, phi, s) + i_f2
-    u0 = evolve_homogenized(setup, phi, s) + i_h2
-    corrected = u0 + setup.eps * corrector_apply(setup, phi, s)
+    u_eps = u_eps + i_f2
+    u0 = u0 + i_h2
+    corrected = u0 + eps * k
     if p_norm > 2:
-        corrected = corrected + setup.eps * i_corr2
+        corrected = corrected + eps * i_corr2
     return _pair_report(setup, phi, u_eps, u0, corrected, s, p_norm, drift)
 
 

@@ -355,18 +355,23 @@ def partial_flow(fiber, s):
     the one decomposition of a fiber matrix.  At s = 0 every pair comes from
     one eigh; otherwise the flow is empty (w (0,), v (D, 0)) when
     :func:`spectrum_above` proves the spectrum above the cut, else from one
-    partial eigendecomposition (MRRR).  The pairs are held to the fiber floor
+    partial eigendecomposition (MRRR).  The arrays are owned: v holds no
+    reference to a D x D buffer.  The pairs are held to the fiber floor
     (PositivityViolation); the cut is at least the floor, so every
     eigenvalue below the floor is among them.
     """
     vu = cut_value(fiber, s)
+    dim = fiber.matrix.shape[-1]
     if vu == np.inf:
         w, v = np.linalg.eigh(fiber.matrix)
     elif spectrum_above(fiber.matrix, vu):
-        w, v = np.empty(0), fiber.matrix[:, :0]
+        w, v = np.empty(0), np.empty((dim, 0), dtype=complex)
     else:
         w, v = scipy.linalg.eigh(fiber.matrix, driver="evr",
                                  subset_by_value=(-np.inf, vu))
+        if w.size < dim:
+            # evr's vectors are a view of its D x D work array
+            v = v.copy()
     if w.size:
         linalg.check_floor(w, fiber.cstar_check,
                            float(fiber.k @ fiber.k) + fiber.eps ** 2,

@@ -16,7 +16,7 @@ from . import fields as fd
 from .cell import (PeriodicProblem, adj, coeff_vector, galerkin_matrix,
                    spectral_derivative, solve_zero_mean)
 from .errors import MeanNotZero
-from .evolution import oscillating_pair
+from .evolution import corrector_apply
 from .lattice import Lattice, cubic_lattice
 
 
@@ -214,18 +214,21 @@ def scalar_N_symbol(coeffs, xi):
 def commuted_corrector_apply(setup, phi, s):
     """Plain corrector via the commuted form (scalar symbols commute):
 
-    (Psi^eps grad + LambdaTilde^eps) u0 + flow (.)* phi - s N exp(-B0 s) phi.
+    (Psi^eps grad + LambdaTilde^eps) u0 + flow (.)* phi - s N exp(-B0 s) phi,
+
+    i.e. the generic plain corrector with its integral term
+    int_0^s e^{-B0(s-r)} N e^{-B0 r} dr replaced by s N e^{-B0 s}.
     """
     eps = setup.eps
     cell = setup.cell
     if cell.problem.n != 1:
         raise ValueError("commuted corrector needs a scalar problem")
-    flow_sym = setup.hom_flow_symbols(s)
-    pair = oscillating_pair(setup, phi, phi, flow_sym, smooth=False)
+    generic = corrector_apply(setup, phi, s, variant="without_smoothing")
     f0sq = cell.f0 @ cell.f0
-    t3 = s / eps ** 2 * setup.apply_symbol(
-        phi, np.einsum("pq,gqr,grt->gpt", f0sq, setup.ng_grid, flow_sym))
-    return (pair - t3) / eps
+    t3 = s / eps ** 2 * np.einsum("pq,gqr,grt->gpt", f0sq, setup.ng_grid,
+                                  setup.hom_flow_symbols(s))
+    diff = setup.integral_symbols(s) - t3
+    return generic + setup.apply_symbol(phi, diff) / eps
 
 
 # ---------------------------------------------------------------------------

@@ -419,3 +419,103 @@ def block_stack_problems():
              Truncation(6, 2)),
             ("scalar_example_2d", scalar, Truncation(5, 2)),
             ("weighted_f_1d", weighted, Truncation(8, 1))]
+
+
+# -- grid-space evolution formulas ------------------------------------------
+# Every box multiplier below is its own FFT pair and every flow acts node by
+# node in grid space, as the package computed them before its weighted sums
+# moved to spectral coordinates.
+
+
+def _box_multiplier(setup, values, symbol):
+    n = values.shape[-1]
+    axes = tuple(range(setup.d))
+    vhat = np.fft.fftn(values.reshape(*setup.box_shape, n), axes=axes)
+    vhat = np.einsum("gpq,gq->gp", symbol, vhat.reshape(-1, n))
+    return np.fft.ifftn(vhat.reshape(*setup.box_shape, -1),
+                        axes=axes).reshape(-1, vhat.shape[-1])
+
+
+def _grid_pair(setup, phi, s, smooth):
+    """(oscillating pair, smoothed phi): (Lambda_G b(D) + eps LambdaTilde_G)
+    u0 plus the homogenized flow of the adjoint multiplier applied to phi."""
+    eps = setup.eps
+    mask = setup.zone_mask
+    phi_s = fft_mask_oracle(phi, setup.box_shape, mask) if smooth else phi
+    flow_sym = setup.hom_flow_symbols(s)
+    u0s = _box_multiplier(setup, phi_s, flow_sym)
+    lam_g, lam_gt = setup.tiled_lambda_g, setup.tiled_lambda_tilde_g
+    bd_u0 = _box_multiplier(setup, u0s, setup.b_grid)
+    t1 = np.einsum("gpq,gq->gp", lam_g, bd_u0) \
+        + eps * np.einsum("gpq,gq->gp", lam_gt, u0s)
+    wadj = np.einsum("gqp,gq->gp", lam_g.conj(), phi)
+    wadj = _box_multiplier(setup, wadj, _adj(setup.b_grid))
+    wadj = wadj + eps * np.einsum("gqp,gq->gp", lam_gt.conj(), phi)
+    if smooth:
+        wadj = fft_mask_oracle(wadj, setup.box_shape, mask)
+    return t1 + _box_multiplier(setup, wadj, flow_sym), phi_s
+
+
+def grid_corrector(setup, phi, s, smooth):
+    """K_eps(s) phi: the oscillating pair minus the integral term, whose
+    symbol is the closed form f0 J(s) f0 of the effective flow."""
+    f0 = setup.cell.f0
+    pair, phi_s = _grid_pair(setup, phi, s, smooth)
+    inner = f0 @ setup.ng_grid @ f0
+    j_sym = f0 @ setup.effective_flow.integral(inner, s / setup.eps ** 2) @ f0
+    return (pair - _box_multiplier(setup, phi_s, j_sym)) / setup.eps
+
+
+def grid_commuted_corrector(setup, phi, s):
+    """Plain corrector of a scalar problem with the integral term in its
+    commuted form s N exp(-B0 s)."""
+    f0sq = setup.cell.f0 @ setup.cell.f0
+    pair, _ = _grid_pair(setup, phi, s, smooth=False)
+    t3 = s / setup.eps ** 2 * _box_multiplier(
+        setup, phi, np.einsum("pq,gqr,grt->gpt", f0sq, setup.ng_grid,
+                              setup.hom_flow_symbols(s)))
+    return (pair - t3) / setup.eps
+
+
+def duhamel_per_node(setup, phi, source, s, p_norm, n_steps):
+    """u_eps, u0, corrected and the step-halving drift of the driven problem:
+    composite midpoint rule at n and 2n steps, each node evolved to the end
+    time in grid space.  The fine flow comes from a full eigendecomposition
+    of every fiber matrix, apart from ``setup.fine_flow``."""
+    from parahom import linalg
+
+    eps = setup.eps
+    flows = [linalg.HermitianFlow(setup.fiber(idx).matrix)
+             for idx in range(setup.n_fibers)]
+    fvals = setup.tiled_f
+
+    def fine(values, t):
+        if fvals is not None:
+            values = np.einsum("gqp,gq->gp", fvals.conj(), values)
+        coeffs = setup.decompose(values)
+        out = np.stack([flow.apply(t / eps ** 2, c.reshape(-1))
+                        for flow, c in zip(flows, coeffs)])
+        u = setup.recompose(out.reshape(coeffs.shape))
+        return u if fvals is None else np.einsum("gpq,gq->gp", fvals, u)
+
+    def hom(values, t):
+        return _box_multiplier(setup, values, setup.hom_flow_symbols(t))
+
+    def integrals(n):
+        h = s / n
+        acc = np.zeros((3, *phi.shape), dtype=complex)
+        for t in (np.arange(n) + 0.5) * h:
+            f_t = source(t)
+            acc[0] += h * fine(f_t, s - t)
+            acc[1] += h * hom(f_t, s - t)
+            if p_norm > 2:
+                acc[2] += h * grid_corrector(setup, f_t, s - t, smooth=True)
+        return acc
+
+    i_f = integrals(n_steps)[0]
+    i_f2, i_h2, i_corr2 = integrals(2 * n_steps)
+    u0 = hom(phi, s) + i_h2
+    return {"u_eps": fine(phi, s) + i_f2, "u0": u0,
+            "corrected": u0 + eps * (grid_corrector(setup, phi, s, True)
+                                     + i_corr2),
+            "quad_drift": setup.box_norm(i_f - i_f2) / setup.box_norm(i_f2)}

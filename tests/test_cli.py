@@ -89,6 +89,14 @@ def test_check_with_nothing_measured_fails(tmp_path, capsys, command, body,
     assert f"[FAIL] {check}: inf" in capsys.readouterr().out
 
 
+def test_fiber_check_spread_with_nothing_measured_fails(tmp_path, capsys):
+    # no k-point gives no remainder, so there is no spread to pass
+    cfg = _write(tmp_path, _SMALL_1D + "[fiber]\nk_grid = 0\n")
+    assert cli.main(["fiber-check", "--config", cfg, "--out",
+                     str(tmp_path)]) == 1
+    assert "[FAIL] envelope_spread_10x: nan" in capsys.readouterr().out
+
+
 def test_cell_solve_end_to_end(tmp_path, capsys):
     cfg = _write(tmp_path, """
 [run]

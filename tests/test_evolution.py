@@ -9,6 +9,7 @@ from parahom import fibers as fb
 from parahom import fields as fd
 from parahom import linalg
 from parahom import presets
+from parahom import scalar_example as se
 from parahom.errors import (NonPositiveEffective, PositivityViolation,
                             QuadratureUnderResolved, RegimeViolation)
 from parahom.fields import Truncation
@@ -277,15 +278,16 @@ def test_duhamel_source_corrector_second_order():
 
 def test_duhamel_coarse_pass_only_fine_flow(setup_1d, phi_1d, monkeypatch):
     # the coarse pass feeds only the step-halving drift, so the homogenized
-    # flow runs at the 2n fine nodes and once for the free term
+    # flow symbols are evaluated at the 2n fine nodes and once for the free
+    # term, each shared by the homogenized flow and the corrector
     calls = []
-    real = ev.evolve_homogenized
+    real = ev.EvolutionSetup.hom_flow_symbols
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(ev, "evolve_homogenized", counted)
+    monkeypatch.setattr(ev.EvolutionSetup, "hom_flow_symbols", counted)
     f_field = setup_1d.random_band_limited(np.random.default_rng(3))
     n = 4
     ev.duhamel_solve(setup_1d, phi_1d, lambda t: f_field, 0.5, n_steps=n,
@@ -638,3 +640,113 @@ def test_sweep_with_every_fiber_certified():
         got = [row["err_principal"], row["err_corrected"]]
         assert np.all(ref > 0.0)
         assert np.allclose(got, ref, rtol=1e-12, atol=0.0), eps
+
+
+def _setup_of(prob, tr, eps, n_cells):
+    consts = fb.estimate_constants(prob)
+    sol = cl.solve_cell_problems(prob, tr)
+    return ev.EvolutionSetup(sol, cl.ng_coefficients(prob, sol), consts, eps,
+                             n_cells, tr)
+
+
+# (name, problem, truncation, eps, n_cells): d = 1 and 2, and f != I
+EVOLUTION_PROBLEMS = [
+    ("osc1d_full", presets.osc1d_full(n_modes=6), Truncation(6, 1), 0.25, 8),
+    ("random_fiber_2d", presets.random_fiber_instance(7, d=2, n_modes=3),
+     Truncation(3, 2), 0.5, 3),
+    ("weighted_f_1d", *_STACK["weighted_f_1d"], 0.25, 8)]
+
+
+@pytest.fixture(scope="module", params=EVOLUTION_PROBLEMS,
+                ids=[c[0] for c in EVOLUTION_PROBLEMS])
+def box_case(request):
+    _, prob, tr, eps, n_cells = request.param
+    setup = _setup_of(prob, tr, eps, n_cells)
+    rng = np.random.default_rng(6)
+    phi = setup.random_band_limited(rng)
+    f_field = setup.random_band_limited(rng, band=2)
+    g_field = setup.random_band_limited(rng, band=3)
+    return setup, phi, lambda t: np.cos(3.0 * t) * f_field + t * g_field
+
+
+def test_correctors_match_grid_space_formulas(box_case):
+    setup, phi, _ = box_case
+    s = 0.5
+    for variant, smooth in (("with_smoothing", True),
+                            ("without_smoothing", False)):
+        got = ev.corrector_apply(setup, phi, s, variant=variant)
+        ref = oracles.grid_corrector(setup, phi, s, smooth)
+        assert setup.box_norm(got - ref) <= 1e-12 * setup.box_norm(ref)
+    got = se.commuted_corrector_apply(setup, phi, s)
+    ref = oracles.grid_commuted_corrector(setup, phi, s)
+    assert setup.box_norm(got - ref) <= 1e-12 * setup.box_norm(ref)
+
+
+@pytest.mark.parametrize("p_norm", [2.0, np.inf])
+def test_duhamel_matches_per_node_reference(box_case, p_norm):
+    setup, phi, source = box_case
+    s, n_steps = 0.5, 4
+    rep = ev.duhamel_solve(setup, phi, source, s, p_norm=p_norm,
+                           n_steps=n_steps, quad_tol=1.0)
+    ref = oracles.duhamel_per_node(setup, phi, source, s, p_norm, n_steps)
+    for key in ("u_eps", "u0", "corrected"):
+        dev = setup.box_norm(rep[key] - ref[key])
+        assert dev <= 1e-12 * setup.box_norm(ref[key]), key
+    assert abs(rep["quad_drift"] - ref["quad_drift"]) \
+        <= 1e-12 * ref["quad_drift"]
+
+
+@pytest.mark.parametrize("name", ["osc1d_full", "weighted_f_1d"])
+def test_duhamel_transforms_once_per_node(name, monkeypatch):
+    # a node costs only its forward transforms: at most 2 at a fine node (f
+    # and the corrector's adjoint fields) and 1 at a coarse one, one more
+    # each for f* f when f != I; the inverse transforms run once per pass
+    _, prob, tr, eps, n_cells = next(c for c in EVOLUTION_PROBLEMS
+                                     if c[0] == name)
+    extra = 0 if prob.f_is_identity else 1
+    forward, inverse = {}, {}
+    for n in (4, 8):
+        setup = _setup_of(prob, tr, eps, n_cells)
+        rng = np.random.default_rng(4)
+        phi = setup.random_band_limited(rng)
+        f_field = setup.random_band_limited(rng, band=2)
+        counts = {"fft": 0, "ifft": 0}
+        for kind in counts:
+            def counted(values, _real=getattr(setup, kind), _kind=kind):
+                counts[_kind] += 1
+                return _real(values)
+            monkeypatch.setattr(setup, kind, counted)
+        ev.duhamel_solve(setup, phi, lambda t: f_field, 0.5, n_steps=n,
+                         quad_tol=1.0)
+        forward[n], inverse[n] = counts["fft"], counts["ifft"]
+    assert forward[8] - forward[4] <= (2 + extra) * 8 + (1 + extra) * 4
+    assert inverse[8] == inverse[4]
+
+
+def test_duhamel_fine_flow_holds_only_surviving_pairs(monkeypatch):
+    # the evolve_2d benchmark configuration: after a driven solve the fine
+    # flow holds, per fiber, owned arrays of the pairs below the cut at the
+    # smallest node gap s/(4 n_steps), far less than the full eigenbases
+    prob, _ = se.build_scalar_problem(se.scalar_preset(d=2, n_modes=5,
+                                                       seed=201))
+    tr = Truncation(5, 2)
+    setup = _setup_of(prob, tr, 0.25, 8)
+    rng = np.random.default_rng(201)
+    phi = setup.random_band_limited(rng, band=3)
+    f_field = setup.random_band_limited(rng, band=1)
+    s, n_steps = 0.5, 32
+    ev.duhamel_solve(setup, phi, lambda t: f_field, s, n_steps=n_steps,
+                     quad_tol=5e-2)
+    calls = []
+    original = fb.partial_flow
+    monkeypatch.setattr(fb, "partial_flow",
+                        lambda *args: calls.append(1) or original(*args))
+    flows = setup.fine_flow(s)
+    assert not calls                    # the solve's flow, not a rebuild
+    dim = tr.size * prob.n
+    held = sum(flow.w.nbytes + flow.v.nbytes for flow in flows)
+    assert held < setup.n_fibers * dim ** 2 * 16 / 2
+    tau = s / (4 * n_steps) / setup.eps ** 2
+    for idx, flow in enumerate(flows):
+        assert flow.v.base is None and flow.v.shape == (dim, flow.w.size)
+        assert np.all(flow.w <= fb.cut_value(setup.fiber(idx), tau))

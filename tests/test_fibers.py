@@ -575,6 +575,26 @@ def test_spectrum_above_decides_a_planted_eigenvalue_at_the_cut():
     assert not fb.spectrum_above(_planted_fiber(vu).matrix, vu)
 
 
+def test_partial_flow_owns_compact_arrays():
+    # at a finite cut the kept vectors are their own (D, r) array, not a view
+    # of a D x D buffer that every holder of the flow would keep alive
+    vu = 2.5
+    for lam_min, kept in ((vu * (1.0 - 1e-6), 1), (vu * (1.0 + 1e-6), 0)):
+        fib = _planted_fiber(lam_min)
+        flow = fb.partial_flow(fib, fb.CUT / vu)
+        assert flow.w.size == kept
+        assert flow.v.base is None
+        assert flow.v.nbytes == fib.matrix.shape[0] * kept * 16
+    # the 2D scalar example at a quarter of its fibers' pairs
+    _, prob, tr = BLOCK_STACK_PROBLEMS[2]
+    fib = fb.FiberPencil(prob, tr).fiber(np.array([0.4, -0.2]), 0.3)
+    w = np.linalg.eigvalsh(fib.matrix)
+    dim = len(w)
+    flow = fb.partial_flow(fib, fb.CUT / w[dim // 4])
+    assert 0 < flow.w.size < dim
+    assert flow.v.base is None and flow.v.shape == (dim, flow.w.size)
+
+
 def test_spectrum_above_never_certifies_nan_or_an_infinite_cut():
     fib = _planted_fiber(5.0)
     assert fb.spectrum_above(fib.matrix, 1.0)

@@ -55,6 +55,7 @@ def test_workload_round_checks_ok(name, tmp_path):
 # property or a cached attribute
 _PLAIN_CALLABLES = [
     ("evolution", "EvolutionSetup.fine_flow"),
+    ("evolution", "spectral_sums"),
     ("fibers", "FiberPencil.fiber"),
     ("fibers", "spectrum_above"),
     ("fibers", "partial_flow"),
