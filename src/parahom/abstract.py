@@ -494,14 +494,13 @@ def bordered_approximation(bf, data, t, eps, s):
     uh = th_hat.kernel_basis
     M0 = data["M0_n"]
     flow = linalg.HermitianFlow(
-        M0 @ _kernel_poly(th_hat.germ_blocks, t, eps) @ M0)
-    E_full = uh @ (M0 @ flow.expm(s) @ M0) @ uh.conj().T
+        M0 @ _kernel_poly(th_hat.germ_blocks, t, eps) @ M0, outer=M0)
+    E_full = uh @ flow.expm(s) @ uh.conj().T
     ZG_t = t * data["ZG"] + eps * data["ZtG"]
     # N_G = Phat (M*)^{-1} N(t,eps) M^{-1} Phat in the hatted kernel basis
     km = data["ker_map"]
     NG_n = km.conj().T @ _kernel_poly(data["th"].n_blocks, t, eps) @ km
-    J = flow.integral(M0 @ NG_n @ M0, s)
-    J_full = uh @ (M0 @ J @ M0) @ uh.conj().T
+    J_full = uh @ flow.integral(NG_n, s) @ uh.conj().T
     return E_full, ZG_t @ E_full + E_full @ ZG_t.conj().T - J_full
 
 

@@ -9,10 +9,11 @@ with the physical picture.  The fine flow at physical time s applies the
 fiber exponentials at time s/eps^2.
 
 The flows, the corrector and the Duhamel integrals are weighted sums
-sum_j c_j op(tau_j) f_j, accumulated in spectral coordinates: the fine flow in
-the eigen-coordinates of each fiber, the homogenized flow and the corrector
-per box frequency.  Each term costs its forward transforms; the inverse
-transforms and the fiber eigenvectors apply once per sum.
+sum_j c_j op(tau_j) f_j, and all three sums run in spectral coordinates: the
+fine flow in the eigen-coordinates of each fiber, the homogenized flow and the
+corrector in those of the effective flow f0 U per box frequency, whose
+eigenpairs carry the weights of both.  Each term costs its forward
+transforms; the inverse transforms and the eigenvectors apply once per sum.
 """
 
 from dataclasses import dataclass
@@ -183,22 +184,10 @@ class EvolutionSetup:
 
     @cached_property
     def effective_flow(self):
-        """:func:`fibers.effective_flow` over all box frequencies."""
+        """:func:`fibers.effective_flow` over all box frequencies: its expm
+        at s/eps^2 is the homogenized flow's symbol f0 exp(-B0 s/eps^2) f0."""
         return fb.effective_flow(self.cell, self.freq_zeta, self.eps,
                                  self.constants.cstar_check)
-
-    def hom_flow_symbols(self, s):
-        """Symbols f0 exp(-B0 s) f0 of the homogenized flow at physical time s."""
-        f0 = self.cell.f0
-        return f0 @ self.effective_flow.expm(s / self.eps ** 2) @ f0
-
-    def integral_symbols(self, s):
-        """Symbols f0 J f0 of the corrector's integral term at physical time
-        s, J = int_0^t e^{-B0(t-r)} f0 N f0 e^{-B0 r} dr with t = s/eps^2,
-        in closed form per frequency."""
-        f0 = self.cell.f0
-        inner = f0 @ self.ng_grid @ f0
-        return f0 @ self.effective_flow.integral(inner, s / self.eps ** 2) @ f0
 
     @cached_property
     def ng_grid(self):
@@ -274,23 +263,25 @@ def spectral_sums(setup, terms, tau_min, fine=False, hom=False, smooth=None):
     Returns (fine, hom, corrector), None for an op not asked for.
 
     The fine sum runs in the eigen-coordinates of ``setup.fine_flow(tau_min)``,
-    which serves every tau_j >= tau_min.  The other two run per box
-    frequency; the corrector in frequency form, with S(tau) the homogenized
-    flow symbols, J(tau) the integral symbols and m the zone mask (identity
-    without smoothing):
+    which serves every tau_j >= tau_min; the other two in those of
+    ``setup.effective_flow``, v = f0 U per box frequency, with its weights
+    e(tau) = exp(-w tau/eps^2) and confluent W(tau).  With y = v* f^,
+    z = v* adj(f), N~ = v* N v and m the zone mask (identity without
+    smoothing):
 
-        A = sum c S(tau) m f^,  W = sum c m [S(tau) adj(f) - J(tau) f^],
+        a = sum c e(tau) y,  b = sum c [e(tau) z - (W(tau) N~) y],
+        u0 = F^-1(v a),  A = m v a,  W = m v b,
         K = [Lambda_G F^-1(b A) + eps LambdaTilde_G F^-1(A) + F^-1(W)] / eps,
 
     adj(f) = b* FFT(Lambda_G* f) + eps FFT(LambdaTilde_G* f).  A term costs
-    one FFT of f_j, one more of f* f_j on the fine side when f != I, and one
-    batched FFT for adj(f_j) with the corrector; the eigenvectors, the
-    inverse FFTs, the mask and the tiled fields apply once per sum.
+    its forward FFTs: f_j, f* f_j for the fine sum when f != I, and one
+    batched FFT for adj(f_j); the rest applies once per sum.
     """
     eps2 = setup.eps ** 2
     fvals = setup.tiled_f
     want_c = smooth is not None
-    need_hat = hom or want_c or (fine and fvals is None)
+    want_e = hom or want_c
+    need_hat = want_e or (fine and fvals is None)
     if fine:
         flows = setup.fine_flow(tau_min)
         # the coordinates of all fibers in one array, fiber i in [lo_i, hi_i)
@@ -299,9 +290,11 @@ def spectral_sums(setup, terms, tau_min, fine=False, hom=False, smooth=None):
         spans = list(zip(flows, bounds[:-1], bounds[1:]))
         coords = np.zeros(w_all.shape, dtype=complex)
         x_v = np.empty_like(coords)
-    shape = (int(np.prod(setup.box_shape)), setup.n)
-    acc_s = np.zeros(shape, dtype=complex) if hom or want_c else None
-    acc_w = np.zeros(shape, dtype=complex) if want_c else None
+    if want_e:
+        eff = setup.effective_flow
+        vh = np.swapaxes(eff.v.conj(), -1, -2)
+        n_til = vh @ setup.ng_grid @ eff.v if want_c else None
+        acc = np.zeros((2, *eff.w.shape), dtype=complex)        # a, b
     for c, tau, values in terms:
         vhat = setup.fft(values) if need_hat else None
         if fine:
@@ -312,28 +305,29 @@ def spectral_sums(setup, terms, tau_min, fine=False, hom=False, smooth=None):
                 np.matmul(xf, flow.v, out=x_v[lo:hi])
             # V* x = conj(x* V): no conjugate copy of V per term
             coords += c * np.exp(-w_all * tau) * x_v.conj()
-        if acc_s is None:
+        if not want_e:
             continue
-        sym = setup.hom_flow_symbols(tau)
-        acc_s += c * np.einsum("gpq,gq->gp", sym, vhat)
+        y = np.einsum("gpq,gq->gp", vh, vhat)
+        e_tau = eff.decay(tau / eps2)
+        acc[0] += c * e_tau * y
         if want_c:
-            adj_hat = _adjoint_hat(setup, values)
-            j_sym = setup.integral_symbols(tau)
-            acc_w += c * (np.einsum("gpq,gq->gp", sym, adj_hat)
-                          - np.einsum("gpq,gq->gp", j_sym, vhat))
+            z = np.einsum("gpq,gq->gp", vh, _adjoint_hat(setup, values))
+            w_tau = linalg.confluent_weights_batch(eff.w, tau / eps2) * n_til
+            acc[1] += c * (e_tau * z - (w_tau @ y[..., None])[..., 0])
     u_fine = u_hom = k = None
     if fine:
         out = np.stack([flow.v @ coords[lo:hi] for flow, lo, hi in spans])
         u_fine = setup.recompose(out.reshape(setup.n_fibers, -1, setup.n))
         if fvals is not None:
             u_fine = np.einsum("gpq,gq->gp", fvals, u_fine)
+    if want_e:
+        hats = np.einsum("gpq,cgq->cgp", eff.v, acc)          # v a, v b
     if hom:
-        u_hom = setup.ifft(acc_s)
+        u_hom = setup.ifft(hats[0])
     if want_c:
         if smooth:
-            acc_s[~setup.zone_mask] = 0.0
-            acc_w[~setup.zone_mask] = 0.0
-        k = _corrector_field(setup, acc_s, acc_w)
+            hats[:, ~setup.zone_mask] = 0.0
+        k = _corrector_field(setup, *hats)
     return u_fine, u_hom, k
 
 
@@ -388,15 +382,14 @@ def corrector_apply(setup, phi, s, variant="with_smoothing"):
 
 
 def solution_error(setup, phi, s, corrected=True):
-    """L2 errors of the homogenized (optionally smoothed-corrected) solution."""
-    u_eps = evolve_fine(setup, phi, s)
-    u0 = evolve_homogenized(setup, phi, s)
-    err_p = setup.box_norm(u_eps - u0)
-    if not corrected:
-        return {"principal": err_p}
-    k = corrector_apply(setup, phi, s)
-    err_c = setup.box_norm(u_eps - u0 - setup.eps * k)
-    return {"principal": err_p, "corrected": err_c}
+    """L2 errors of the homogenized (optionally smoothed-corrected) solution,
+    from one :func:`spectral_sums` of the three flows."""
+    u_eps, u0, k = spectral_sums(setup, [(1.0, s, phi)], s, fine=True,
+                                 hom=True, smooth=True if corrected else None)
+    errs = {"principal": setup.box_norm(u_eps - u0)}
+    if corrected:
+        errs["corrected"] = setup.box_norm(u_eps - u0 - setup.eps * k)
+    return errs
 
 
 # ---------------------------------------------------------------------------

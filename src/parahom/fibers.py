@@ -256,11 +256,12 @@ def _zero_block_slice(trunc, n):
 
 
 def effective_flow(cell, k, eps, cstar_check=0.0):
-    """HermitianFlow of the effective symbol f0 L_hat(k, eps) f0, batched over
-    the leading axes of the quasimomenta ``k`` (..., d); its spectra are held
-    to the floor (NonPositiveEffective)."""
+    """HermitianFlow of the effective symbol B0 = f0 L_hat(k, eps) f0 with
+    outer factor f0, batched over the leading axes of the quasimomenta ``k``
+    (..., d): its expm(s) is f0 e^{-B0 s} f0.  The spectra are held to the
+    floor (NonPositiveEffective)."""
     k = np.asarray(k, dtype=float)
-    flow = linalg.HermitianFlow(cell.B0_symbol(k, eps))
+    flow = linalg.HermitianFlow(cell.B0_symbol(k, eps), outer=cell.f0)
     linalg.check_floor(flow.w, cstar_check, np.sum(k * k, axis=-1) + eps ** 2,
                        NonPositiveEffective, "effective symbol")
     return flow
@@ -276,10 +277,9 @@ def effective_factors(cell, ng, trunc, k, eps, s, cstar_check=0.0):
     the zero-mode columns of the identity.  One batched eigendecomposition
     of the effective blocks, :func:`effective_flow`, serves all three.
     """
-    problem, f0 = cell.problem, cell.f0
-    k = np.asarray(k, dtype=float)
+    problem = cell.problem
     flow = effective_flow(cell, k, eps, cstar_check)
-    ez = f0 @ flow.expm(s) @ f0
+    ez = flow.expm(s)
     if ng is None:
         return ez, None, None
     # ([Lambda_G] b(D+k) + eps [LambdaTilde_G]) E lives in the zero-mode
@@ -288,8 +288,7 @@ def effective_factors(cell, ng, trunc, k, eps, s, cstar_check=0.0):
     lam_g = coeff_vector(cell.LambdaG, trunc).reshape(-1, problem.m)
     lam_gt = coeff_vector(cell.LambdaTildeG, trunc).reshape(-1, problem.n)
     first = (lam_g @ problem.b_of(k) + eps * lam_gt) @ ez
-    inner = f0 @ ng.symbol(k, eps) @ f0
-    return ez, first, f0 @ flow.integral(inner, s) @ f0
+    return ez, first, flow.integral(ng.symbol(k, eps), s)
 
 
 def principal_term(cell, trunc, k, eps, s, cstar_check=0.0):

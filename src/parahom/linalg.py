@@ -86,14 +86,17 @@ def confluent_weights_batch(lam, s):
 
 
 class HermitianFlow:
-    """Semigroup e^{-Hs} of a Hermitian H from one eigendecomposition.
-
-    ``matrix`` may carry leading batch axes, (..., n, n); every method then
-    acts per matrix of the batch.
+    """Semigroup e^{-Hs} of a Hermitian H = U diag(w) U* from one
+    eigendecomposition, sandwiched by an optional Hermitian ``outer`` M: with
+    v = M U, expm(s) is M e^{-Hs} M and integral(N, s) is M int_0^s
+    e^{-H(s-t)} (M N M) e^{-Ht} dt M.  ``matrix`` may carry leading batch
+    axes, (..., n, n); every method then acts per matrix of the batch.
     """
 
-    def __init__(self, matrix):
+    def __init__(self, matrix, outer=None):
         self.w, self.v = np.linalg.eigh(herm(matrix))
+        if outer is not None:
+            self.v = outer @ self.v
 
     @classmethod
     def from_eigh(cls, w, v):
@@ -105,25 +108,30 @@ class HermitianFlow:
     def _vh(self):
         return np.swapaxes(self.v.conj(), -1, -2)
 
+    def _weigh(self, weights, right=None):
+        """v W v* right (v W v* when ``right`` is None) for eigen-coordinate
+        weights W, diag(weights) when ``weights`` is (..., r)."""
+        left = (self.v * weights[..., None, :] if weights.ndim == self.w.ndim
+                else self.v @ weights)
+        return left @ (self._vh() if right is None else self._vh() @ right)
+
+    def decay(self, s):
+        """Eigen-coordinate weights e^{-ws}."""
+        return np.exp(-self.w * s)
+
     def expm(self, s):
-        """e^{-Hs}."""
-        return (self.v * np.exp(-self.w * s)[..., None, :]) @ self._vh()
+        """M e^{-Hs} M."""
+        return self._weigh(self.decay(s))
 
     def apply(self, s, vec):
-        """e^{-Hs} vec for ``vec`` of shape (..., n)."""
-        # V* vec as conj(vec* V): no conjugate copy of V per call
-        coeffs = (vec.conj()[..., None, :] @ self.v)[..., 0, :].conj()
-        return (self.v @ (np.exp(-self.w * s) * coeffs)[..., None])[..., 0]
+        """M e^{-Hs} M vec for ``vec`` of shape (..., n)."""
+        return self._weigh(self.decay(s), vec[..., None])[..., 0]
 
     def integral(self, n_mat, s):
-        """Closed form of int_0^s e^{-H(s-t)} N e^{-H t} dt.
-
-        Exact in the eigenbasis of H, with the confluent limit on
-        (numerically) degenerate eigenvalue pairs.
-        """
-        vh = self._vh()
-        ntil = vh @ n_mat @ self.v
-        return self.v @ (confluent_weights_batch(self.w, s) * ntil) @ vh
+        """Closed form of M int_0^s e^{-H(s-t)} (M N M) e^{-Ht} dt M, exact in
+        the eigenbasis of H with the confluent limit on degenerate pairs."""
+        return self._weigh(confluent_weights_batch(self.w, s)
+                           * (self._vh() @ n_mat @ self.v))
 
 
 def inv_sqrtm_herm(a):

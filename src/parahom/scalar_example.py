@@ -224,10 +224,10 @@ def commuted_corrector_apply(setup, phi, s):
     if cell.problem.n != 1:
         raise ValueError("commuted corrector needs a scalar problem")
     generic = corrector_apply(setup, phi, s, variant="without_smoothing")
+    flow, t = setup.effective_flow, s / eps ** 2
     f0sq = cell.f0 @ cell.f0
-    t3 = s / eps ** 2 * np.einsum("pq,gqr,grt->gpt", f0sq, setup.ng_grid,
-                                  setup.hom_flow_symbols(s))
-    diff = setup.integral_symbols(s) - t3
+    t3 = t * np.einsum("pq,gqr,grt->gpt", f0sq, setup.ng_grid, flow.expm(t))
+    diff = flow.integral(setup.ng_grid, t) - t3
     return generic + setup.apply_symbol(phi, diff) / eps
 
 

@@ -393,8 +393,9 @@ def ng_symbol_point(ng, q, eps):
 
 def block_stack_problems():
     """(name, problem, truncation) on which the block-stack code is compared
-    with the dense references: every term active, d = 1 and 2, and one
-    problem with a non-identity weight f."""
+    with the dense references: every term active, d = 1 and 2, one problem
+    with a non-identity weight f, and one n = m = 2 system whose f0, B0 and
+    N do not commute."""
     from parahom import cell as cl
     from parahom import fields as fd
     from parahom import presets
@@ -412,19 +413,58 @@ def block_stack_problems():
         Qdensity=fd.harmonic_field(grid, 1, 1, [((2,), [[0.3]], 0.2)],
                                    const=[[0.1]]),
         lam=2.0)
+    eye = np.eye(2)
+    system = cl.PeriodicProblem(
+        cubic_lattice(1), np.array([[[1.0, 0.3], [0.0, 1.0]]]),
+        fd.harmonic_field(grid, 2, 2, [((1,), [[0.5, 0.2 + 0.1j],
+                                               [0.2 - 0.1j, 0.3]], 0.7)],
+                          const=4.0 * eye),
+        f=fd.harmonic_field(grid, 2, 2, [((1,), [[0.3, 0.1], [0.2, -0.2]],
+                                          0.4)],
+                            const=[[1.2, 0.3], [0.1, 0.9]]),
+        a=np.stack([fd.harmonic_field(grid, 2, 2,
+                                      [((1,), [[0.2 + 0.1j, 0.1],
+                                               [-0.15j, 0.1]], 0.5)])]),
+        Qdensity=fd.harmonic_field(grid, 2, 2, [((2,), [[0.3, 0.1j],
+                                                       [-0.1j, 0.2]], 0.2)],
+                                   const=0.1 * eye),
+        lam=6.0)
     scalar, _ = se.build_scalar_problem(se.scalar_preset(d=2, n_modes=5,
                                                          seed=201))
     return [("osc1d_full", presets.osc1d_full(n_modes=12), Truncation(12, 1)),
             ("random_fiber_2d", presets.random_fiber_instance(7, d=2, n_modes=6),
              Truncation(6, 2)),
             ("scalar_example_2d", scalar, Truncation(5, 2)),
-            ("weighted_f_1d", weighted, Truncation(8, 1))]
+            ("weighted_f_1d", weighted, Truncation(8, 1)),
+            ("weighted_system_1d", system, Truncation(8, 1))]
 
 
 # -- grid-space evolution formulas ------------------------------------------
 # Every box multiplier below is its own FFT pair and every flow acts node by
 # node in grid space, as the package computed them before its weighted sums
 # moved to spectral coordinates.
+
+
+def _b0_flow(setup):
+    """Flow of B0 alone over the box frequencies: the oracles write the f0
+    sandwich out, apart from ``setup.effective_flow``."""
+    from parahom import linalg
+
+    return linalg.HermitianFlow(setup.cell.B0_symbol(setup.freq_zeta,
+                                                     setup.eps))
+
+
+def _flow_symbol(setup, s):
+    """f0 exp(-B0 s/eps^2) f0."""
+    f0 = setup.cell.f0
+    return f0 @ _b0_flow(setup).expm(s / setup.eps ** 2) @ f0
+
+
+def _integral_symbol(setup, s):
+    """f0 J f0, J = int_0^t e^{-B0(t-r)} f0 N f0 e^{-B0 r} dr, t = s/eps^2."""
+    f0 = setup.cell.f0
+    inner = f0 @ setup.ng_grid @ f0
+    return f0 @ _b0_flow(setup).integral(inner, s / setup.eps ** 2) @ f0
 
 
 def _box_multiplier(setup, values, symbol):
@@ -442,7 +482,7 @@ def _grid_pair(setup, phi, s, smooth):
     eps = setup.eps
     mask = setup.zone_mask
     phi_s = fft_mask_oracle(phi, setup.box_shape, mask) if smooth else phi
-    flow_sym = setup.hom_flow_symbols(s)
+    flow_sym = _flow_symbol(setup, s)
     u0s = _box_multiplier(setup, phi_s, flow_sym)
     lam_g, lam_gt = setup.tiled_lambda_g, setup.tiled_lambda_tilde_g
     bd_u0 = _box_multiplier(setup, u0s, setup.b_grid)
@@ -459,10 +499,8 @@ def _grid_pair(setup, phi, s, smooth):
 def grid_corrector(setup, phi, s, smooth):
     """K_eps(s) phi: the oscillating pair minus the integral term, whose
     symbol is the closed form f0 J(s) f0 of the effective flow."""
-    f0 = setup.cell.f0
     pair, phi_s = _grid_pair(setup, phi, s, smooth)
-    inner = f0 @ setup.ng_grid @ f0
-    j_sym = f0 @ setup.effective_flow.integral(inner, s / setup.eps ** 2) @ f0
+    j_sym = _integral_symbol(setup, s)
     return (pair - _box_multiplier(setup, phi_s, j_sym)) / setup.eps
 
 
@@ -473,7 +511,7 @@ def grid_commuted_corrector(setup, phi, s):
     pair, _ = _grid_pair(setup, phi, s, smooth=False)
     t3 = s / setup.eps ** 2 * _box_multiplier(
         setup, phi, np.einsum("pq,gqr,grt->gpt", f0sq, setup.ng_grid,
-                              setup.hom_flow_symbols(s)))
+                              _flow_symbol(setup, s)))
     return (pair - t3) / setup.eps
 
 
@@ -499,7 +537,7 @@ def duhamel_per_node(setup, phi, source, s, p_norm, n_steps):
         return u if fvals is None else np.einsum("gpq,gq->gp", fvals, u)
 
     def hom(values, t):
-        return _box_multiplier(setup, values, setup.hom_flow_symbols(t))
+        return _box_multiplier(setup, values, _flow_symbol(setup, t))
 
     def integrals(n):
         h = s / n

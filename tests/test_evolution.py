@@ -277,17 +277,18 @@ def test_duhamel_source_corrector_second_order():
 
 
 def test_duhamel_coarse_pass_only_fine_flow(setup_1d, phi_1d, monkeypatch):
-    # the coarse pass feeds only the step-halving drift, so the homogenized
-    # flow symbols are evaluated at the 2n fine nodes and once for the free
-    # term, each shared by the homogenized flow and the corrector
+    # the coarse pass feeds only the step-halving drift, so the effective
+    # flow's weights are evaluated at the 2n fine nodes and once for the
+    # free term, each shared by the homogenized flow and the corrector
     calls = []
-    real = ev.EvolutionSetup.hom_flow_symbols
+    flow = setup_1d.effective_flow
+    real = flow.decay
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(ev.EvolutionSetup, "hom_flow_symbols", counted)
+    monkeypatch.setattr(flow, "decay", counted)
     f_field = setup_1d.random_band_limited(np.random.default_rng(3))
     n = 4
     ev.duhamel_solve(setup_1d, phi_1d, lambda t: f_field, 0.5, n_steps=n,
@@ -649,12 +650,14 @@ def _setup_of(prob, tr, eps, n_cells):
                              n_cells, tr)
 
 
-# (name, problem, truncation, eps, n_cells): d = 1 and 2, and f != I
+# (name, problem, truncation, eps, n_cells): d = 1 and 2, f != I, and an
+# n = 2 system whose f0, B0 and N do not commute
 EVOLUTION_PROBLEMS = [
     ("osc1d_full", presets.osc1d_full(n_modes=6), Truncation(6, 1), 0.25, 8),
     ("random_fiber_2d", presets.random_fiber_instance(7, d=2, n_modes=3),
      Truncation(3, 2), 0.5, 3),
-    ("weighted_f_1d", *_STACK["weighted_f_1d"], 0.25, 8)]
+    ("weighted_f_1d", *_STACK["weighted_f_1d"], 0.25, 8),
+    ("weighted_system_1d", *_STACK["weighted_system_1d"], 0.25, 8)]
 
 
 @pytest.fixture(scope="module", params=EVOLUTION_PROBLEMS,
@@ -677,6 +680,8 @@ def test_correctors_match_grid_space_formulas(box_case):
         got = ev.corrector_apply(setup, phi, s, variant=variant)
         ref = oracles.grid_corrector(setup, phi, s, smooth)
         assert setup.box_norm(got - ref) <= 1e-12 * setup.box_norm(ref)
+    if setup.n > 1:
+        return                          # the commuted form is scalar only
     got = se.commuted_corrector_apply(setup, phi, s)
     ref = oracles.grid_commuted_corrector(setup, phi, s)
     assert setup.box_norm(got - ref) <= 1e-12 * setup.box_norm(ref)
@@ -721,6 +726,29 @@ def test_duhamel_transforms_once_per_node(name, monkeypatch):
         forward[n], inverse[n] = counts["fft"], counts["ifft"]
     assert forward[8] - forward[4] <= (2 + extra) * 8 + (1 + extra) * 4
     assert inverse[8] == inverse[4]
+
+
+@pytest.mark.parametrize("name", ["osc1d_full", "weighted_f_1d"])
+def test_solution_error_transforms_phi_once(name, monkeypatch):
+    # one spectral sum of the three flows: one forward FFT of phi, one more
+    # of f* phi when f != I, and one batched FFT of the corrector's adjoint
+    # fields; the inverse FFTs are the fine, homogenized and corrector ones
+    _, prob, tr, eps, n_cells = next(c for c in EVOLUTION_PROBLEMS
+                                     if c[0] == name)
+    extra = 0 if prob.f_is_identity else 1
+    setup = _setup_of(prob, tr, eps, n_cells)
+    phi = setup.random_band_limited(np.random.default_rng(2))
+    for corrected in (True, False):
+        counts = {"fft": 0, "ifft": 0}
+        for kind in counts:
+            def counted(values, _real=getattr(ev.EvolutionSetup, kind),
+                        _kind=kind):
+                counts[_kind] += 1
+                return _real(setup, values)
+            monkeypatch.setattr(setup, kind, counted)
+        ev.solution_error(setup, phi, 0.5, corrected=corrected)
+        assert counts["fft"] == 1 + extra + corrected, corrected
+        assert counts["ifft"] == 2 + corrected, corrected
 
 
 def test_duhamel_fine_flow_holds_only_surviving_pairs(monkeypatch):

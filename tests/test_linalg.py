@@ -2,8 +2,10 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from parahom.linalg import (CONFLUENT_RTOL, confluent_weights_batch, herm,
-                            herm_norm, opnorm)
+from parahom.linalg import (CONFLUENT_RTOL, HermitianFlow,
+                            confluent_weights_batch, herm, herm_norm, opnorm)
+
+import oracles
 
 PROPS = settings(max_examples=60, deadline=None, derandomize=True,
                  database=None)
@@ -61,3 +63,48 @@ def test_herm_norm_batched_equals_svd_norm():
     got = herm_norm(a)
     assert got.shape == (5,)
     assert np.allclose(got, [opnorm(m) for m in a], rtol=1e-13, atol=0.0)
+
+
+def _rand_herm(rng, *shape):
+    return herm(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def _rel(got, ref):
+    return np.abs(got - ref).max() / np.abs(ref).max()
+
+
+def test_outer_flow_matches_sandwiched_flow_batched():
+    # M e^{-Hs} M, M int e^{-H(s-t)} (M N M) e^{-Ht} dt M and M e^{-Hs} M x
+    # from the outer factor equal the sandwich of a flow without it
+    rng = np.random.default_rng(11)
+    m = _rand_herm(rng, 3, 4, 4) + 4.0 * np.eye(4)
+    h = m @ (_rand_herm(rng, 3, 4, 4) + 5.0 * np.eye(4)) @ m
+    n_mat = _rand_herm(rng, 3, 4, 4)
+    x = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    outer, plain = HermitianFlow(h, outer=m), HermitianFlow(h)
+    s = 0.07
+    assert np.array_equal(outer.w, plain.w)
+    expm = m @ plain.expm(s) @ m
+    assert _rel(outer.expm(s), expm) <= 1e-13
+    assert _rel(outer.integral(n_mat, s),
+                m @ plain.integral(m @ n_mat @ m, s) @ m) <= 1e-13
+    assert _rel(outer.apply(s, x), (expm @ x[..., None])[..., 0]) <= 1e-13
+
+
+def test_outer_flow_integral_degenerate_pair_matches_quadrature():
+    # a double eigenvalue takes the confluent limit; the closed form must
+    # still match adaptive quadrature of the sandwiched integral
+    rng = np.random.default_rng(12)
+    q = np.linalg.qr(rng.standard_normal((3, 3))
+                     + 1j * rng.standard_normal((3, 3)))[0]
+    h = (q * [1.5, 1.5, 4.0]) @ q.conj().T
+    m = _rand_herm(rng, 3, 3) + 3.0 * np.eye(3)
+    n_mat = _rand_herm(rng, 3, 3)
+    flow = HermitianFlow(h, outer=m)
+    w = np.sort(flow.w)
+    assert abs(w[1] - w[0]) <= CONFLUENT_RTOL * w[1]
+    s = 0.8
+    ref = m @ oracles.semigroup_integral_quad(h, m @ n_mat @ m, s) @ m
+    assert _rel(flow.integral(n_mat, s), ref) <= 1e-11
+    assert _rel(flow.expm(s),
+                m @ HermitianFlow(h).expm(s) @ m) <= 1e-13
