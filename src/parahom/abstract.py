@@ -160,10 +160,13 @@ def compute_threshold(family, delta=None, tau0=None, cond_cap=1e12):
     sing, V_r, u = _x0_svd(family.X0)
     if u.shape[1] == 0:
         raise DegenerateKernel("Ker X0 is trivial")
+    # one of X1, Y0, Y2 at a time: a family may build each when it is read.
+    # A* b is formed as conj(A^T conj(b)), which copies b and not A: the
+    # same products with every sign flipped, so the same bits
     x1u = family.X1 @ u
-    z = -_gram_pinv(sing, V_r, family.X0.conj().T @ x1u, cond_cap)
-    zt = -_gram_pinv(sing, V_r, family.Y0.conj().T @ (family.Y2 @ u),
-                     cond_cap)
+    z = -_gram_pinv(sing, V_r, (family.X0.T @ x1u.conj()).conj(), cond_cap)
+    y2u = family.Y2 @ u
+    zt = -_gram_pinv(sing, V_r, (family.Y0.T @ y2u.conj()).conj(), cond_cap)
     # R = P_* X1 P = (X1 + X0 Z) P, as X0 z = -U_r U_r* X1 u = (P_* - I) X1 u
     r = x1u + family.X0 @ z
     blocks = linalg.herm(np.stack(_kernel_blocks(family, u, z, zt, r)))
@@ -198,11 +201,9 @@ def _kernel_blocks(family, u, z, zt, r):
     N11, N12, N21, N22 (N = t^3 N11 + t^2 e N12 + t e^2 N21 + e^3 N22).
 
     With P = u u*, Z = z u*, Ztilde = zt u* and R = r u*, each full-space
-    block is u (middle) u*.
+    block is u (middle) u*.  Each map is read once, for its image of
+    [u | z | zt], and dropped before the next.
     """
-    X0, X1 = family.X0, family.X1
-    Y0, Y1, Y2 = family.Y0, family.Y1, family.Y2
-
     def sym(a):
         return a + a.conj().T
 
@@ -216,11 +217,11 @@ def _kernel_blocks(family, u, z, zt, r):
     def split(a):
         return a[:, :n], a[:, n:2 * n], a[:, 2 * n:]
 
-    X1u, X1z, X1zt = split(X1 @ cols)
-    _, X0z, X0zt = split(X0 @ cols)
-    _, Y0z, Y0zt = split(Y0 @ cols)
-    Y1u, Y1z, Y1zt = split(Y1 @ cols)
-    Y2u, Y2z, Y2zt = split(Y2 @ cols)
+    X1u, X1z, X1zt = split(family.X1 @ cols)
+    _, X0z, X0zt = split(family.X0 @ cols)
+    _, Y0z, Y0zt = split(family.Y0 @ cols)
+    Y1u, Y1z, Y1zt = split(family.Y1 @ cols)
+    Y2u, Y2z, Y2zt = split(family.Y2 @ cols)
     qu = (family.Q + family.lam * family.Q0) @ u
 
     S = gram(X1u, r)                        # P X1* P_* X1 P

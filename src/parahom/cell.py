@@ -9,6 +9,7 @@ coefficient fields these quadratures are exact.
 from dataclasses import dataclass, field as dfield
 
 import numpy as np
+import scipy.linalg
 
 from . import fields as fd
 from . import linalg
@@ -81,13 +82,11 @@ class PeriodicProblem:
     def symbol_bounds(self, n_theta=64, rng=None):
         """alpha_0, alpha_1: extreme eigenvalues of b(theta)*b(theta) on the sphere."""
         rng = np.random.default_rng(1234) if rng is None else rng
-        lo, hi = np.inf, 0.0
-        for _ in range(n_theta):
-            th = rng.standard_normal(self.d)
-            th /= np.linalg.norm(th)
-            bb = self.b_of(th)
-            w = np.linalg.eigvalsh(bb.conj().T @ bb)
-            lo, hi = min(lo, w[0]), max(hi, w[-1])
+        th = rng.standard_normal((n_theta, self.d))
+        th /= np.linalg.norm(th, axis=-1, keepdims=True)
+        bb = self.b_of(th)
+        w = np.linalg.eigvalsh(adj(bb) @ bb)
+        lo, hi = w[:, 0].min(), w[:, -1].max()
         if self.d == 1:
             bb = self.b_of([1.0])
             w = np.linalg.eigvalsh(bb.conj().T @ bb)
@@ -225,29 +224,47 @@ def adj(field):
 
 def galerkin_matrix(problem, trunc):
     """Exact Galerkin matrix of <g b(D)u, b(D)v> on the truncated space,
-    and the (M, m, n) block stack of b(D)."""
+    and the (M, m, n) block stack of b(D).
+
+    The (a, i; b, j) entry is sum_pq conj(b(a)[p, i]) g^(a - b)[p, q]
+    b(b)[q, j], summed over the m^2 entries of g with one (M, M) gather of
+    the coefficients g^_pq each; no multiplication matrix is formed.
+    """
     bk = problem.b_of(trunc.freqs(problem.lattice))
-    gb = fd.times_blockdiag(fd.mult_matrix(problem.g, trunc), bk)
-    return linalg.herm(fd.times_blockdiag(gb.conj().T, bk)), bk
+    M, m, n = bk.shape
+    coeffs = fd.fft_coeffs(problem.g)
+    idx = fd.difference_index(trunc.modes, trunc.modes, coeffs.shape[:-2])
+    out = np.zeros((M, n, M, n), dtype=complex)
+    for p in range(m):
+        left = bk[:, p, :].conj()[:, :, None, None]
+        for q in range(m):
+            out += (left * coeffs[..., p, q][idx][:, None, :, None]) \
+                * bk[:, q, :]
+    return linalg.herm(out.reshape(M * n, M * n)), bk
 
 
 def solve_zero_mean(A, rhs, trunc, grid, cond_cap=1e12):
     """Zero-mean solutions of A x = rhs for (M, n, c) coefficient columns.
 
     The zero-mode block is removed (zero cell average); returns the
-    (grid..., n, c) solution field.
+    (grid..., n, c) solution field.  A_red, A without that block, must be
+    proven Hermitian positive definite with condition number below
+    ``cond_cap``: as lambda_max <= ||A_red||_inf, one Cholesky certificate
+    of lambda_min > ||A_red||_inf / cond_cap proves both, and IllConditioned
+    is raised unless it passes (so also near the cap, or on a NaN).
     """
     n, c = rhs.shape[1:]
     z = trunc.zero_index
     mask = np.ones(A.shape[0], dtype=bool)
     mask[z * n:(z + 1) * n] = False
     A_red = A[np.ix_(mask, mask)]
-    w = np.linalg.eigvalsh(A_red)
-    if w[0] <= 0 or w[-1] / w[0] > cond_cap:
+    if not linalg.spectrum_above(A_red,
+                                 linalg.inf_norm_bound(A_red) / cond_cap):
         raise IllConditioned(
-            f"cell Galerkin matrix condition {w[-1] / max(w[0], 1e-300):.2e}")
+            f"cell Galerkin matrix not proven below condition {cond_cap:.1e}")
     x = np.zeros((A.shape[0], c), dtype=complex)
-    x[mask] = np.linalg.solve(A_red, rhs.reshape(-1, c)[mask])
+    x[mask] = scipy.linalg.cho_solve(scipy.linalg.cho_factor(A_red),
+                                     rhs.reshape(-1, c)[mask])
     return field_from_coeff_vector(x.reshape(rhs.shape), trunc, grid)
 
 

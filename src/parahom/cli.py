@@ -322,11 +322,17 @@ def run_cell_solve(cfg, report):
     report.summary["g_overline"] = _json_default(g_up)
     w_lo = float(np.linalg.eigvalsh(sol.g0 - g_low).min())
     w_hi = float(np.linalg.eigvalsh(g_up - sol.g0).min())
+    # g0 >= g_underline: eigvalsh's smallest eigenvalue is exact up to
+    # rounding of order u ||g0 - g_underline||, far inside the 1e-10 slack
     report.check("voigt_reuss_lower", w_lo >= -1e-10, w_lo)
+    # g0 <= g_overline: the same bound, on g_overline - g0
     report.check("voigt_reuss_upper", w_hi >= -1e-10, w_hi)
+    # entrywise max of the cell mean of Lambda: computed exactly, no estimate
     mean_l = float(np.abs(cl.fd.mean_field(sol.Lambda)).max())
     report.check("lambda_zero_mean", mean_l < 1e-10, mean_l)
     if problem.m == problem.n:
+        # entrywise max of g0 - g_underline: at most its 2-norm, at least
+        # the 2-norm / n, so the check holds the 2-norm below n * 1e-8
         dev = float(np.abs(sol.g0 - g_low).max())
         report.check("g0_equals_harmonic_mean", dev < 1e-8, dev)
 

@@ -25,6 +25,7 @@ from .abstract import (AbstractFamily, L_operator, compute_threshold,
                        n_operator, remainder_envelopes)
 from .cell import adj, coeff_vector, ng_coefficients, solve_cell_problems
 from .errors import MismatchBeyondTolerance, NonPositiveEffective, PositivityViolation
+from .linalg import spectrum_above
 
 
 # ---------------------------------------------------------------------------
@@ -323,32 +324,6 @@ def cut_value(fiber, s):
     return max(CUT / s if s > 0 else np.inf, fiber.lower_bound)
 
 
-def spectrum_above(matrix, mu):
-    """True when one Cholesky proves every eigenvalue of the Hermitian
-    ``matrix`` (D, D) above ``mu``; False if it fails or an entry or mu is
-    not finite.
-
-    zpotrf runs on matrix - (mu + gamma) I.  Success gives R*R = that matrix
-    + dA with ||dA||_2 <= gamma1 = D c (1+c) nrm, c = sqrt(2)(D+2)u/(1-(D+2)u)
-    (Higham, Accuracy and Stability, Thm 10.3 with complex arithmetic) and
-    nrm >= ||matrix - mu I||_inf; gamma adds 4u(nrm + gamma1) for the rounded
-    diagonal shift.  So lambda_min > mu.
-    """
-    u, dim = 2.0 ** -53, matrix.shape[-1]
-    shifted = matrix.copy()
-    diag = shifted.reshape(-1)[::dim + 1]
-    diag -= mu
-    # row sums of |Re| + |Im| bound the infinity norm from above
-    nrm = np.abs(shifted.view(float)).sum(axis=-1).max()
-    if not np.isfinite(nrm):         # OpenBLAS's zpotrf passes NaN pivots
-        return False
-    c = np.sqrt(2.0) * (dim + 2) * u / (1.0 - (dim + 2) * u)
-    gamma = dim * c * (1.0 + c) * nrm
-    diag -= gamma + 4.0 * u * (nrm + gamma)
-    # the transpose is Fortran-ordered with the same spectrum: no copy
-    return scipy.linalg.lapack.zpotrf(shifted.T, overwrite_a=True)[1] == 0
-
-
 def partial_flow(fiber, s):
     """Flow of the fiber eigenpairs with eigenvalue <= cut_value(fiber, s),
     the one decomposition of a fiber matrix.  At s = 0 every pair comes from
@@ -484,7 +459,8 @@ class GridRectangles:
         """Rectangle with entries E[g, b] * block[g, i, b, j], rows (g, i)
         and columns (b, j): a (G^d*p, M*n) matrix.  ``block`` broadcasts to
         (G^d, p, M, n)."""
-        vals = self.E[:, None, :, None] * block
+        # C order, so that the reshape is a view and not a second rectangle
+        vals = np.multiply(self.E[:, None, :, None], block, order="C")
         return vals.reshape(-1, self.E.shape[1] * vals.shape[-1])
 
     def _stack(self, blocks):
@@ -495,9 +471,12 @@ class GridRectangles:
         """Grid values of h b(D) u: (G^d*m, M*n)."""
         b = self.problem.b_of(self.trunc.freqs(self.lat))
         m, n = b.shape[1:]
-        # (h(g) b(b))[i, j] for every node g and mode b, as one GEMM
+        # (h(g) b(b))[i, j] for every node g and mode b, as one GEMM, then
+        # scaled by E in place: the GEMM's output is rectangle-sized already
         hb = self.h.reshape(-1, m) @ b.transpose(1, 0, 2).reshape(m, -1)
-        return self._rect(hb.reshape(-1, m, len(b), n))
+        hb = hb.reshape(-1, m, len(b), n)
+        hb *= self.E[:, None, :, None]
+        return hb.reshape(-1, len(b) * n)
 
     def X1(self, theta):
         """Grid values of h b(theta) u."""
@@ -524,21 +503,49 @@ class GridRectangles:
         return self._rect(self._stack(np.stack(self.a_star, axis=1)))
 
 
+class HattedFamily(AbstractFamily):
+    """AbstractFamily of the f = identity fiber pencil in direction theta.
+
+    X0 is built once.  X1, Y0, Y1 and Y2 are rebuilt from the grid
+    rectangles on every read, as ThresholdData rebuilds P and Z: each is as
+    large as X0, and the threshold engine reads them one at a time.
+    """
+
+    def __init__(self, rect, theta, Q, lam, form_constants):
+        self.rect, self.theta = rect, theta
+        self.X0 = rect.X0()
+        self.Q = Q
+        self.Q0 = np.eye(Q.shape[0], dtype=complex)
+        self.lam = lam
+        self.form_constants = form_constants
+
+    @property
+    def X1(self):
+        return self.rect.X1(self.theta)
+
+    @property
+    def Y0(self):
+        return self.rect.Y0()
+
+    @property
+    def Y1(self):
+        return self.rect.Y1(self.theta)
+
+    @property
+    def Y2(self):
+        return self.rect.Y2()
+
+
 def hatted_family(problem, trunc, theta, constants=None, grid_shape=None):
-    """AbstractFamily of the f=identity fiber pencil in direction theta."""
-    rect = GridRectangles(problem, trunc, grid_shape)
-    q_mat = fd.mult_matrix(problem.q_field(), trunc)
-    dim = trunc.size * problem.n
+    """HattedFamily of the f=identity fiber pencil in direction theta."""
     consts = {}
     if constants is not None:
         consts = {"c1": constants.c1, "c2": constants.c2, "c3": constants.c3,
                   "C1": constants.C1, "kappa": constants.kappa,
                   "cstar": constants.cstar, "cstar_check": constants.cstar_check}
-    return AbstractFamily(
-        X0=rect.X0(), X1=rect.X1(theta),
-        Y0=rect.Y0(), Y1=rect.Y1(theta), Y2=rect.Y2(),
-        Q=linalg.herm(q_mat), Q0=np.eye(dim, dtype=complex),
-        lam=problem.lam, form_constants=consts)
+    return HattedFamily(GridRectangles(problem, trunc, grid_shape), theta,
+                        linalg.herm(fd.mult_matrix(problem.q_field(), trunc)),
+                        problem.lam, consts)
 
 
 def rectangle_grid(problem, trunc):

@@ -17,6 +17,7 @@ Three operator representations are used:
   matrix of the quadratic form.
 """
 
+import functools
 import struct
 from dataclasses import dataclass
 from itertools import product
@@ -114,11 +115,15 @@ def mult_matrix(field, trunc, trunc_cols=None):
     rows = trunc.modes
     cols = rows if trunc_cols is None else trunc_cols.modes
     p, q = coeffs.shape[-2:]
-    grid = coeffs.shape[:-2]
-    diff = rows[:, None, :] - cols[None, :, :]
-    idx = tuple((diff[..., ax] % grid[ax]) for ax in range(trunc.dimension))
-    blocks = coeffs[idx]                      # (M_rows, M_cols, p, q)
+    blocks = coeffs[difference_index(rows, cols, coeffs.shape[:-2])]
     return blocks.transpose(0, 2, 1, 3).reshape(len(rows) * p, len(cols) * q)
+
+
+def difference_index(rows, cols, grid):
+    """FFT-bin index of every mode difference rows[a] - cols[b]: indexing a
+    (*grid, ...) coefficient array with it gathers (M_rows, M_cols, ...)."""
+    diff = rows[:, None, :] - cols[None, :, :]
+    return tuple(diff[..., ax] % grid[ax] for ax in range(len(grid)))
 
 
 def times_blockdiag(mat, blocks):
@@ -151,14 +156,14 @@ def eval_matrix(trunc, grid_shape):
     """Unitary-column map from truncated coefficients to weighted grid values.
 
     E[p, m] = G^{-d/2} exp(2*pi*i <mode_m, frac_p>); E*E = identity as long as
-    2*n_modes < min(grid_shape).
+    2*n_modes < min(grid_shape).  Nodes and modes are both C-ordered over the
+    axes, so E is the Kronecker product of the per-axis factors
+    G_l^{-1/2} exp(2*pi*i j b / G_l), with j b reduced mod G_l exactly.
     """
-    axes = [np.arange(g) / g for g in grid_shape]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    frac = np.stack([a.ravel() for a in mesh], axis=-1)   # (G^d, d)
-    phase = frac @ trunc.modes.T                          # (G^d, M)
-    g_total = int(np.prod(grid_shape))
-    return np.exp(2j * np.pi * phase) / np.sqrt(g_total)
+    ks = np.arange(-trunc.n_modes, trunc.n_modes + 1)
+    factors = [np.exp(2j * np.pi * (np.outer(np.arange(g), ks) % g) / g)
+               / np.sqrt(g) for g in grid_shape]
+    return functools.reduce(np.kron, factors)
 
 
 def pointwise_sqrtm(g):

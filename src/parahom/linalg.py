@@ -1,5 +1,5 @@
 """Dense linear-algebra helpers: Hermitian semigroups with their closed-form
-integrals, and operator norms.
+integrals, operator norms, and a Cholesky certificate of a spectral floor.
 
 Everything here works on plain complex ndarrays.  All exponentials are of
 Hermitian matrices and go through one eigendecomposition each, which
@@ -8,6 +8,7 @@ scaling-and-squaring.
 """
 
 import numpy as np
+import scipy.linalg
 
 from .errors import IllConditioned
 
@@ -46,6 +47,39 @@ def range_split_norm(a, q):
     columns ``q``, exact up to the Frobenius term when A = Q Q*AQ Q*."""
     m = q.conj().T @ a @ q
     return opnorm(m) + float(np.linalg.norm(a - q @ m @ q.conj().T))
+
+
+def inf_norm_bound(a):
+    """Upper bound of ||A||_inf, and so of every |eigenvalue|, for a complex
+    (D, D) array: the largest row sum of |Re| + |Im|, raised by 4Du to cover
+    the rounding of the 2D-term sums.  NaN when an entry is NaN."""
+    rows = np.abs(a.view(float)).sum(axis=-1)
+    return rows.max() * (1.0 + 2.0 ** -50 * a.shape[-1])
+
+
+def spectrum_above(matrix, mu):
+    """True when one Cholesky proves every eigenvalue of the Hermitian
+    ``matrix`` (D, D) above ``mu``; False if it fails or an entry or mu is
+    not finite.
+
+    zpotrf runs on matrix - (mu + gamma) I.  Success gives R*R = that matrix
+    + dA with ||dA||_2 <= gamma1 = D c (1+c) nrm, c = sqrt(2)(D+2)u/(1-(D+2)u)
+    (Higham, Accuracy and Stability, Thm 10.3 with complex arithmetic) and
+    nrm >= ||matrix - mu I||_inf; gamma adds 4u(nrm + gamma1) for the rounded
+    diagonal shift.  So lambda_min > mu.
+    """
+    u, dim = 2.0 ** -53, matrix.shape[-1]
+    shifted = matrix.copy()
+    diag = shifted.reshape(-1)[::dim + 1]
+    diag -= mu
+    nrm = inf_norm_bound(shifted)
+    if not np.isfinite(nrm):         # OpenBLAS's zpotrf passes NaN pivots
+        return False
+    c = np.sqrt(2.0) * (dim + 2) * u / (1.0 - (dim + 2) * u)
+    gamma = dim * c * (1.0 + c) * nrm
+    diag -= gamma + 4.0 * u * (nrm + gamma)
+    # the transpose is Fortran-ordered with the same spectrum: no copy
+    return scipy.linalg.lapack.zpotrf(shifted.T, overwrite_a=True)[1] == 0
 
 
 def check_floor(w, cstar_check, tau_sq, error, what, tol=1e-9):

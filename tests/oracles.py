@@ -557,3 +557,33 @@ def duhamel_per_node(setup, phi, source, s, p_norm, n_steps):
             "corrected": u0 + eps * (grid_corrector(setup, phi, s, True)
                                      + i_corr2),
             "quad_drift": setup.box_norm(i_f - i_f2) / setup.box_norm(i_f2)}
+
+
+def zero_mean_solve(A, rhs, trunc):
+    """(M, n, c) coefficients of the zero-mean solution of A x = rhs: the
+    zero-mode block is dropped and the rest goes to one dense LU solve."""
+    n, c = rhs.shape[1:]
+    keep = np.ones(A.shape[0], dtype=bool)
+    z = trunc.zero_index
+    keep[z * n:(z + 1) * n] = False
+    x = np.zeros((A.shape[0], c), dtype=complex)
+    x[keep] = np.linalg.solve(A[np.ix_(keep, keep)], rhs.reshape(-1, c)[keep])
+    return x.reshape(rhs.shape)
+
+
+def symbol_bounds_loop(problem, n_theta=64, rng=None):
+    """alpha_0, alpha_1 of ``PeriodicProblem.symbol_bounds`` from one draw,
+    one symbol and one eigvalsh per sampled direction."""
+    rng = np.random.default_rng(1234) if rng is None else rng
+    lo, hi = np.inf, 0.0
+    for _ in range(n_theta):
+        th = rng.standard_normal(problem.d)
+        th /= np.linalg.norm(th)
+        bb = problem.b_of(th)
+        w = np.linalg.eigvalsh(bb.conj().T @ bb)
+        lo, hi = min(lo, w[0]), max(hi, w[-1])
+    if problem.d == 1:
+        bb = problem.b_of([1.0])
+        w = np.linalg.eigvalsh(bb.conj().T @ bb)
+        lo, hi = w[0], w[-1]
+    return float(lo), float(hi)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from parahom import cell as cl
 from parahom import fields as fd
 from parahom import presets
-from parahom.errors import DataError
+from parahom.errors import DataError, IllConditioned
 from parahom.fields import Truncation
 from parahom.lattice import cubic_lattice
 
@@ -181,3 +182,84 @@ def test_batched_symbols_match_per_point_formulas(name, prob, tr):
                         sol.L_hat_symbol(qs, eps)[1, 2]),
                        (prob.b_of(qs[2, 3]), prob.b_of(qs)[2, 3])):
         assert np.abs(one - stack).max() <= 1e-15 * max(1.0, np.abs(one).max())
+
+
+def _planted_system(cond, trunc=Truncation(6, 1), n=2, c=3, seed=7):
+    """(A, rhs) whose A_red (A without its zero-mode block) has the spectrum
+    geomspace(1, cond) in a random unitary basis."""
+    rng = np.random.default_rng(seed)
+    dim = trunc.size * n
+    red = dim - n
+    q, _ = np.linalg.qr(rng.standard_normal((red, red))
+                        + 1j * rng.standard_normal((red, red)))
+    a_red = (q * np.geomspace(1.0, cond, red)) @ q.conj().T
+    keep = np.ones(dim, dtype=bool)
+    z = trunc.zero_index
+    keep[z * n:(z + 1) * n] = False
+    A = np.eye(dim, dtype=complex)
+    A[np.ix_(keep, keep)] = 0.5 * (a_red + a_red.conj().T)
+    rhs = (rng.standard_normal((trunc.size, n, c))
+           + 1j * rng.standard_normal((trunc.size, n, c)))
+    return A, rhs
+
+
+def test_solve_zero_mean_refuses_a_condition_above_the_cap():
+    tr = Truncation(6, 1)
+    A, rhs = _planted_system(2e6, tr)
+    with pytest.raises(IllConditioned):
+        cl.solve_zero_mean(A, rhs, tr, (16,), cond_cap=1e6)
+
+
+def test_solve_zero_mean_never_certifies_a_nan():
+    tr = Truncation(6, 1)
+    A, rhs = _planted_system(10.0, tr)
+    A[3, 5] = A[5, 3] = np.nan
+    with pytest.raises(IllConditioned):
+        cl.solve_zero_mean(A, rhs, tr, (16,))
+
+
+def test_solve_zero_mean_matches_dense_solve():
+    tr = Truncation(6, 1)
+    A, rhs = _planted_system(1e3, tr)
+    got = cl.coeff_vector(cl.solve_zero_mean(A, rhs, tr, (16,)), tr)
+    ref = oracles.zero_mean_solve(A, rhs, tr)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_cell_solve_decomposes_no_galerkin_matrix(monkeypatch):
+    # the condition cap is certified by Cholesky, so no eigensolver ever
+    # sees a matrix of the Galerkin dimension
+    prob = presets.random_fiber_instance(201, d=2, n_modes=6)
+    tr = Truncation(6, 2)
+    dim = tr.size * prob.n
+    sizes = []
+
+    def spy(real):
+        def wrapped(a, *args, **kwargs):
+            sizes.append(np.shape(a)[-1])
+            return real(a, *args, **kwargs)
+        return wrapped
+
+    for owner in (np.linalg, scipy.linalg):
+        for name in ("eigvalsh", "eigh"):
+            monkeypatch.setattr(owner, name, spy(getattr(owner, name)))
+    cl.solve_cell_problems(prob, tr)
+    assert sizes and max(sizes) < dim - prob.n
+
+
+def _random_symbol_problem(seed, d, m=4, n=2):
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal((d, m, n)) + 1j * rng.standard_normal((d, m, n))
+    return cl.PeriodicProblem(cubic_lattice(d), b,
+                              fd.constant_field((4,) * d, np.eye(m)))
+
+
+@pytest.mark.parametrize("prob", [p[1] for p in BLOCK_STACK_PROBLEMS]
+                         + [_random_symbol_problem(s, d) for s in (0, 1)
+                            for d in (1, 2, 3)])
+def test_symbol_bounds_match_per_direction_loop(prob):
+    # the batched draw, symbols and eigvalsh sum in another order than the
+    # loop: equal up to a few units of rounding
+    got = np.array(prob.symbol_bounds())
+    ref = np.array(oracles.symbol_bounds_loop(prob))
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()

@@ -293,6 +293,43 @@ def test_cross_validation_frees_the_family_before_the_residuals(monkeypatch):
     assert len(refs) == 1
 
 
+def test_cross_validation_holds_one_grid_rectangle_besides_x0(monkeypatch):
+    # X0's QR/SVD runs with no other rectangle alive, and afterwards the
+    # threshold engine builds X1, Y0, Y1 and Y2 one at a time as it reads them
+    from parahom import abstract as ab
+
+    built, alive_at_svd, alive_at_build = [], [], []
+
+    def alive():
+        return sum(ref() is not None for ref in built)
+
+    def spy(name):
+        real = getattr(fb.GridRectangles, name)
+
+        def method(self, *args, **kwargs):
+            out = real(self, *args, **kwargs)
+            built.append(weakref.ref(out))
+            alive_at_build.append(alive())
+            return out
+        return method
+
+    for name in ("X1", "Y0", "Y1", "Y2"):
+        monkeypatch.setattr(fb.GridRectangles, name, spy(name))
+    real_svd = ab._x0_svd
+
+    def x0_svd(*args, **kwargs):
+        alive_at_svd.append(alive())
+        return real_svd(*args, **kwargs)
+
+    monkeypatch.setattr(ab, "_x0_svd", x0_svd)
+    prob = presets.random_fiber_instance(42, d=1, n_modes=6)
+    consts = fb.estimate_constants(prob)
+    fb.cross_validate_abstract(prob, Truncation(6, 1), [1.0],
+                               0.5 * consts.tau0, constants=consts)
+    assert alive_at_svd == [0]
+    assert alive_at_build and max(alive_at_build) == 1
+
+
 def _forbid_cross_validation_work(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the arguments were checked")

@@ -63,6 +63,7 @@ _PLAIN_CALLABLES = [
     ("fibers", "remainder_norms"),
     ("linalg", "herm_norm"),
     ("linalg", "range_split_norm"),
+    ("linalg", "spectrum_above"),
 ]
 
 
