@@ -587,3 +587,13 @@ def symbol_bounds_loop(problem, n_theta=64, rng=None):
         w = np.linalg.eigvalsh(bb.conj().T @ bb)
         lo, hi = w[0], w[-1]
     return float(lo), float(hi)
+
+
+def eval_matrix_direct(trunc, grid_shape):
+    """E[p, m] = G^{-d/2} exp(2 pi i <mode_m, frac_p>), one complex
+    exponential per (node, mode) from the fractional node coordinates."""
+    axes = [np.arange(g) / g for g in grid_shape]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    frac = np.stack([a.ravel() for a in mesh], axis=-1)
+    return (np.exp(2j * np.pi * (frac @ trunc.modes.T))
+            / np.sqrt(np.prod(grid_shape)))

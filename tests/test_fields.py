@@ -24,6 +24,14 @@ def test_eval_matrix_unitary_columns():
     assert np.abs(E.conj().T @ E - np.eye(tr.size)).max() < 1e-13
 
 
+@pytest.mark.parametrize("n_modes,grid", [(5, (24,)), (4, (12, 10)),
+                                           (2, (6, 8, 7))])
+def test_eval_matrix_matches_direct_exponentials(n_modes, grid):
+    tr = fd.Truncation(n_modes, len(grid))
+    got = fd.eval_matrix(tr, grid)
+    assert np.abs(got - oracles.eval_matrix_direct(tr, grid)).max() < 1e-14
+
+
 def test_mult_matrix_against_quadrature_oracle():
     from scipy.integrate import quad
 
