@@ -122,15 +122,15 @@ class ThresholdData:
         return self.expand(self.germ_blocks[0])
 
 
-def _x0_svd(X0, rel_tol=KERNEL_RTOL):
+def _x0_svd(X0):
     """(sigma_r, V_r, u) with X0 = U_r diag(sigma_r) V_r* and u an orthonormal
     basis of Ker X0, from the SVD of the R factor of X0 = QR; U_r is never
-    formed.  Singular values below rel_tol * max(sigma_max, 1) count as zero.
+    formed; singular values under KERNEL_RTOL * max(sigma_max, 1) are zero.
     """
     R = np.linalg.qr(np.asarray(X0, dtype=complex), mode="r")
     sing, vh = np.linalg.svd(R, full_matrices=True)[1:]
     smax = sing[0] if sing.size else 0.0
-    r = int(np.sum(sing > rel_tol * max(smax, 1.0)))
+    r = int(np.sum(sing > KERNEL_RTOL * max(smax, 1.0)))
     V = vh.conj().T
     # u is kept: copy it, or the view would hold all of V
     return sing[:r], V[:, :r], V[:, r:].copy()
@@ -355,16 +355,16 @@ def threshold_order_norms(family, th, tau, theta):
             BF - tau ** 2 * S_full - tau ** 3 * (K0 + N_theta)))}
 
 
-def expanded_tau_start(family, th, theta, max_doublings=16):
+def expanded_tau_start(family, th, theta):
     """Largest dyadic multiple of tau0/2 where the rank-n window survives.
 
     The sampled tau0 is very conservative; order measurements start from the
     largest tau at which the spectral projector still captures exactly n
     eigenvalues below the gap (guarded by the rank check), with one halving
-    of safety margin.
+    of safety margin; at most 16 doublings are tried.
     """
     tau = 0.5 * th.tau0
-    for _ in range(max_doublings):
+    for _ in range(16):
         cand = 2.0 * tau
         try:
             spectral_projector(family, th, cand * theta[0], cand * theta[1])
@@ -402,13 +402,13 @@ def n_star_offdiagonal(th, theta):
     return N_star, gam
 
 
-def m_decomposition_check(th, tau, theta, s, quad_tol=1e-11, degen_tol=1e-8):
+def m_decomposition_check(th, tau, theta, s):
     """Closed-form M0 + M* versus adaptive quadrature of the M integral.
 
     M0 uses the diagonal mu_l of N(theta) in the germ basis; M* uses the
     off-diagonal entries with exponential-difference weights (confluent limit
-    on degenerate pairs).  Returns the two matrices, their deviation, and a
-    degeneracy warning flag.
+    on degenerate pairs).  Returns the two matrices, their deviation from a
+    1e-11 quadrature and a flag for a germ gap below 1e-8 max(gamma_max, 1).
     """
     from scipy.integrate import quad_vec
 
@@ -426,10 +426,10 @@ def m_decomposition_check(th, tau, theta, s, quad_tol=1e-11, degen_tol=1e-8):
         right = np.exp(-lam * st)
         return (left[:, None] * N_basis) * right[None, :]
 
-    quad, _ = quad_vec(integrand, 0.0, s, epsabs=quad_tol, epsrel=quad_tol)
+    quad, _ = quad_vec(integrand, 0.0, s, epsabs=1e-11, epsrel=1e-11)
     dev = float(np.abs(closed - quad).max())
     gaps = np.abs(gam[:, None] - gam[None, :])[np.triu_indices(len(gam), 1)]
-    degenerate = bool(gaps.size and gaps.min() < degen_tol * max(gam.max(), 1.0))
+    degenerate = bool(gaps.size and gaps.min() < 1e-8 * max(gam.max(), 1.0))
     return {"closed": closed, "quadrature": quad, "deviation": dev,
             "degenerate_pair": degenerate, "M0": m0, "Mstar": m_star}
 
@@ -526,14 +526,14 @@ def bordered_remainder(bf, t, eps, s, data=None):
 # random family generator (shared by tests and the abstract-check command)
 
 
-def estimate_form_constants(family, rng, t_samples=9, n_probe=24):
-    """Sample the defining inequalities to estimate the form constants.
+def estimate_form_constants(family, rng):
+    """Sample the defining inequalities (9 values of t, 24 probes each).
 
     All estimates carry a 1.1 safety inflation.  Returns the dict also
     stored in ``family.form_constants``.
     """
     dim = family.dim_H
-    taus = np.linspace(-1.0, 1.0, t_samples)
+    taus = np.linspace(-1.0, 1.0, 9)
     c1_sq = 0.0
     for t in taus:
         xt, yt = family.X(t), family.Y(t)
@@ -542,7 +542,7 @@ def estimate_form_constants(family, rng, t_samples=9, n_probe=24):
         wx, vx = np.linalg.eigh(gram_x)
         # generalized bound ||Yu||^2 <= c1^2 ||Xu||^2 needs Ker X(t) in Ker Y(t);
         # sample the ratio on probes orthogonal to Ker X(t)
-        for _ in range(n_probe):
+        for _ in range(24):
             u = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
             u -= vx[:, wx < 1e-12 * max(wx.max(), 1.0)] @ (
                 vx[:, wx < 1e-12 * max(wx.max(), 1.0)].conj().T @ u)

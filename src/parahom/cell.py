@@ -79,10 +79,10 @@ class PeriodicProblem:
         f = self.f_field()
         return fd.pointwise_inv(f @ np.swapaxes(f.conj(), -1, -2))
 
-    def symbol_bounds(self, n_theta=64, rng=None):
-        """alpha_0, alpha_1: extreme eigenvalues of b(theta)*b(theta) on the sphere."""
-        rng = np.random.default_rng(1234) if rng is None else rng
-        th = rng.standard_normal((n_theta, self.d))
+    def symbol_bounds(self):
+        """alpha_0, alpha_1: extreme eigenvalues of b(theta)*b(theta) at 64
+        seeded random points of the sphere."""
+        th = np.random.default_rng(1234).standard_normal((64, self.d))
         th /= np.linalg.norm(th, axis=-1, keepdims=True)
         bb = self.b_of(th)
         w = np.linalg.eigvalsh(adj(bb) @ bb)
@@ -223,24 +223,11 @@ def adj(field):
 
 
 def galerkin_matrix(problem, trunc):
-    """Exact Galerkin matrix of <g b(D)u, b(D)v> on the truncated space,
-    and the (M, m, n) block stack of b(D).
-
-    The (a, i; b, j) entry is sum_pq conj(b(a)[p, i]) g^(a - b)[p, q]
-    b(b)[q, j], summed over the m^2 entries of g with one (M, M) gather of
-    the coefficients g^_pq each; no multiplication matrix is formed.
-    """
+    """Exact Galerkin matrix of <g b(D)u, b(D)v> on the truncated space, the
+    sandwich b(D)* [g] b(D), and the (M, m, n) block stack of b(D)."""
     bk = problem.b_of(trunc.freqs(problem.lattice))
-    M, m, n = bk.shape
-    coeffs = fd.fft_coeffs(problem.g)
-    idx = fd.difference_index(trunc.modes, trunc.modes, coeffs.shape[:-2])
-    out = np.zeros((M, n, M, n), dtype=complex)
-    for p in range(m):
-        left = bk[:, p, :].conj()[:, :, None, None]
-        for q in range(m):
-            out += (left * coeffs[..., p, q][idx][:, None, :, None]) \
-                * bk[:, q, :]
-    return linalg.herm(out.reshape(M * n, M * n)), bk
+    mat, = fd.sandwich_matrices(problem.g, trunc, [(bk, bk)])
+    return linalg.herm(mat), bk
 
 
 def solve_zero_mean(A, rhs, trunc, grid, cond_cap=1e12):
@@ -268,7 +255,7 @@ def solve_zero_mean(A, rhs, trunc, grid, cond_cap=1e12):
     return field_from_coeff_vector(x.reshape(rhs.shape), trunc, grid)
 
 
-def solve_cell_problems(problem, trunc, cond_cap=1e12):
+def solve_cell_problems(problem, trunc):
     """Both cell problems plus every effective constant."""
     problem.validate(trunc)
     n, m, d = problem.n, problem.m, problem.d
@@ -282,7 +269,7 @@ def solve_cell_problems(problem, trunc, cond_cap=1e12):
         div_a = sum(spectral_derivative(adj(problem.a[j]), problem.lattice, j)
                     for j in range(d))
         rhs = np.concatenate([rhs, -coeff_vector(div_a, trunc)], axis=-1)
-    sol = solve_zero_mean(A, rhs, trunc, grid, cond_cap)
+    sol = solve_zero_mean(A, rhs, trunc, grid)
     Lambda = sol[..., :m]
     if problem.a is not None:
         LambdaTilde = sol[..., m:]

@@ -47,26 +47,26 @@ class RateFit:
     exact_agreement: bool = False
 
 
-def decaying_prefix(series, factor=0.8):
-    """Longest leading run of a dyadic series that keeps decaying.
+def decaying_prefix(series):
+    """Longest leading run of a dyadic series decaying by a factor <= 0.8.
 
     Residual norms eventually plateau at the floating-point floor of the
     operator scale; slope fits use only the decaying prefix.
     """
     out = [series[0]]
     for eps, err in series[1:]:
-        if err <= factor * out[-1][1]:
+        if err <= 0.8 * out[-1][1]:
             out.append((eps, err))
         else:
             break
     return out
 
 
-def fit_rate(series, floor=1e-13):
+def fit_rate(series):
     """Least-squares slope of log(err) vs log(eps).
 
     ``series`` is a list of (eps, err) with strictly decreasing eps.  Errors
-    at or below the machine floor short-circuit to an ExactAgreement result.
+    at or below the machine floor 1e-13 short-circuit to ExactAgreement.
     """
     if len(series) < 3:
         raise InsufficientDecades(f"need >= 3 points, got {len(series)}")
@@ -75,7 +75,7 @@ def fit_rate(series, floor=1e-13):
     if np.any(np.diff(eps) >= 0):
         raise DegenerateSeries("eps values must decrease strictly")
     scale = err.max() if err.size else 0.0
-    if np.any(err <= 0) or scale <= floor:
+    if np.any(err <= 0) or scale <= 1e-13:
         return RateFit(np.nan, np.nan, [], exact_agreement=True)
     coef = np.polyfit(np.log(eps), np.log(err), 1)
     pred = np.polyval(coef, np.log(eps))
@@ -273,8 +273,9 @@ def _json_default(obj):
     raise TypeError(f"not serializable: {type(obj)}")
 
 
-def _write_svg(path, xs, ys, title, w=480, h=320, margin=48):
+def _write_svg(path, xs, ys, title):
     """Minimal log-log polyline chart."""
+    w, h, margin = 480, 320, 48
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     ok = (xs > 0) & (ys > 0)

@@ -51,7 +51,8 @@ class EvolutionSetup:
     mask, effective flow, symbol grids, tiled cell fields) is built once, on
     first use, and every box transform goes through the FFT pair
     :meth:`fft` / :meth:`ifft`.  The fine flow holds, per box fiber, the
-    eigenpairs that survive at the smallest time it serves.
+    eigenpairs that survive at the smallest time it serves; building it
+    releases the fiber pencil, which a later :meth:`fiber` rebuilds.
     """
 
     cell: "object"              # CellSolution
@@ -86,7 +87,6 @@ class EvolutionSetup:
         if np.abs(j).max() > N:
             raise ValueError("box frequency fell outside the cell truncation")
         self.freq_m = m_idx                 # signed box frequency indices
-        self.freq_r = r                     # per-axis quasimomentum residues
         self.freq_fiber = np.ravel_multi_index(
             (r + n_cells // 2).T, (n_cells,) * d)
         self.freq_modepos = np.ravel_multi_index((j + N).T, (2 * N + 1,) * d)
@@ -173,6 +173,7 @@ class EvolutionSetup:
                 flows.append(linalg.HermitianFlow.from_eigh(
                     flow.w[:r].copy(), flow.v[:, :r].copy()))
             self._fine_flow, self._fine_flow_s = flows, s
+            self.__dict__.pop("pencil", None)
         return self._fine_flow
 
     def flow(self, idx):
@@ -234,14 +235,14 @@ class EvolutionSetup:
 # smoothing operator
 
 
-def brillouin_mask(setup, tol=1e-12):
-    """Characteristic function of the Brillouin zone on the box frequencies."""
+def brillouin_mask(setup):
+    """Characteristic function of the Brillouin zone (closed, to 1e-12)."""
     lat = setup.cell.problem.lattice
     zeta = setup.freq_zeta
     keep = np.ones(len(zeta), dtype=bool)
     for b in lat.dual_shell(2):
         keep &= (np.sum(zeta ** 2, axis=1)
-                 <= np.sum((zeta - b) ** 2, axis=1) + tol)
+                 <= np.sum((zeta - b) ** 2, axis=1) + 1e-12)
     return keep
 
 

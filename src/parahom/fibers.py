@@ -5,7 +5,7 @@ The truncated Fourier space carries the operator pencil
     B(k, eps) = X(k)*X(k) + eps (Y2*Y(k) + Y(k)*Y2) + eps^2 (Q-form + lam f*f)
 
 with X(k) = h b(D+k) f, Y(k) = (D+k) f.  Assembly is the alias-free Galerkin
-form matrix (multiplication matrices between band-limited factors), so the
+form matrix (symbol sandwiches of band-limited coefficients), so the
 fiber matrix is exactly the compression of the pencil to the truncated space.
 
 The module also instantiates the abstract threshold engine on the f=identity
@@ -126,11 +126,11 @@ class FiberOperator:
         return self.cstar_check * (float(self.k @ self.k) + self.eps ** 2)
 
 
-def _field_band(field, tol=1e-13):
-    """Largest occupied Fourier index (max-norm) of a field."""
+def _field_band(field):
+    """Largest Fourier index (max-norm) holding over 1e-13 of the peak."""
     coeffs = fd.fft_coeffs(field)
     mags = np.abs(coeffs).max(axis=(-2, -1))
-    cutoff = tol * max(mags.max(), 1e-300)
+    cutoff = 1e-13 * max(mags.max(), 1e-300)
     band = 0
     grid = mags.shape
     for idx in np.argwhere(mags > cutoff):
@@ -145,11 +145,11 @@ class FiberPencil:
     b(D+k) = b(D) + sum_j k_j b(e_j), so the Galerkin form matrix is
     sum_c w_c(k, eps) C_c over the monomials 1, k_j, k_i k_j (i <= j), eps,
     eps k_j and eps^2.  The coefficient matrices C_c are built once per
-    (problem, truncation) from one multiplication matrix each of g, a_j* and
-    Q.  With f != identity the form is carried on an extended mode set sized
-    from f's band and every coefficient is compressed by the rectangle [f]
-    once; [f] on the truncation is kept as ``f_matrix`` (None for f = I) and
-    rides along on every fiber.
+    (problem, truncation) by fields.sandwich_matrices, once each on g, the a_j
+    and Q.  With f != identity the form is carried on an extended mode set
+    sized from f's band and every coefficient is compressed by the rectangle
+    [f] once; [f] on the truncation is kept as ``f_matrix`` (None for f = I)
+    and rides along on every fiber.
     """
 
     def __init__(self, problem, trunc):
@@ -164,6 +164,13 @@ class FiberPencil:
                                   trunc.dimension)
             f_rect = fd.mult_matrix(f, tr_in, trunc)
             self.f_matrix = fd.mult_matrix(f, trunc)
+        # the coefficients of 1, k_j and k_i k_j: g between b(D) and b(e_j)
+        freqs = tr_in.freqs(problem.lattice)
+        b0 = problem.b_of(freqs)
+        b_unit = problem.b_of(np.eye(d))[:, None]
+        quad = fd.sandwich_matrices(
+            problem.g, tr_in, [(b0, b0)] + [(b0, b) for b in b_unit]
+            + [(b_unit[i], b_unit[j]) for i, j in self._pairs])
         dim = trunc.size * n
         # filled in place: the stack is the only D^2-sized array kept
         self.coeffs = np.zeros((2 * d + len(self._pairs) + 3, dim, dim),
@@ -175,38 +182,24 @@ class FiberPencil:
             self.coeffs[c] = mat if f_rect is None else \
                 f_rect.conj().T @ mat @ f_rect
 
-        # b(D) as a block stack over the modes; each b(e_j) is one constant
-        # block, applied to every mode by a single GEMM
-        freqs = tr_in.freqs(problem.lattice)
-        b0 = problem.b_of(freqs)
-        b_unit = problem.b_of(np.eye(d))
-
-        def times_const(mat, block):
-            return (mat.reshape(-1, block.shape[0]) @ block).reshape(
-                mat.shape[0], -1)
-
-        g_mat = fd.mult_matrix(problem.g, tr_in)
-        gb0_h = fd.times_blockdiag(g_mat, b0).conj().T      # b(D)* [g]
-        put(0, fd.times_blockdiag(gb0_h, b0))
-        for j in range(d):
-            put(1 + j, times_const(gb0_h, b_unit[j]), sym=True)
-        del gb0_h
-        gb_h = [times_const(g_mat, b).conj().T for b in b_unit]
-        del g_mat
-        for c, (i, j) in enumerate(self._pairs, start=1 + d):
-            put(c, times_const(gb_h[i], b_unit[j]), sym=i != j)
-        del gb_h
+        mirror = [False] + [True] * d + [i != j for i, j in self._pairs]
+        for c, sym in enumerate(mirror):
+            put(c, quad.pop(0), sym)
         c_eps = 1 + d + len(self._pairs)
+        eye = np.eye(n)[None]
         if problem.a is not None:
-            # sum_j [a_j*]* (D+k)_j: column scaling by the frequency components
-            a_mats = [fd.mult_matrix(adj(problem.a[j]), tr_in).conj().T
-                      for j in range(d)]
-            put(c_eps, sum(a_mats[j] * np.repeat(freqs[:, j], n)
-                           for j in range(d)), sym=True)
+            # [a_j] (D+k)_j = [a_j] D_j + k_j [a_j]
+            cross = 0
             for j in range(d):
-                put(c_eps + 1 + j, a_mats[j], sym=True)
+                a_d, a_k = fd.sandwich_matrices(
+                    problem.a[j], tr_in,
+                    [(eye, freqs[:, j, None, None] * eye), (eye, eye)])
+                cross = cross + a_d
+                put(c_eps + 1 + j, a_k, sym=True)
+            put(c_eps, cross, sym=True)
         if problem.Qdensity is not None:
-            put(-1, fd.mult_matrix(problem.Qdensity, tr_in))
+            put(-1, *fd.sandwich_matrices(problem.Qdensity, tr_in,
+                                          [(eye, eye)]))
         if problem.lam != 0.0:
             q0 = (np.eye(dim) if problem.f_is_identity else fd.mult_matrix(
                 adj(problem.f_field()) @ problem.f_field(), trunc))
@@ -566,7 +559,6 @@ def rectangle_grid(problem, trunc):
 
 
 def cross_validate_abstract(problem, trunc, theta, tau, constants=None,
-                            tol_z=1e-7, tol_L=1e-7, tol_N=1e-6,
                             raise_on_fail=True):
     """Abstract threshold objects versus their explicit cell-problem forms.
 
@@ -575,7 +567,9 @@ def cross_validate_abstract(problem, trunc, theta, tau, constants=None,
     L(t,eps) = effective symbol on the averaged subspace, and N(t,eps) =
     third-order coefficient symbol.  Before any work: ValueError unless
     ``theta`` is a finite nonzero vector in R^d and ``tau`` is finite and
-    positive, and NotImplementedError unless f is the identity.
+    positive, and NotImplementedError unless f is the identity.  With
+    ``raise_on_fail``, MismatchBeyondTolerance on a residual over 1e-7 (N:
+    1e-6) or NaN.
     """
     theta = np.asarray(theta, dtype=float)
     norm = np.linalg.norm(theta)
@@ -635,8 +629,8 @@ def cross_validate_abstract(problem, trunc, theta, tau, constants=None,
         residual(n_operator(th, t, eps), ng.symbol(k_vec, eps)), q)
 
     if raise_on_fail:
-        for name, tol in (("Z", tol_z), ("Ztilde", tol_z), ("germ", tol_L),
-                          ("L", tol_L), ("N", tol_N)):
+        for name, tol in (("Z", 1e-7), ("Ztilde", 1e-7), ("germ", 1e-7),
+                          ("L", 1e-7), ("N", 1e-6)):
             # a NaN residual fails
             if not report[name] <= tol:
                 raise MismatchBeyondTolerance(name, report[name], tol)

@@ -11,7 +11,7 @@ Three operator representations are used:
 
 * multiplication matrices [C] on the truncated space (Fourier convolution),
 * constant-coefficient symbols as block stacks (M, p, q), one block per mode,
-  applied by broadcasting instead of as block-diagonal matrices,
+  applied by broadcasting in the Galerkin sandwiches L(D)* [C] R(D),
 * rectangles into the quadrature-grid space with the weighted inner product
   (|Omega|/G^d) * sum over nodes, which makes X*X the alias-free Galerkin
   matrix of the quadratic form.
@@ -126,15 +126,27 @@ def difference_index(rows, cols, grid):
     return tuple(diff[..., ax] % grid[ax] for ax in range(len(grid)))
 
 
-def times_blockdiag(mat, blocks):
-    """mat @ blockdiag(blocks) by broadcasting, for a (M, p, q) block stack.
+def sandwich_matrices(field, trunc, pairs):
+    """Galerkin matrices of L(D)* [field] R(D), one per symbol pair (L, R).
 
-    ``mat`` has M*p mode-major columns; the result has M*q.  No
-    block-diagonal matrix is formed.
+    L and R are block stacks (M or 1, p, i) and (M or 1, q, j) over the modes
+    of ``trunc`` (1: the same block at every mode) for a (*grid, p, q) field.
+    Entry (a, i; b, j) of a pair's (M*i, M*j) matrix is
+    sum_pq conj(L(a)[p, i]) field^_pq(a - b) R(b)[q, j]: each field^_pq is
+    gathered once as an (M, M) array for all pairs, and no multiplication
+    matrix is formed.
     """
-    r = mat.shape[0]
-    m, p, q = blocks.shape
-    return (mat.reshape(r, m, 1, p) @ blocks).reshape(r, m * q)
+    coeffs = fft_coeffs(field)
+    idx = difference_index(trunc.modes, trunc.modes, coeffs.shape[:-2])
+    m = trunc.size
+    outs = [np.zeros((m, left.shape[-1], m, right.shape[-1]), dtype=complex)
+            for left, right in pairs]
+    for p, q in np.ndindex(coeffs.shape[-2:]):
+        entry = coeffs[..., p, q][idx][:, None, :, None]
+        for out, (left, right) in zip(outs, pairs):
+            out += (left[:, p, :].conj()[:, :, None, None] * entry) \
+                * right[:, q, :]
+    return [out.reshape(m * out.shape[1], -1) for out in outs]
 
 
 def symbol_blockdiag(symbol, trunc, lattice, k=None):
@@ -142,7 +154,7 @@ def symbol_blockdiag(symbol, trunc, lattice, k=None):
 
     ``symbol`` maps a frequency vector to a (p, q) matrix; the block at mode b
     is symbol(b + k).  The package applies symbols as block stacks
-    (:func:`times_blockdiag`); this dense form is the reference for tests.
+    (:func:`sandwich_matrices`); this dense form is the reference for tests.
     """
     blocks = np.array([symbol(f) for f in trunc.freqs(lattice, k)])
     m = trunc.size

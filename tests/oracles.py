@@ -60,19 +60,18 @@ def harmonic_mean_quad(gfun, tol=1e-12):
 
 
 def fiber_entry_quad(gfun, k, eps, lam, mi, mj, tol=1e-11):
-    """<(g (D+k) e_j, (D+k) e_i)> + eps^2 lam delta_ij for 1D scalar fibers.
+    """<(g (D+k) e_j, (D+k) e_i)> + eps^2 lam delta_ij for 1D scalar fibers
+    with a real coefficient g.
 
-    Modes e_m(x) = exp(2 pi i m x) on the unit cell; direct quadrature.
+    Modes e_m(x) = exp(2 pi i m x) on the unit cell; direct quadrature, with
+    the oscillating factor exp(2 pi i (mj - mi) x) passed to QUADPACK as
+    cos and sin weights (QAWO).
     """
     wi, wj = 2 * np.pi * mi + k, 2 * np.pi * mj + k
-
-    def re_im(fun):
-        re, _ = quad(lambda x: fun(x).real, 0, 1, epsabs=tol, epsrel=tol, limit=400)
-        im, _ = quad(lambda x: fun(x).imag, 0, 1, epsabs=tol, epsrel=tol, limit=400)
-        return re + 1j * im
-
-    val = re_im(lambda x: gfun(x) * wj * wi
-                * np.exp(2j * np.pi * (mj - mi) * x))
+    re, im = (quad(gfun, 0, 1, weight=weight, wvar=2 * np.pi * (mj - mi),
+                   epsabs=tol, epsrel=tol, limit=400)[0]
+              for weight in ("cos", "sin"))
+    val = wi * wj * (re + 1j * im)
     if mi == mj:
         val += eps ** 2 * lam
     return val
@@ -290,8 +289,13 @@ def assemble_fiber_reference(problem, trunc, k, eps):
                               trunc.dimension)
     freqs = tr_in.freqs(problem.lattice, k)
     bk = problem.b_of(freqs)
-    gb = fd.times_blockdiag(fd.mult_matrix(problem.g, tr_in), bk)
-    mat = fd.times_blockdiag(gb.conj().T, bk)
+    m, n_g = bk.shape[0], bk.shape[1]
+
+    def times_blocks(mat):                  # mat @ blockdiag(bk), broadcast
+        return (mat.reshape(-1, m, 1, n_g) @ bk).reshape(mat.shape[0], -1)
+
+    mat = times_blocks(times_blocks(fd.mult_matrix(problem.g, tr_in))
+                       .conj().T)
     if problem.a is not None:
         cross = sum(fd.mult_matrix(_adj(problem.a[j]), tr_in).conj().T
                     * np.repeat(freqs[:, j], n) for j in range(problem.d))

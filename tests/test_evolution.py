@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -442,8 +444,9 @@ def test_stacked_fine_flow_matches_per_fiber_flows(preset, n_modes, n_cells):
 
 
 def test_convergence_sweep_multiplications_independent_of_fibers(monkeypatch):
-    # every multiplication matrix is built once per sweep and the corrector's
-    # coefficient columns once per eps, not per fiber
+    # every multiplication matrix and Galerkin sandwich is built once per
+    # sweep and the corrector's coefficient columns once per eps, not per
+    # fiber
     calls = []
 
     def counting(original):
@@ -452,7 +455,8 @@ def test_convergence_sweep_multiplications_independent_of_fibers(monkeypatch):
             return original(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(fd, "mult_matrix", counting(fd.mult_matrix))
+    for name in ("mult_matrix", "sandwich_matrices"):
+        monkeypatch.setattr(fd, name, counting(getattr(fd, name)))
     for module in (cl, fb):
         monkeypatch.setattr(module, "coeff_vector",
                             counting(cl.coeff_vector))
@@ -778,3 +782,24 @@ def test_duhamel_fine_flow_holds_only_surviving_pairs(monkeypatch):
     for idx, flow in enumerate(flows):
         assert flow.v.base is None and flow.v.shape == (dim, flow.w.size)
         assert np.all(flow.w <= fb.cut_value(setup.fiber(idx), tau))
+
+
+def test_fine_flow_releases_the_pencil():
+    # the evolve_2d benchmark configuration: once the driven solve has built
+    # the fine flow, the setup holds no fiber pencil, and a later fiber read
+    # rebuilds the same one
+    prob, _ = se.build_scalar_problem(se.scalar_preset(d=2, n_modes=5,
+                                                       seed=201))
+    tr = Truncation(5, 2)
+    setup = _setup_of(prob, tr, 0.25, 8)
+    pencil = weakref.ref(setup.pencil)
+    rng = np.random.default_rng(201)
+    phi = setup.random_band_limited(rng, band=3)
+    f_field = setup.random_band_limited(rng, band=1)
+    ev.duhamel_solve(setup, phi, lambda t: f_field, 0.5, n_steps=32,
+                     quad_tol=5e-2)
+    gc.collect()
+    assert pencil() is None
+    fresh = fb.FiberPencil(prob, tr).fiber(setup.fiber_k[0], setup.eps,
+                                           setup.constants)
+    assert np.array_equal(setup.fiber(0).matrix, fresh.matrix)

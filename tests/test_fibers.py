@@ -460,6 +460,19 @@ def test_pencil_matches_reference_assembly(name, prob, tr):
         assert _close(got, ref), (k, eps)
 
 
+def test_pencil_builds_no_multiplication_matrix(monkeypatch):
+    # with f = I every coefficient (g, each a_j and Q) is a Galerkin
+    # sandwich: no (M n)^2 multiplication matrix is built
+    calls, original = [], fd.mult_matrix
+    monkeypatch.setattr(fd, "mult_matrix",
+                        lambda *args: calls.append(1) or original(*args))
+    _, prob, tr = BLOCK_STACK_PROBLEMS[1]
+    assert prob.f_is_identity and prob.a is not None \
+        and prob.Qdensity is not None
+    fb.FiberPencil(prob, tr)
+    assert not calls
+
+
 _PENCIL_CASE = BLOCK_STACK_PROBLEMS[1]
 _PENCIL = fb.FiberPencil(_PENCIL_CASE[1], _PENCIL_CASE[2])
 

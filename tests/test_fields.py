@@ -118,3 +118,54 @@ def test_symbol_blockdiag_values():
                               k=np.array([0.5]))
     freqs = tr.modes[:, 0] * 2 * np.pi + 0.5
     assert np.abs(np.diag(sym) - freqs ** 2).max() < 1e-12
+
+
+
+def _random_symbol(rng, d, rows, cols, constant):
+    """Random symbol xi -> A0 + sum_l xi_l A_l with (rows, cols) blocks, or
+    its constant part A0 alone."""
+    a = rng.standard_normal((d + 1, rows, cols)) \
+        + 1j * rng.standard_normal((d + 1, rows, cols))
+    if constant:
+        return lambda xi: a[0]
+    return lambda xi: a[0] + np.tensordot(xi, a[1:], axes=1)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("left_const,right_const",
+                         [(False, False), (True, False), (False, True),
+                          (True, True)])
+def test_sandwich_matrices_match_dense_route(d, left_const, right_const):
+    # L(D)* [field] R(D) against dense block-diagonal symbols around the
+    # multiplication matrix: a p x q field with p != q, blocks whose column
+    # counts differ, and a constant stack (1, p, i) standing for the same
+    # block at every mode
+    rng = np.random.default_rng(10 + 4 * d + 2 * left_const + right_const)
+    p, q = 2, 3
+    tr = fd.Truncation(3 if d == 1 else 2, d)
+    lat = cubic_lattice(d)
+    terms = [(tuple(rng.integers(-2, 3, size=d)),
+              rng.standard_normal((p, q)) + 1j * rng.standard_normal((p, q)),
+              rng.uniform(0, 2 * np.pi)) for _ in range(3)]
+    field = fd.harmonic_field((16,) * d, p, q, terms,
+                              const=rng.standard_normal((p, q)))
+    freqs = tr.freqs(lat)
+    mult = fd.mult_matrix(field, tr)
+    symbols, pairs = [], []
+    for i, j in ((1, 2), (3, 1), (2, 2)):
+        sym_l = _random_symbol(rng, d, p, i, left_const)
+        sym_r = _random_symbol(rng, d, q, j, right_const)
+        stacks = [np.array([sym(f) for f in (freqs[:1] if const else freqs)])
+                  for sym, const in ((sym_l, left_const),
+                                     (sym_r, right_const))]
+        symbols.append((sym_l, sym_r))
+        pairs.append(tuple(stacks))
+    together = fd.sandwich_matrices(field, tr, pairs)
+    for (sym_l, sym_r), pair, got in zip(symbols, pairs, together):
+        ref = (fd.symbol_blockdiag(sym_l, tr, lat).conj().T @ mult
+               @ fd.symbol_blockdiag(sym_r, tr, lat))
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
+        # several pairs in one call equal one call per pair, bit for bit
+        alone, = fd.sandwich_matrices(field, tr, [pair])
+        assert np.array_equal(alone, got)
