@@ -26,6 +26,8 @@ from .errors import (DegenerateKernel, IllConditioned, NonPositiveL,
                      OutsideThresholdBall, RankMismatch)
 
 KERNEL_RTOL = 1e-10
+# largest restricted Gram condition (sigma_1/sigma_r)^2 the engine accepts
+COND_CAP = 1e12
 
 
 # ---------------------------------------------------------------------------
@@ -136,21 +138,21 @@ def _x0_svd(X0):
     return sing[:r], V[:, :r], V[:, r:].copy()
 
 
-def _gram_pinv(sing, V_r, rhs, cond_cap):
+def _gram_pinv(sing, V_r, rhs):
     """(X0*X0)^+ rhs = V_r diag(sigma_r^-2) V_r* rhs.
 
-    Raises IllConditioned when (sigma_1/sigma_r)^2 exceeds ``cond_cap``.
+    Raises IllConditioned when (sigma_1/sigma_r)^2 exceeds COND_CAP.
     """
     if sing.size == 0:
         raise IllConditioned("empty positive spectrum")
-    if sing[-1] <= 0 or (sing[0] / sing[-1]) ** 2 > cond_cap:
+    if sing[-1] <= 0 or (sing[0] / sing[-1]) ** 2 > COND_CAP:
         cond = (sing[0] / max(sing[-1], 1e-300)) ** 2
         raise IllConditioned(
-            f"restricted Gram condition {cond:.2e} exceeds cap {cond_cap:.1e}")
+            f"restricted Gram condition {cond:.2e} exceeds cap {COND_CAP:.1e}")
     return V_r @ ((V_r.conj().T @ rhs) / sing[:, None] ** 2)
 
 
-def compute_threshold(family, delta=None, tau0=None, cond_cap=1e12):
+def compute_threshold(family, delta=None, tau0=None):
     """All threshold objects of the pencil in one pass, in the kernel basis.
 
     One SVD of the R factor of X0 gives u and the pseudo-inverse of X0*X0;
@@ -164,9 +166,9 @@ def compute_threshold(family, delta=None, tau0=None, cond_cap=1e12):
     # A* b is formed as conj(A^T conj(b)), which copies b and not A: the
     # same products with every sign flipped, so the same bits
     x1u = family.X1 @ u
-    z = -_gram_pinv(sing, V_r, (family.X0.T @ x1u.conj()).conj(), cond_cap)
+    z = -_gram_pinv(sing, V_r, (family.X0.T @ x1u.conj()).conj())
     y2u = family.Y2 @ u
-    zt = -_gram_pinv(sing, V_r, (family.Y0.T @ y2u.conj()).conj(), cond_cap)
+    zt = -_gram_pinv(sing, V_r, (family.Y0.T @ y2u.conj()).conj())
     # R = P_* X1 P = (X1 + X0 Z) P, as X0 z = -U_r U_r* X1 u = (P_* - I) X1 u
     r = x1u + family.X0 @ z
     blocks = linalg.herm(np.stack(_kernel_blocks(family, u, z, zt, r)))
@@ -247,7 +249,7 @@ def _kernel_blocks(family, u, z, zt, r):
 # germ, L, N, corrector
 
 
-def _kernel_poly(blocks, t, eps):
+def kernel_poly(blocks, t, eps):
     """sum_j t^(m-j) eps^j blocks[j] over an (m+1, n, n) stack of middles."""
     j = np.arange(len(blocks))
     return np.tensordot(t ** (len(blocks) - 1 - j) * eps ** j, blocks, axes=1)
@@ -255,17 +257,17 @@ def _kernel_poly(blocks, t, eps):
 
 def L_operator(th, t, eps):
     """L(t, eps) = t^2 S + t eps C + eps^2 D on the kernel (full-space form)."""
-    return th.expand(_kernel_poly(th.germ_blocks, t, eps))
+    return th.expand(kernel_poly(th.germ_blocks, t, eps))
 
 
 def n_operator(th, t, eps):
     """N(t, eps) = t^3 N11 + t^2 eps N12 + t eps^2 N21 + eps^3 N22."""
-    return th.expand(_kernel_poly(th.n_blocks, t, eps))
+    return th.expand(kernel_poly(th.n_blocks, t, eps))
 
 
 def _kernel_flow(th, t, eps):
     """Flow of L(t,eps) in the kernel basis; positivity check."""
-    flow = linalg.HermitianFlow(_kernel_poly(th.germ_blocks, t, eps))
+    flow = linalg.HermitianFlow(kernel_poly(th.germ_blocks, t, eps))
     linalg.check_floor(flow.w, th.cstar_check, t ** 2 + eps ** 2, NonPositiveL,
                        "L(t,eps)")
     return flow
@@ -283,7 +285,7 @@ def kernel_approximation(th, t, eps, s):
     # (t Z + eps Ztilde) exp(-Ls) P = (t z + eps zt) e_ker u*, with e_ker
     # the flow in the kernel basis
     first = (t * th.z + eps * th.zt) @ e_ker @ uh
-    integral = flow.integral(_kernel_poly(th.n_blocks, t, eps), s)
+    integral = flow.integral(kernel_poly(th.n_blocks, t, eps), s)
     return u @ e_ker @ uh, first + first.conj().T - u @ integral @ uh
 
 
@@ -374,14 +376,13 @@ def expanded_tau_start(family, th, theta):
     return 0.5 * tau
 
 
-def dyadic_order_sweep(family, th, theta, n_points=8):
-    """Residual norms over a dyadic tau sweep, starting from the largest tau
-    that expanding from tau0 reaches while the rank-n window check passes."""
-    taus = expanded_tau_start(family, th, theta) * 0.5 ** np.arange(n_points)
-    rows = []
-    for tau in taus:
-        rows.append((float(tau), threshold_order_norms(family, th, tau, theta)))
-    return rows
+def dyadic_order_sweep(family, th, theta):
+    """Residual norms over eight dyadic tau values, starting from the largest
+    tau that expanding from tau0 reaches while the rank-n window check
+    passes."""
+    taus = expanded_tau_start(family, th, theta) * 0.5 ** np.arange(8)
+    return [(float(tau), threshold_order_norms(family, th, tau, theta))
+            for tau in taus]
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +391,8 @@ def dyadic_order_sweep(family, th, theta, n_points=8):
 
 def germ_eigendata(th, theta):
     """Eigenpairs (gamma_l, omega_l) of S(theta) and N(theta) in that basis."""
-    gam, om = np.linalg.eigh(_kernel_poly(th.germ_blocks, *theta))
-    N_n = _kernel_poly(th.n_blocks, *theta)
+    gam, om = np.linalg.eigh(kernel_poly(th.germ_blocks, *theta))
+    N_n = kernel_poly(th.n_blocks, *theta)
     return gam, om, linalg.herm(om.conj().T @ N_n @ om)
 
 
@@ -495,12 +496,12 @@ def bordered_approximation(bf, data, t, eps, s):
     uh = th_hat.kernel_basis
     M0 = data["M0_n"]
     flow = linalg.HermitianFlow(
-        M0 @ _kernel_poly(th_hat.germ_blocks, t, eps) @ M0, outer=M0)
+        M0 @ kernel_poly(th_hat.germ_blocks, t, eps) @ M0, outer=M0)
     E_full = uh @ flow.expm(s) @ uh.conj().T
     ZG_t = t * data["ZG"] + eps * data["ZtG"]
     # N_G = Phat (M*)^{-1} N(t,eps) M^{-1} Phat in the hatted kernel basis
     km = data["ker_map"]
-    NG_n = km.conj().T @ _kernel_poly(data["th"].n_blocks, t, eps) @ km
+    NG_n = km.conj().T @ kernel_poly(data["th"].n_blocks, t, eps) @ km
     J_full = uh @ flow.integral(NG_n, s) @ uh.conj().T
     return E_full, ZG_t @ E_full + E_full @ ZG_t.conj().T - J_full
 

@@ -184,18 +184,14 @@ def build_problem(cfg):
                                              default=8, cast=int))
         return presets.make_problem(name, **kwargs)
     if "g_file" in sec:
-        basis_rows = [[float(v) for v in row.split()]
-                      for row in sec.get("basis", "1").split(";")]
-        lat = build_lattice(np.array(basis_rows))
+        lat = build_lattice(_matrix_entry("basis", sec.get("basis", "1")))
         g = read_field(sec["g_file"])
         d = lat.dimension
         m = g.shape[-1]
         b_rows = sec.get("b_symbols", "")
         if b_rows:
-            mats = [np.array([[float(v) for v in r.split()]
-                              for r in blk.split(";")])
-                    for blk in b_rows.split("|")]
-            b = np.stack(mats)
+            b = np.stack([_matrix_entry("b_symbols", blk)
+                          for blk in b_rows.split("|")])
         else:
             n = 1
             b = np.zeros((d, m, n))
@@ -207,9 +203,18 @@ def build_problem(cfg):
             a = np.stack([read_field(p.strip())
                           for p in sec["a_files"].split(",")])
         q = read_field(sec["q_file"]) if "q_file" in sec else None
-        lam = float(sec.get("lambda", "0"))
+        lam = cfg.get("problem", "lambda", default=0.0, cast=float)
         return cl.PeriodicProblem(lat, b, g, f=f, a=a, Qdensity=q, lam=lam)
     raise ConfigError("[problem] needs either preset= or g_file=")
+
+
+def _matrix_entry(key, text):
+    """Matrix of a [problem] entry: rows split by ';', numbers by spaces."""
+    try:
+        return np.array([[float(v) for v in row.split()]
+                         for row in text.split(";")])
+    except ValueError as exc:
+        raise ConfigError(f"[problem] {key} = {text!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +419,7 @@ def run_abstract_check(cfg, report):
         th = ab.compute_threshold(fam)
         theta = rng.standard_normal(2)
         theta /= np.linalg.norm(theta)
-        sweep = ab.dyadic_order_sweep(fam, th, theta, n_points=8)
+        sweep = ab.dyadic_order_sweep(fam, th, theta)
         taus = [r[0] for r in sweep]
         for key in worst:
             vals = [r[1][key] for r in sweep]

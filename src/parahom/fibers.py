@@ -21,8 +21,8 @@ import scipy.linalg
 
 from . import fields as fd
 from . import linalg
-from .abstract import (AbstractFamily, L_operator, compute_threshold,
-                       n_operator, remainder_envelopes)
+from .abstract import (AbstractFamily, compute_threshold, kernel_poly,
+                       remainder_envelopes)
 from .cell import adj, coeff_vector, ng_coefficients, solve_cell_problems
 from .errors import MismatchBeyondTolerance, NonPositiveEffective, PositivityViolation
 from .linalg import spectrum_above
@@ -558,6 +558,16 @@ def rectangle_grid(problem, trunc):
     return (min(g, max(problem.grid_shape)),) * problem.lattice.dimension
 
 
+def _span_norms(w, factors, middles):
+    """Spectral norms of X w* for each X in ``factors``, then of w M w* for
+    each Hermitian M in ``middles``, from the thin QR w = Q c of the (D, m)
+    ``w``: they are ||X c*||_2 and ||c M c*||_2, with no D x D product."""
+    c = np.linalg.qr(w, mode="r")
+    ch = c.conj().T
+    return ([linalg.opnorm(x @ ch) for x in factors]
+            + [float(linalg.herm_norm(c @ m @ ch)) for m in middles])
+
+
 def cross_validate_abstract(problem, trunc, theta, tau, constants=None,
                             raise_on_fail=True):
     """Abstract threshold objects versus their explicit cell-problem forms.
@@ -593,41 +603,30 @@ def cross_validate_abstract(problem, trunc, theta, tau, constants=None,
                       rectangle_grid(problem, trunc)),
         delta=constants.delta, tau0=constants.tau0)
 
-    n = problem.n
-    sl = _zero_block_slice(trunc, n)
-
-    def residual(op, target, rows=sl):
-        # op minus a target supported in the zero-mode columns
-        res = np.array(op)
-        res[rows, sl] -= target
-        return res
-
-    # each value is an upper bound of the residual's norm, exact up to the
-    # off-structure part (rounding level): Z and Ztilde live in the zero-mode
-    # columns E of the identity, and the germ, L and N residuals map
-    # span[u, E] into itself and vanish on its complement (u = kernel basis)
-    report = {}
+    # Z - [Lambda b(theta)] E* = [z | -F] [u|E]*, with E the zero-mode
+    # columns of the identity; the germ, L and N residuals are
+    # [u|E] blockdiag(M, -T) [u|E]* with the kernel-basis middle M
     zero_mode = fd.Truncation(0, problem.d)
     bth = problem.b_of(theta)
-    for name, op, field in (("Z", th.Z, sol.Lambda @ bth),
-                            ("Ztilde", th.Ztilde, sol.LambdaTilde)):
-        report[name] = linalg.column_split_norm(residual(
-            op, fd.mult_matrix(field, trunc, zero_mode), slice(None)),
-            np.arange(sl.start, sl.stop))
-    e = np.eye(trunc.size * n, n, -sl.start, dtype=complex)
-    q = np.linalg.qr(np.concatenate([th.kernel_basis, e], axis=1))[0]
-    report["germ"] = linalg.range_split_norm(
-        residual(th.S_block, bth.conj().T @ sol.g0 @ bth), q)
-
+    factors = [np.concatenate([z, -fd.mult_matrix(field, trunc, zero_mode)],
+                              axis=1)
+               for z, field in ((th.z, sol.Lambda @ bth),
+                                (th.zt, sol.LambdaTilde))]
     # direction-scaled parameters: k = t theta, eps = tau * theta2 with
     # theta-split (t, eps) on the unit circle of the tau-ball
     t, eps = tau * np.array([0.8, 0.6])
     k_vec = t * theta
-    report["L"] = linalg.range_split_norm(
-        residual(L_operator(th, t, eps), sol.L_hat_symbol(k_vec, eps)), q)
-    report["N"] = linalg.range_split_norm(
-        residual(n_operator(th, t, eps), ng.symbol(k_vec, eps)), q)
+    middles = [scipy.linalg.block_diag(m, -target) for m, target in (
+        (th.germ_blocks[0], bth.conj().T @ sol.g0 @ bth),
+        (kernel_poly(th.germ_blocks, t, eps), sol.L_hat_symbol(k_vec, eps)),
+        (kernel_poly(th.n_blocks, t, eps), ng.symbol(k_vec, eps)))]
+    n = problem.n
+    e = np.eye(trunc.size * n, n, -trunc.zero_index * n, dtype=complex)
+    report = dict(zip(("Z", "Ztilde", "germ", "L", "N"), _span_norms(
+        np.concatenate([th.kernel_basis, e], axis=1), factors, middles)))
 
+    # exact norms: R = X [u|E]* = X c* Q* with Q orthonormal, so
+    # ||R||_2 = ||X c*||_2
     if raise_on_fail:
         for name, tol in (("Z", 1e-7), ("Ztilde", 1e-7), ("germ", 1e-7),
                           ("L", 1e-7), ("N", 1e-6)):

@@ -34,10 +34,13 @@ class Truncation:
     n_modes: int
     dimension: int
 
-    @property
+    @functools.cached_property
     def modes(self):
+        """(M, d) multi-indices, built once and shared read-only."""
         rng = range(-self.n_modes, self.n_modes + 1)
-        return np.array(list(product(rng, repeat=self.dimension)), dtype=int)
+        modes = np.array(list(product(rng, repeat=self.dimension)), dtype=int)
+        modes.setflags(write=False)
+        return modes
 
     @property
     def size(self):
@@ -240,15 +243,22 @@ def write_field(path, field):
 
 
 def read_field(path):
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise DataError(f"{path}: bad magic {magic!r}")
-        d, p, q = struct.unpack("<III", fh.read(12))
-        grid = struct.unpack(f"<{d}I", fh.read(4 * d))
-        count = int(np.prod(grid)) * p * q
-        payload = fh.read(16 * count)
-        if len(payload) != 16 * count:
-            raise DataError(f"{path}: truncated payload")
-        data = np.frombuffer(payload, dtype=np.complex128).copy()
+    """Field written by :func:`write_field`.  DataError when the file cannot
+    be read, has another magic, or is shorter than its header says."""
+    try:
+        with open(path, "rb") as fh:
+            magic = fh.read(4)
+            if magic != _MAGIC:
+                raise DataError(f"{path}: bad magic {magic!r}")
+            d, p, q = struct.unpack("<III", fh.read(12))
+            grid = struct.unpack(f"<{d}I", fh.read(4 * d))
+            count = int(np.prod(grid)) * p * q
+            payload = fh.read(16 * count)
+    except OSError as exc:
+        raise DataError(f"{path}: {exc.strerror or exc}") from exc
+    except struct.error as exc:
+        raise DataError(f"{path}: truncated header ({exc})") from exc
+    if len(payload) != 16 * count:
+        raise DataError(f"{path}: truncated payload")
+    data = np.frombuffer(payload, dtype=np.complex128).copy()
     return data.reshape(*grid, p, q)

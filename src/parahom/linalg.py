@@ -32,23 +32,6 @@ def herm_norm(a):
     return np.abs(np.linalg.eigvalsh(herm(a))).max(axis=-1)
 
 
-def column_split_norm(a, cols):
-    """Upper bound ||A[:, cols]||_2 + ||A[:, rest]||_F of ||A||_2.
-
-    Exact up to the Frobenius term when A lives in the columns ``cols``; one
-    SVD of a few columns replaces the full one.
-    """
-    rest = np.delete(a, cols, axis=1)
-    return opnorm(a[:, cols]) + float(np.linalg.norm(rest))
-
-
-def range_split_norm(a, q):
-    """Upper bound ||Q*AQ||_2 + ||A - Q Q*AQ Q*||_F of ||A||_2 for orthonormal
-    columns ``q``, exact up to the Frobenius term when A = Q Q*AQ Q*."""
-    m = q.conj().T @ a @ q
-    return opnorm(m) + float(np.linalg.norm(a - q @ m @ q.conj().T))
-
-
 def inf_norm_bound(a):
     """Upper bound of ||A||_inf, and so of every |eigenvalue|, for a complex
     (D, D) array: the largest row sum of |Re| + |Im|, raised by 4Du to cover

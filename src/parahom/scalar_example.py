@@ -37,9 +37,9 @@ class ScalarInput:
     def grid_shape(self):
         return self.g.shape[:-2]
 
-    def validate(self, tol=1e-12):
+    def validate(self):
         mean_v = abs(np.mean(self.v))
-        if mean_v > tol * max(np.abs(self.v).max(), 1.0):
+        if mean_v > 1e-12 * max(np.abs(self.v).max(), 1.0):
             raise MeanNotZero(f"mean of v is {mean_v:.3e}")
         sym = np.abs(self.g - np.swapaxes(self.g, -1, -2)).max()
         if sym > 1e-12 * max(np.abs(self.g).max(), 1.0):

@@ -601,3 +601,49 @@ def eval_matrix_direct(trunc, grid_shape):
     frac = np.stack([a.ravel() for a in mesh], axis=-1)
     return (np.exp(2j * np.pi * (frac @ trunc.modes.T))
             / np.sqrt(np.prod(grid_shape)))
+
+
+def cross_validation_dense_norms(problem, trunc, theta, tau, constants):
+    """The five residuals of ``fibers.cross_validate_abstract`` formed as
+    dense dim x dim matrices: the threshold objects in full-space form minus
+    their explicit targets placed on the zero-mode block, each normed by a
+    full SVD."""
+    from parahom import abstract as ab
+    from parahom import cell as cl
+    from parahom import fibers as fb
+    from parahom import fields as fd
+
+    theta = np.asarray(theta, dtype=float)
+    theta = theta / np.linalg.norm(theta)
+    th = ab.compute_threshold(
+        fb.hatted_family(problem, trunc, theta, constants,
+                         fb.rectangle_grid(problem, trunc)),
+        delta=constants.delta, tau0=constants.tau0)
+    sol = cl.solve_cell_problems(problem, trunc)
+    ng = cl.ng_coefficients(problem, sol)
+    n, dim = problem.n, trunc.size * problem.n
+    zero = slice(trunc.zero_index * n, (trunc.zero_index + 1) * n)
+
+    def on_zero_block(block, rows=zero):
+        out = np.zeros((dim, dim), dtype=complex)
+        out[rows, zero] = block
+        return out
+
+    def on_zero_columns(field):
+        return on_zero_block(
+            fd.mult_matrix(field, trunc, fd.Truncation(0, problem.d)),
+            rows=slice(None))
+
+    bth = problem.b_of(theta)
+    t, eps = tau * 0.8, tau * 0.6
+    k = t * theta
+    residuals = {
+        "Z": th.Z - on_zero_columns(sol.Lambda @ bth),
+        "Ztilde": th.Ztilde - on_zero_columns(sol.LambdaTilde),
+        "germ": th.S_block - on_zero_block(bth.conj().T @ sol.g0 @ bth),
+        "L": (ab.L_operator(th, t, eps)
+              - on_zero_block(sol.L_hat_symbol(k, eps))),
+        "N": ab.n_operator(th, t, eps) - on_zero_block(ng.symbol(k, eps)),
+    }
+    return {name: float(np.linalg.norm(res, 2))
+            for name, res in residuals.items()}

@@ -224,7 +224,7 @@ def test_r_factor_route_raises_on_trivial_kernel(shape):
         ab.compute_threshold(fam)
 
 
-def test_r_factor_route_raises_on_ill_conditioned_gram():
+def test_r_factor_route_raises_on_ill_conditioned_gram(monkeypatch):
     # a wide X0 with singular values 1 ... 1e-7 off a 6-dimensional kernel
     # (test_ill_conditioned_gram_raises covers a tall one), and X0 = 0
     rng = np.random.default_rng(6)
@@ -234,12 +234,13 @@ def test_r_factor_route_raises_on_ill_conditioned_gram():
     fam = _family_with_X0(X0, 2)
     with pytest.raises(IllConditioned):
         ab.compute_threshold(fam)
-    assert ab.compute_threshold(fam, cond_cap=1e15).n == 6
+    monkeypatch.setattr(ab, "COND_CAP", 1e15)
+    assert ab.compute_threshold(fam).n == 6
     with pytest.raises(IllConditioned):
         ab.compute_threshold(_family_with_X0(np.zeros((6, 10)), 2))
 
 
-def test_ill_conditioned_gram_raises(family):
+def test_ill_conditioned_gram_raises(family, monkeypatch):
     # singular values 1, ..., 1e-7 off a 2-dimensional kernel: the restricted
     # Gram condition (sigma_1/sigma_r)^2 is 1e14
     fam, th = family
@@ -251,7 +252,8 @@ def test_ill_conditioned_gram_raises(family):
                             fam.Q0, fam.lam, dict(fam.form_constants))
     with pytest.raises(IllConditioned):
         ab.compute_threshold(bad)
-    assert ab.compute_threshold(bad, cond_cap=1e15).n == 2
+    monkeypatch.setattr(ab, "COND_CAP", 1e15)
+    assert ab.compute_threshold(bad).n == 2
 
 
 def test_Z_support_identities(family):
@@ -489,7 +491,7 @@ def test_threshold_rank_mismatch_raises(family):
     ("BF_minus_SP", 3.0), ("BF_minus_SP_K", 4.0)])
 def test_threshold_order_slopes(family, key, expected):
     fam, th = family
-    rows = ab.dyadic_order_sweep(fam, th, THETA, n_points=8)
+    rows = ab.dyadic_order_sweep(fam, th, THETA)
     taus = np.array([r[0] for r in rows])
     vals = np.array([r[1][key] for r in rows])
     keep = vals > 1e-12 * vals.max()

@@ -158,7 +158,7 @@ def test_criterion_07_abstract_order_checks():
         th = ab.compute_threshold(fam)
         theta = rng.standard_normal(2)
         theta /= np.linalg.norm(theta)
-        rows = ab.dyadic_order_sweep(fam, th, theta, n_points=8)
+        rows = ab.dyadic_order_sweep(fam, th, theta)
         taus = [r[0] for r in rows]
         for key in worst:
             vals = [r[1][key] for r in rows]

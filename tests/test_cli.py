@@ -345,6 +345,39 @@ prefix = gf
     assert abs(g0 - ref) < 1e-8
 
 
+def _grid_file_config(tmp_path, gpath, extra=""):
+    return _write(tmp_path, f"""
+[problem]
+g_file = {gpath}
+{extra}
+[truncation]
+n_modes = 4
+""")
+
+
+@pytest.mark.parametrize("g_bytes,extra", [
+    (None, ""),
+    (b"PHOM\x01\x00\x00\x00", ""),
+    ("valid", "lambda = abc"),
+    ("valid", "basis = one"),
+    ("valid", "b_symbols = 1 x"),
+], ids=["missing_file", "short_header", "lambda", "basis", "b_symbols"])
+def test_malformed_grid_file_input_exit_2(tmp_path, capsys, g_bytes, extra):
+    # a missing or short grid file, or a [problem] number that does not
+    # parse, is bad input: exit 2 with a message and no traceback
+    from parahom import fields as fd
+
+    gpath = tmp_path / "g.phom"
+    if g_bytes == "valid":
+        fd.write_field(gpath, np.full((16, 1, 1), 2.0, dtype=complex))
+    elif g_bytes is not None:
+        gpath.write_bytes(g_bytes)
+    cfg = _grid_file_config(tmp_path, gpath, extra)
+    rc = cli.main(["cell-solve", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_abstract_check_command(tmp_path):
     cfg = _write(tmp_path, """
 [run]

@@ -271,26 +271,74 @@ def test_cross_validation_rejects_invalid_direction_and_radius(
 
 def test_cross_validation_frees_the_family_before_the_residuals(monkeypatch):
     # the hatted family is the largest object of a cross-validation; nothing
-    # reads it after compute_threshold, so it must be gone by L_operator
-    refs = []
-    real_threshold, real_L = fb.compute_threshold, fb.L_operator
+    # reads it after compute_threshold, so it must be gone by the time the
+    # residual phase evaluates the kernel-basis middles of L and N
+    refs, polys = [], []
+    real_threshold, real_poly = fb.compute_threshold, fb.kernel_poly
 
     def threshold(family, *args, **kwargs):
         refs.append(weakref.ref(family))
         return real_threshold(family, *args, **kwargs)
 
-    def L_operator(*args, **kwargs):
+    def kernel_poly(*args, **kwargs):
         alive = [ref for ref in refs if ref() is not None]
         assert refs and not alive, "the hatted family is still alive"
-        return real_L(*args, **kwargs)
+        polys.append(args)
+        return real_poly(*args, **kwargs)
 
     monkeypatch.setattr(fb, "compute_threshold", threshold)
-    monkeypatch.setattr(fb, "L_operator", L_operator)
+    monkeypatch.setattr(fb, "kernel_poly", kernel_poly)
     prob = presets.random_fiber_instance(42, d=1, n_modes=6)
     consts = fb.estimate_constants(prob)
     fb.cross_validate_abstract(prob, Truncation(6, 1), [1.0],
                                0.5 * consts.tau0, constants=consts)
-    assert len(refs) == 1
+    assert len(refs) == 1 and len(polys) == 2
+
+
+def test_cross_validation_expands_no_full_space_operator(monkeypatch):
+    # the residuals are normed from their kernel-basis factors: no threshold
+    # object is expanded to a dim x dim matrix
+    from parahom import abstract as ab
+
+    def expanded(*args, **kwargs):
+        raise AssertionError("a dim x dim threshold operator was formed")
+
+    monkeypatch.setattr(ab.ThresholdData, "expand", expanded)
+    for name in ("P", "Z", "Ztilde", "S_block"):
+        monkeypatch.setattr(ab.ThresholdData, name, property(expanded))
+    prob = presets.random_fiber_instance(42, d=1, n_modes=6)
+    consts = fb.estimate_constants(prob)
+    rep = fb.cross_validate_abstract(prob, Truncation(6, 1), [1.0],
+                                     0.5 * consts.tau0, constants=consts)
+    assert set(rep) == {"Z", "Ztilde", "germ", "L", "N"}
+
+
+def _crossval_2d_case():
+    # the perfbench crossval_2d configuration: seed 201, N = 11, dim 529
+    angle = np.random.default_rng(201).uniform(0.0, 2.0 * np.pi)
+    return (presets.random_fiber_instance(201, d=2, n_modes=11),
+            Truncation(11, 2), [np.cos(angle), np.sin(angle)], 0.5)
+
+
+@pytest.mark.parametrize("case", [
+    lambda: (presets.random_fiber_instance(42, d=1, n_modes=16),
+             Truncation(16, 1), [1.0], 0.5),
+    lambda: (presets.random_fiber_instance(13, d=1, n_modes=16),
+             Truncation(16, 1), [1.0], 0.5),
+    lambda: (presets.constant_2d(n_modes=5), Truncation(5, 2), [0.6, 0.8],
+             0.4),
+    _crossval_2d_case,
+], ids=["random_d1_seed42", "random_d1_seed13", "constant_2d", "crossval_2d"])
+def test_cross_validation_norms_match_dense_residuals(case):
+    prob, tr, theta, tau_frac = case()
+    consts = fb.estimate_constants(prob)
+    tau = tau_frac * consts.tau0
+    rep = fb.cross_validate_abstract(prob, tr, theta, tau, constants=consts,
+                                     raise_on_fail=False)
+    ref = oracles.cross_validation_dense_norms(prob, tr, theta, tau, consts)
+    assert set(rep) == set(ref)
+    for name, val in ref.items():
+        assert abs(rep[name] - val) < 1e-13, (name, rep[name], val)
 
 
 def test_cross_validation_holds_one_grid_rectangle_besides_x0(monkeypatch):
@@ -487,39 +535,30 @@ def test_pencil_matches_reference_at_random_points(k1, k2, eps):
     assert _close(got, oracles.assemble_fiber_reference(prob, tr, kv, eps))
 
 
-def test_cross_validation_bounds_dominate_planted_residuals():
-    # residuals with an off-structure part well above rounding: the reported
-    # values must stay upper bounds of the exact norm
+def test_span_norms_match_dense_norms_of_planted_residuals():
+    # X w* and w M w* against the dense norms of the same D x D products,
+    # for a random pair of columns and for the production case: the kernel
+    # vector u is the zero-mode column e0 up to a tilt near rounding
     rng = np.random.default_rng(11)
-    dim, cols = 40, np.arange(18, 20)
+    dim = 40
 
     def cplx(*shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-    # span[u, E] for a random pair, and for the production case: the kernel
-    # vector u is the zero-mode column e0 up to a tilt near rounding
     e0 = np.eye(dim)[:, [19]]
     bases = [cplx(dim, 2)]
     for tilt in (1e-9, 1e-15):
         u = e0 + tilt * cplx(dim, 1)
         bases.append(np.concatenate([u / np.linalg.norm(u), e0], axis=1))
 
-    for scale in (0.0, 1e-8, 1e-3, 1.0):
-        r = np.zeros((dim, dim), dtype=complex)
-        r[:, cols] = cplx(dim, len(cols))
-        r += scale * cplx(dim, dim)
-        bound = linalg.column_split_norm(r, cols)
-        assert bound >= linalg.opnorm(r)
-        if scale == 0.0:
-            assert bound == pytest.approx(linalg.opnorm(r), rel=1e-13)
-        for basis in bases:
-            q = np.linalg.qr(basis)[0]
-            h = (basis @ linalg.herm(cplx(2, 2)) @ basis.conj().T
-                 + scale * cplx(dim, dim))
-            bound = linalg.range_split_norm(h, q)
-            assert bound >= linalg.opnorm(h)
-            if scale == 0.0:
-                assert bound == pytest.approx(linalg.opnorm(h), rel=1e-13)
+    for w in bases:
+        for scale in (1e-8, 1e-3, 1.0):
+            x = scale * cplx(dim, 2)
+            m = scale * linalg.herm(cplx(2, 2))
+            got = fb._span_norms(w, [x], [m])
+            ref = [linalg.opnorm(x @ w.conj().T),
+                   linalg.opnorm(w @ m @ w.conj().T)]
+            assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
 def _parity_tol(fib, s, ref):

@@ -18,6 +18,15 @@ def test_truncation_symmetric_and_contains_zero():
         assert tr.size == 7 ** d
 
 
+def test_truncation_modes_built_once_and_read_only():
+    tr = fd.Truncation(3, 2)
+    modes = tr.modes
+    assert tr.modes is modes
+    with pytest.raises(ValueError):
+        modes[0, 0] = 5
+    assert fd.Truncation(3, 2).modes[0, 0] == -3
+
+
 def test_eval_matrix_unitary_columns():
     tr = fd.Truncation(5, 1)
     E = fd.eval_matrix(tr, (24,))

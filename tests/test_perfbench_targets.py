@@ -62,7 +62,6 @@ _PLAIN_CALLABLES = [
     ("fibers", "projected_norms"),
     ("fibers", "remainder_norms"),
     ("linalg", "herm_norm"),
-    ("linalg", "range_split_norm"),
     ("linalg", "spectrum_above"),
 ]
 
