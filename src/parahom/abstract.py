@@ -265,28 +265,37 @@ def n_operator(th, t, eps):
     return th.expand(kernel_poly(th.n_blocks, t, eps))
 
 
-def _kernel_flow(th, t, eps):
-    """Flow of L(t,eps) in the kernel basis; positivity check."""
-    flow = linalg.HermitianFlow(kernel_poly(th.germ_blocks, t, eps))
-    linalg.check_floor(flow.w, th.cstar_check, t ** 2 + eps ** 2, NonPositiveL,
-                       "L(t,eps)")
-    return flow
+def approximation_factors(flow, s, first_order, third_order):
+    """Factors (e, first, J) of the threshold approximation, batched over the
+    flow's leading axes: e = flow.expm(s), first = first_order @ e and the
+    closed-form integral J = flow.integral(third_order, s); only e when
+    ``first_order`` is None."""
+    e = flow.expm(s)
+    if first_order is None:
+        return e, None, None
+    return e, first_order @ e, flow.integral(third_order, s)
+
+
+def expand_approximation(u, e, first, J):
+    """Full-space principal term u e u* and corrector first u* + u first* -
+    u J u* of :func:`approximation_factors` on the (D, n) basis ``u``; the
+    corrector is None when ``first`` is."""
+    uh = u.conj().T
+    principal = u @ e @ uh
+    if first is None:
+        return principal, None
+    fu = first @ uh
+    return principal, fu + fu.conj().T - u @ J @ uh
 
 
 def kernel_approximation(th, t, eps, s):
-    """exp(-L(t,eps) s) P and the corrector K(t,eps,s), from one flow of L.
-
-    K is the oscillating pair plus the closed-form integral.
-    """
-    u = th.kernel_basis
-    uh = u.conj().T
-    flow = _kernel_flow(th, t, eps)
-    e_ker = flow.expm(s)
-    # (t Z + eps Ztilde) exp(-Ls) P = (t z + eps zt) e_ker u*, with e_ker
-    # the flow in the kernel basis
-    first = (t * th.z + eps * th.zt) @ e_ker @ uh
-    integral = flow.integral(kernel_poly(th.n_blocks, t, eps), s)
-    return u @ e_ker @ uh, first + first.conj().T - u @ integral @ uh
+    """exp(-L(t,eps) s) P and K(t,eps,s) = (t Z + eps Ztilde) exp(-Ls) P +
+    h.c. - J, from one flow of L held to its floor (NonPositiveL)."""
+    flow = linalg.HermitianFlow(kernel_poly(th.germ_blocks, t, eps))
+    linalg.check_floor(flow.w, th.cstar_check, t ** 2 + eps ** 2, NonPositiveL,
+                       "L(t,eps)")
+    return expand_approximation(th.kernel_basis, *approximation_factors(
+        flow, s, t * th.z + eps * th.zt, kernel_poly(th.n_blocks, t, eps)))
 
 
 def remainder_envelopes(cstar_check, tau_sq, s):
@@ -297,16 +306,26 @@ def remainder_envelopes(cstar_check, tau_sq, s):
     return env_pos, decay / (1.0 + s)
 
 
-def exponential_remainder(family, th, t, eps, s):
-    """Norm of exp(-Bs) - exp(-Ls)P - K and the two reference envelopes."""
+def _dense_remainder(th, family, outer, t, eps, s, approximate, *lead):
+    """Norm of outer exp(-B(t,eps) s) outer* - (principal + corrector), B the
+    pencil of ``family`` and the pair ``approximate(*lead, t, eps, s)``, and
+    the two reference envelopes; OutsideThresholdBall past th.tau0."""
     tau = np.hypot(t, eps)
     if tau > th.tau0 * (1 + 1e-12):
         raise OutsideThresholdBall(f"tau={tau:.3e} exceeds tau0={th.tau0:.3e}")
-    e_full, corrector = kernel_approximation(th, t, eps, s)
-    rem = linalg.HermitianFlow(family.B(t, eps)).expm(s) - (e_full + corrector)
-    nrm = linalg.opnorm(rem)
+    principal, corrector = approximate(*lead, t, eps, s)
+    exact = linalg.HermitianFlow(family.B(t, eps)).expm(s)
+    if outer is not None:
+        exact = outer @ exact @ outer.conj().T
+    nrm = linalg.opnorm(exact - (principal + corrector))
     env_pos, env_nonneg = remainder_envelopes(th.cstar_check, tau ** 2, s)
     return float(nrm), float(env_pos), float(env_nonneg)
+
+
+def exponential_remainder(family, th, t, eps, s):
+    """Norm of exp(-Bs) - exp(-Ls)P - K and the two reference envelopes."""
+    return _dense_remainder(th, family, None, t, eps, s, kernel_approximation,
+                            th)
 
 
 # ---------------------------------------------------------------------------
@@ -481,46 +500,36 @@ def bordered_data(bf):
     M0_n = linalg.inv_sqrtm_herm(G_n)
     Minv = np.linalg.inv(bf.M)
     # u* M^{-1} uh carries the hatted kernel basis to the base one, so
-    # Z M^{-1} Phat = z (u* M^{-1} uh) uh*
+    # Z_G = M Z M^{-1} Phat = zg uh* with zg = M z (u* M^{-1} uh); same for
+    # Ztilde_G
     ker_map = th.kernel_basis.conj().T @ Minv @ uh
-    ZG = bf.M @ th.z @ ker_map @ uh.conj().T
-    ZtG = bf.M @ th.zt @ ker_map @ uh.conj().T
     return {"th": th, "th_hat": th_hat, "G_n": G_n, "M0_n": M0_n,
-            "ZG": ZG, "ZtG": ZtG, "Minv": Minv, "ker_map": ker_map}
+            "zg": bf.M @ th.z @ ker_map, "ztg": bf.M @ th.zt @ ker_map,
+            "Minv": Minv, "ker_map": ker_map}
 
 
 def bordered_approximation(bf, data, t, eps, s):
     """Bordered principal term M0 exp(-M0 Lhat M0 s) M0 Phat and K_G(t,eps,s),
     both from one flow of M0 Lhat M0 (kernel-space closed forms)."""
     th_hat = data["th_hat"]
-    uh = th_hat.kernel_basis
     M0 = data["M0_n"]
     flow = linalg.HermitianFlow(
         M0 @ kernel_poly(th_hat.germ_blocks, t, eps) @ M0, outer=M0)
-    E_full = uh @ flow.expm(s) @ uh.conj().T
-    ZG_t = t * data["ZG"] + eps * data["ZtG"]
     # N_G = Phat (M*)^{-1} N(t,eps) M^{-1} Phat in the hatted kernel basis
     km = data["ker_map"]
-    NG_n = km.conj().T @ kernel_poly(data["th"].n_blocks, t, eps) @ km
-    J_full = uh @ flow.integral(NG_n, s) @ uh.conj().T
-    return E_full, ZG_t @ E_full + E_full @ ZG_t.conj().T - J_full
+    return expand_approximation(th_hat.kernel_basis, *approximation_factors(
+        flow, s, t * data["zg"] + eps * data["ztg"],
+        km.conj().T @ kernel_poly(data["th"].n_blocks, t, eps) @ km))
 
 
 def bordered_remainder(bf, t, eps, s, data=None):
     """Norm of M exp(-B s) M* minus bordered principal term minus K_G."""
     if data is None:
         data = bordered_data(bf)
-    th = data["th"]
-    tau = np.hypot(t, eps)
-    if tau > th.tau0 * (1 + 1e-12):
-        raise OutsideThresholdBall(f"tau={tau:.3e} exceeds tau0={th.tau0:.3e}")
-    B = bf.base.B(t, eps)
-    lhs = bf.M @ linalg.HermitianFlow(B).expm(s) @ bf.M.conj().T
-    principal, corrector = bordered_approximation(bf, data, t, eps, s)
-    nrm = linalg.opnorm(lhs - principal - corrector)
-    env_pos, env_nonneg = remainder_envelopes(th.cstar_check, tau ** 2, s)
-    return {"remainder_norm": float(nrm), "envelope_s_pos": float(env_pos),
-            "envelope_s_nonneg": float(env_nonneg)}
+    nrm, env_pos, env_nonneg = _dense_remainder(
+        data["th"], bf.base, bf.M, t, eps, s, bordered_approximation, bf, data)
+    return {"remainder_norm": nrm, "envelope_s_pos": env_pos,
+            "envelope_s_nonneg": env_nonneg}
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,9 @@ from . import linalg
 from .errors import DataError, IllConditioned
 from .lattice import Lattice
 
+# largest condition number of the cell Galerkin matrix the solves accept
+COND_CAP = 1e12
+
 
 @dataclass
 class PeriodicProblem:
@@ -230,14 +233,14 @@ def galerkin_matrix(problem, trunc):
     return linalg.herm(mat), bk
 
 
-def solve_zero_mean(A, rhs, trunc, grid, cond_cap=1e12):
+def solve_zero_mean(A, rhs, trunc, grid):
     """Zero-mean solutions of A x = rhs for (M, n, c) coefficient columns.
 
     The zero-mode block is removed (zero cell average); returns the
     (grid..., n, c) solution field.  A_red, A without that block, must be
     proven Hermitian positive definite with condition number below
-    ``cond_cap``: as lambda_max <= ||A_red||_inf, one Cholesky certificate
-    of lambda_min > ||A_red||_inf / cond_cap proves both, and IllConditioned
+    COND_CAP: as lambda_max <= ||A_red||_inf, one Cholesky certificate
+    of lambda_min > ||A_red||_inf / COND_CAP proves both, and IllConditioned
     is raised unless it passes (so also near the cap, or on a NaN).
     """
     n, c = rhs.shape[1:]
@@ -246,9 +249,9 @@ def solve_zero_mean(A, rhs, trunc, grid, cond_cap=1e12):
     mask[z * n:(z + 1) * n] = False
     A_red = A[np.ix_(mask, mask)]
     if not linalg.spectrum_above(A_red,
-                                 linalg.inf_norm_bound(A_red) / cond_cap):
+                                 linalg.inf_norm_bound(A_red) / COND_CAP):
         raise IllConditioned(
-            f"cell Galerkin matrix not proven below condition {cond_cap:.1e}")
+            f"cell Galerkin matrix not proven below condition {COND_CAP:.1e}")
     x = np.zeros((A.shape[0], c), dtype=complex)
     x[mask] = scipy.linalg.cho_solve(scipy.linalg.cho_factor(A_red),
                                      rhs.reshape(-1, c)[mask])

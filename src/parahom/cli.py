@@ -27,7 +27,7 @@ from . import fibers as fb
 from . import presets
 from . import scalar_example as se
 from .errors import (ConfigError, DataError, DegenerateSeries,
-                     InsufficientDecades, ParahomError)
+                     InsufficientDecades, ParahomError, SingularBasis)
 from .fields import Truncation, read_field
 from .lattice import build_lattice
 
@@ -184,14 +184,22 @@ def build_problem(cfg):
                                              default=8, cast=int))
         return presets.make_problem(name, **kwargs)
     if "g_file" in sec:
-        lat = build_lattice(_matrix_entry("basis", sec.get("basis", "1")))
+        try:
+            lat = build_lattice(_matrix_entry("basis", sec.get("basis", "1")))
+        except SingularBasis as exc:
+            raise ConfigError(f"[problem] basis: {exc}") from exc
         g = read_field(sec["g_file"])
-        d = lat.dimension
-        m = g.shape[-1]
+        d, m = lat.dimension, g.shape[-1]
+        if g.ndim - 2 != d:
+            raise ConfigError(f"[problem] basis is {d}D, g_file {g.ndim - 2}D")
         b_rows = sec.get("b_symbols", "")
         if b_rows:
-            b = np.stack([_matrix_entry("b_symbols", blk)
-                          for blk in b_rows.split("|")])
+            b = [_matrix_entry("b_symbols", blk) for blk in b_rows.split("|")]
+            shapes = [blk.shape for blk in b]
+            if len(b) != d or len(set(shapes)) != 1 or shapes[0][0] != m:
+                raise ConfigError(f"[problem] b_symbols needs {d} blocks of "
+                                  f"{m} rows and one shape, got {shapes}")
+            b = np.stack(b)
         else:
             n = 1
             b = np.zeros((d, m, n))

@@ -21,7 +21,8 @@ import scipy.linalg
 
 from . import fields as fd
 from . import linalg
-from .abstract import (AbstractFamily, compute_threshold, kernel_poly,
+from .abstract import (AbstractFamily, approximation_factors,
+                       compute_threshold, expand_approximation, kernel_poly,
                        remainder_envelopes)
 from .cell import adj, coeff_vector, ng_coefficients, solve_cell_problems
 from .errors import MismatchBeyondTolerance, NonPositiveEffective, PositivityViolation
@@ -34,23 +35,10 @@ from .linalg import spectrum_above
 
 @dataclass
 class ProblemConstants:
-    """Sampled constants controlling the threshold regime of one problem."""
+    """Sampled constants controlling the threshold regime of one problem:
+    the floor constant c*-check of the fiber and effective spectra, and the
+    threshold radii delta and tau0."""
 
-    alpha0: float
-    alpha1: float
-    g_min: float
-    g_max: float
-    norm_f: float
-    norm_f_inv: float
-    kappa: float
-    c0: float
-    c1: float
-    c2: float
-    c3: float
-    c4: float
-    C1: float
-    beta: float
-    cstar: float
     cstar_check: float
     delta: float
     tau0: float
@@ -101,9 +89,7 @@ def estimate_constants(problem):
     denom = ((2 + c1 ** 2 + c2) * a1 * g_norm * nf ** 2
              + C1 + c3 + abs(problem.lam) * nf ** 2)
     tau0 = float(np.sqrt(delta / denom))
-    return ProblemConstants(a0, a1, v["g_min"], v["g_max"], nf, nfi,
-                            kappa, c0, c1, c2, c3, c4, C1, float(beta),
-                            float(cstar), float(ccheck), float(delta), tau0)
+    return ProblemConstants(float(ccheck), float(delta), tau0)
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +235,11 @@ def _zero_block_slice(trunc, n):
     return slice(z * n, (z + 1) * n)
 
 
+def _zero_mode_columns(trunc, n):
+    """E: the n zero-mode columns of the (trunc.size n)-dimensional identity."""
+    return np.eye(trunc.size * n, n, -trunc.zero_index * n, dtype=complex)
+
+
 def effective_flow(cell, k, eps, cstar_check=0.0):
     """HermitianFlow of the effective symbol B0 = f0 L_hat(k, eps) f0 with
     outer factor f0, batched over the leading axes of the quasimomenta ``k``
@@ -263,48 +254,36 @@ def effective_flow(cell, k, eps, cstar_check=0.0):
 
 def effective_factors(cell, ng, trunc, k, eps, s, cstar_check=0.0):
     """Compact effective side of the fiber remainders, batched over the
-    leading axes of the quasimomenta ``k`` (..., d).
-
-    Returns ``ez`` (..., n, n) = f0 e^{-B0 s} f0, the zero-mode block of the
-    principal term, and, unless ``ng`` is None, ``first`` (..., D, n) and
-    ``J`` (..., n, n): the corrector is first E* + E first* - E J E*, with E
-    the zero-mode columns of the identity.  One batched eigendecomposition
-    of the effective blocks, :func:`effective_flow`, serves all three.
-    """
+    leading axes of the quasimomenta ``k`` (..., d): the
+    :func:`approximation_factors` of one :func:`effective_flow`, ``ez``
+    (..., n, n) = f0 e^{-B0 s} f0 and, unless ``ng`` is None, ``first``
+    (..., D, n) and ``J`` (..., n, n).  Expanded on E, the zero-mode columns
+    of the identity, they give the principal term and the corrector."""
     problem = cell.problem
     flow = effective_flow(cell, k, eps, cstar_check)
-    ez = flow.expm(s)
     if ng is None:
-        return ez, None, None
+        return approximation_factors(flow, s, None, None)
     # ([Lambda_G] b(D+k) + eps [LambdaTilde_G]) E lives in the zero-mode
     # columns, where b(D+k) is b(k) and the multiplication matrices reduce to
     # the coefficient columns of the fields
     lam_g = coeff_vector(cell.LambdaG, trunc).reshape(-1, problem.m)
     lam_gt = coeff_vector(cell.LambdaTildeG, trunc).reshape(-1, problem.n)
-    first = (lam_g @ problem.b_of(k) + eps * lam_gt) @ ez
-    return ez, first, flow.integral(ng.symbol(k, eps), s)
+    return approximation_factors(flow, s, lam_g @ problem.b_of(k)
+                                 + eps * lam_gt, ng.symbol(k, eps))
 
 
 def principal_term(cell, trunc, k, eps, s, cstar_check=0.0):
     """f0 exp(-B0(k,eps) s) f0 Phat as a full matrix (zero-mode block only)."""
-    ez = effective_factors(cell, None, trunc, k, eps, s, cstar_check)[0]
-    n = cell.problem.n
-    sl = _zero_block_slice(trunc, n)
-    gp = np.zeros((trunc.size * n, trunc.size * n), dtype=complex)
-    gp[sl, sl] = ez
-    return gp
+    return expand_approximation(
+        _zero_mode_columns(trunc, cell.problem.n),
+        *effective_factors(cell, None, trunc, k, eps, s, cstar_check))[0]
 
 
 def fiber_corrector(cell, ng, trunc, k, eps, s, cstar_check=0.0):
     """Corrector matrix at one fiber: oscillating pair + closed-form integral."""
-    _, first, integral = effective_factors(cell, ng, trunc, k, eps, s,
-                                           cstar_check)
-    sl = _zero_block_slice(trunc, cell.problem.n)
-    out = np.zeros((first.shape[0],) * 2, dtype=complex)
-    out[:, sl] = first
-    out[sl, :] += first.conj().T
-    out[sl, sl] -= integral
-    return out
+    return expand_approximation(
+        _zero_mode_columns(trunc, cell.problem.n),
+        *effective_factors(cell, ng, trunc, k, eps, s, cstar_check))[1]
 
 
 # e^{-CUT} = 2^-64: eigenpairs of B decayed past this drop out of the remainders
@@ -530,15 +509,13 @@ class HattedFamily(AbstractFamily):
 
 
 def hatted_family(problem, trunc, theta, constants=None, grid_shape=None):
-    """HattedFamily of the f=identity fiber pencil in direction theta."""
-    consts = {}
-    if constants is not None:
-        consts = {"c1": constants.c1, "c2": constants.c2, "c3": constants.c3,
-                  "C1": constants.C1, "kappa": constants.kappa,
-                  "cstar": constants.cstar, "cstar_check": constants.cstar_check}
+    """HattedFamily of the f=identity fiber pencil in direction theta,
+    carrying the c*-check of ``constants`` (delta and tau0 go to
+    compute_threshold)."""
     return HattedFamily(GridRectangles(problem, trunc, grid_shape), theta,
                         linalg.herm(fd.mult_matrix(problem.q_field(), trunc)),
-                        problem.lam, consts)
+                        problem.lam, {} if constants is None else
+                        {"cstar_check": constants.cstar_check})
 
 
 def rectangle_grid(problem, trunc):
@@ -620,10 +597,10 @@ def cross_validate_abstract(problem, trunc, theta, tau, constants=None,
         (th.germ_blocks[0], bth.conj().T @ sol.g0 @ bth),
         (kernel_poly(th.germ_blocks, t, eps), sol.L_hat_symbol(k_vec, eps)),
         (kernel_poly(th.n_blocks, t, eps), ng.symbol(k_vec, eps)))]
-    n = problem.n
-    e = np.eye(trunc.size * n, n, -trunc.zero_index * n, dtype=complex)
     report = dict(zip(("Z", "Ztilde", "germ", "L", "N"), _span_norms(
-        np.concatenate([th.kernel_basis, e], axis=1), factors, middles)))
+        np.concatenate([th.kernel_basis,
+                        _zero_mode_columns(trunc, problem.n)], axis=1),
+        factors, middles)))
 
     # exact norms: R = X [u|E]* = X c* Q* with Q orthonormal, so
     # ||R||_2 = ||X c*||_2

@@ -5,6 +5,7 @@ import pytest
 
 import parahom
 from parahom import abstract as ab
+from parahom import cell as cl
 from parahom import fibers as fb
 from parahom import linalg
 from parahom import presets
@@ -588,7 +589,8 @@ def test_bordered_ZG_against_direct_solve(bordered):
     phi0 = th_hat.Z
     corr = uh @ np.linalg.solve(data["G_n"], uh.conj().T @ (G @ phi0))
     ZG_direct = phi0 - corr
-    assert np.abs(data["ZG"] - ZG_direct @ th_hat.P).max() < 1e-10
+    assert np.abs(data["zg"] @ uh.conj().T
+                  - ZG_direct @ th_hat.P).max() < 1e-10
 
 
 def test_bordered_identity_M_reduces():
@@ -665,6 +667,45 @@ def test_bordered_ZG_relations(bordered):
     bf, data = bordered
     th, th_hat = data["th"], data["th_hat"]
     Minv = data["Minv"]
-    assert np.abs(data["ZG"] - bf.M @ th.Z @ Minv @ th_hat.P).max() < 1e-12
-    assert np.abs(data["ZtG"]
+    uhh = th_hat.kernel_basis.conj().T
+    assert np.abs(data["zg"] @ uhh
+                  - bf.M @ th.Z @ Minv @ th_hat.P).max() < 1e-12
+    assert np.abs(data["ztg"] @ uhh
                   - bf.M @ th.Ztilde @ Minv @ th_hat.P).max() < 1e-12
+
+
+def test_bordered_data_holds_no_full_space_matrix_but_minv(bordered):
+    bf, data = bordered
+    dim = bf.hat.dim_H
+    dense = {key for key, val in data.items()
+             if isinstance(val, np.ndarray) and val.shape == (dim, dim)}
+    assert dense == {"Minv"}
+    assert data["zg"].shape == data["ztg"].shape == (dim, data["th_hat"].n)
+
+
+def test_every_approximation_reaches_the_one_expansion(bordered, monkeypatch):
+    # the plain, bordered and fiber approximations all expand their factors
+    # through abstract.expand_approximation, wherever a module bound it
+    calls = []
+    original = ab.expand_approximation
+
+    def spy(*args):
+        calls.append(args[0].shape)
+        return original(*args)
+
+    for module in (ab, fb):
+        if getattr(module, "expand_approximation", None) is original:
+            monkeypatch.setattr(module, "expand_approximation", spy)
+    bf, data = bordered
+    th = data["th"]
+    t, e, s = 0.18 * th.tau0, 0.24 * th.tau0, 1.3
+    ab.kernel_approximation(th, t, e, s)
+    ab.bordered_approximation(bf, data, t, e, s)
+    dim = bf.hat.dim_H
+    assert calls == [(dim, th.n), (dim, th.n)]
+    prob = presets.osc1d_full(n_modes=4)
+    tr = Truncation(4, 1)
+    sol = cl.solve_cell_problems(prob, tr)
+    fb.fiber_corrector(sol, cl.ng_coefficients(prob, sol), tr,
+                       np.array([0.2]), 0.1, 1.0)
+    assert calls[2:] == [(tr.size * prob.n, prob.n)]

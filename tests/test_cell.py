@@ -203,11 +203,12 @@ def _planted_system(cond, trunc=Truncation(6, 1), n=2, c=3, seed=7):
     return A, rhs
 
 
-def test_solve_zero_mean_refuses_a_condition_above_the_cap():
+def test_solve_zero_mean_refuses_a_condition_above_the_cap(monkeypatch):
     tr = Truncation(6, 1)
     A, rhs = _planted_system(2e6, tr)
+    monkeypatch.setattr(cl, "COND_CAP", 1e6)
     with pytest.raises(IllConditioned):
-        cl.solve_zero_mean(A, rhs, tr, (16,), cond_cap=1e6)
+        cl.solve_zero_mean(A, rhs, tr, (16,))
 
 
 def test_solve_zero_mean_never_certifies_a_nan():

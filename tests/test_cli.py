@@ -361,10 +361,15 @@ n_modes = 4
     ("valid", "lambda = abc"),
     ("valid", "basis = one"),
     ("valid", "b_symbols = 1 x"),
-], ids=["missing_file", "short_header", "lambda", "basis", "b_symbols"])
+    ("valid", "basis = 1 0; 0 1"),
+    ("valid", "b_symbols = 1 0 | 1"),
+    ("valid", "basis = 1 2 3"),
+], ids=["missing_file", "short_header", "lambda", "basis", "b_symbols",
+        "basis_dimension", "b_symbols_shapes", "basis_not_square"])
 def test_malformed_grid_file_input_exit_2(tmp_path, capsys, g_bytes, extra):
-    # a missing or short grid file, or a [problem] number that does not
-    # parse, is bad input: exit 2 with a message and no traceback
+    # a missing or short grid file, a [problem] number that does not parse,
+    # or a basis or b_symbols that does not fit the 1D grid file is bad
+    # input: exit 2 with a message and no traceback
     from parahom import fields as fd
 
     gpath = tmp_path / "g.phom"

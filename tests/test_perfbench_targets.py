@@ -54,8 +54,11 @@ def test_workload_round_checks_ok(name, tmp_path):
 # patches callables on their owner, so none of them may turn into a
 # property or a cached attribute
 _PLAIN_CALLABLES = [
+    ("abstract", "approximation_factors"),
+    ("abstract", "expand_approximation"),
     ("evolution", "EvolutionSetup.fine_flow"),
     ("evolution", "spectral_sums"),
+    ("fields", "sandwich_matrices"),
     ("fibers", "FiberPencil.fiber"),
     ("fibers", "spectrum_above"),
     ("fibers", "partial_flow"),
