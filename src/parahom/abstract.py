@@ -20,6 +20,9 @@ M) is provided for weighted problems.
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
+from scipy.linalg import lapack
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from . import linalg
 from .errors import (DegenerateKernel, IllConditioned, NonPositiveL,
@@ -97,7 +100,9 @@ class ThresholdData:
     germ_blocks: np.ndarray     # (3, n, n): S, C, D
     n_blocks: np.ndarray        # (4, n, n): N11, N12, N21, N22
     n: int
-    d0: float                   # smallest nonzero eigenvalue of X0*X0
+    # smallest nonzero eigenvalue sigma_r^2 of X0*X0: Lanczos on (L*L)^-1
+    # of x0_decomposition to machine precision, svdvals(L) at r <= 2
+    d0: float
     delta: float
     tau0: float
     cstar_check: float
@@ -124,55 +129,147 @@ class ThresholdData:
         return self.expand(self.germ_blocks[0])
 
 
-def _x0_svd(X0):
-    """(sigma_r, V_r, u) with X0 = U_r diag(sigma_r) V_r* and u an orthonormal
-    basis of Ker X0, from the SVD of the R factor of X0 = QR; U_r is never
-    formed; singular values under KERNEL_RTOL * max(sigma_max, 1) are zero.
+def _gram_solve(lead, rhs):
+    """(L*L)^-1 rhs by two triangular solves on the upper triangle of
+    ``lead``, read in place."""
+    half = scipy.linalg.solve_triangular(lead, rhs, trans="C",
+                                         check_finite=False)
+    return scipy.linalg.solve_triangular(lead, half, check_finite=False)
+
+
+@dataclass
+class KernelSplit:
+    """Complete orthogonal decomposition of X0 (Golub & Van Loan, Matrix
+    Computations, 5.4.2): X0 = Q R, R Pi = Q2 T by pivoted QR, and the r
+    leading rows of T are [L 0] Z with L upper triangular and Z unitary.
+
+    Only the ztzrzf output (L in the upper triangle of its first r columns,
+    Z's reflectors to their right), their scalar factors and the pivots are
+    kept; Q, Q2 and T are dropped.
+    """
+
+    rz: np.ndarray              # (r, m) ztzrzf output
+    tau: np.ndarray             # (r,) scalar factors of Z's reflectors
+    piv: np.ndarray             # (m,) column pivots: R[:, piv] = Q2 T
+    kernel_basis: np.ndarray    # (m, n) u = Pi Z* [0; I]
+    d0: float                   # sigma_r^2, 0.0 when r = 0
+
+    @property
+    def rank(self):
+        return self.rz.shape[0]
+
+    def gram_pinv(self, rhs):
+        """(X0*X0)^+ rhs = Pi Z* [(L*L)^-1 (Z Pi* rhs)[:r]; 0] for (m, c)
+        columns ``rhs``."""
+        r = self.rank
+        y = lapack.zunmrz(self.rz, self.tau, np.asfortranarray(rhs[self.piv]),
+                          overwrite_c=True)[0]
+        y[:r] = _gram_solve(self.rz[:, :r], y[:r])
+        y[r:] = 0.0
+        out = np.empty_like(y)
+        out[self.piv] = lapack.zunmrz(self.rz, self.tau, y, trans="C",
+                                      overwrite_c=True)[0]
+        return out
+
+
+def x0_decomposition(X0):
+    """Certified :class:`KernelSplit` of X0, with u spanning Ker X0.
+
+    The rank r is the leading run of |T_jj| above the rank tolerance
+    KERNEL_RTOL * max(|T_00|, 1).  Pivoted QR can misjudge it (Kahan's
+    matrices), so both directions carry a certificate, and a failed one
+    raises:
+    - cap: one Cholesky (linalg.spectrum_above) proves lambda_min(L*L) above
+      ||L*L||_inf / COND_CAP, so the restricted Gram condition is below
+      COND_CAP and L keeps no near-null direction; IllConditioned
+      otherwise, and on a non-finite entry of X0;
+    - kernel: ||X0 u||_2, from the n x n Gram of X0 u, is at most the rank
+      tolerance, so u spans no direction that X0 does not annihilate;
+      DegenerateKernel otherwise.
+    d0 = sigma_r^2 comes from Lanczos on (L*L)^-1 (svdvals(L) at r <= 2,
+    where ARPACK cannot run).  r = 0 is returned uncertified, with u = I,
+    for the caller to refuse.
     """
     R = np.linalg.qr(np.asarray(X0, dtype=complex), mode="r")
-    sing, vh = np.linalg.svd(R, full_matrices=True)[1:]
-    smax = sing[0] if sing.size else 0.0
-    r = int(np.sum(sing > KERNEL_RTOL * max(smax, 1.0)))
-    V = vh.conj().T
-    # u is kept: copy it, or the view would hold all of V
-    return sing[:r], V[:, :r], V[:, r:].copy()
+    if not np.isfinite(R).all():
+        raise IllConditioned("X0 has a non-finite entry")
+    m = R.shape[1]
+    T, piv = scipy.linalg.qr(R, mode="r", pivoting=True, check_finite=False)
+    del R
+    diag = np.abs(np.diag(T))
+    tol = KERNEL_RTOL * max(diag[0], 1.0)
+    r = int(np.sum(np.minimum.accumulate(diag) > tol))
+    if r == 0:
+        return KernelSplit(np.zeros((0, m), dtype=complex),
+                           np.zeros(0, dtype=complex), piv,
+                           np.eye(m, dtype=complex), 0.0)
+    rz, tau = lapack.ztzrzf(np.asfortranarray(T[:r]), overwrite_a=True)[:2]
+    del T
+    lift = np.zeros((m, m - r), dtype=complex, order="F")
+    lift[r:] = np.eye(m - r)
+    u = np.empty((m, m - r), dtype=complex)
+    u[piv] = lapack.zunmrz(rz, tau, lift, trans="C", overwrite_c=True)[0]
+    # T is upper triangular and ztzrzf leaves its zero lower triangle, so
+    # the first r columns of rz are L
+    lead = rz[:, :r]
+    gram = lead.conj().T @ lead
+    if not linalg.spectrum_above(gram,
+                                 linalg.inf_norm_bound(gram) / COND_CAP):
+        raise IllConditioned("restricted Gram matrix of X0 not proven below "
+                             f"condition {COND_CAP:.1e}")
+    image = X0 @ u
+    gram = image.conj().T @ image
+    residual = float(np.sqrt(linalg.herm_norm(gram))) if gram.size else 0.0
+    if not residual <= tol:
+        raise DegenerateKernel(f"||X0 u|| = {residual:.2e} exceeds the rank "
+                               f"tolerance {tol:.2e}")
+    return KernelSplit(rz, tau, piv, u, _smallest_squared_singular(lead))
 
 
-def _gram_pinv(sing, V_r, rhs):
-    """(X0*X0)^+ rhs = V_r diag(sigma_r^-2) V_r* rhs.
-
-    Raises IllConditioned when (sigma_1/sigma_r)^2 exceeds COND_CAP.
-    """
-    if sing.size == 0:
-        raise IllConditioned("empty positive spectrum")
-    if sing[-1] <= 0 or (sing[0] / sing[-1]) ** 2 > COND_CAP:
-        cond = (sing[0] / max(sing[-1], 1e-300)) ** 2
-        raise IllConditioned(
-            f"restricted Gram condition {cond:.2e} exceeds cap {COND_CAP:.1e}")
-    return V_r @ ((V_r.conj().T @ rhs) / sing[:, None] ** 2)
+def _smallest_squared_singular(lead):
+    """sigma_r^2 of the upper triangle L of ``lead``: 1 / lambda_max of
+    (L*L)^-1 by Lanczos (ARPACK from a fixed start, to machine precision),
+    two triangular solves a step; ARPACK needs r >= 3, so r <= 2 takes
+    svdvals(L)."""
+    r = lead.shape[0]
+    if r <= 2:
+        return float(scipy.linalg.svdvals(np.triu(lead))[-1] ** 2)
+    op = LinearOperator((r, r), matvec=lambda x: _gram_solve(lead, x),
+                        dtype=complex)
+    start = np.random.default_rng(0).standard_normal(r).astype(complex)
+    top = eigsh(op, k=1, v0=start, tol=0, return_eigenvectors=False)
+    return float(1.0 / top[0])
 
 
 def compute_threshold(family, delta=None, tau0=None):
     """All threshold objects of the pencil in one pass, in the kernel basis.
 
-    One SVD of the R factor of X0 gives u and the pseudo-inverse of X0*X0;
-    Z and Ztilde solve X0*X0 Z = -X0*X1 P and X0*X0 Zt = -Y0*Y2 P on
-    Ker(X0)^perp.  The work is O(dim^2 n) past that SVD.
+    One certified complete orthogonal decomposition of X0
+    (:func:`x0_decomposition`) gives u and the pseudo-inverse of X0*X0; Z
+    and Ztilde solve X0*X0 Z = -X0*X1 P and X0*X0 Zt = -Y0*Y2 P on
+    Ker(X0)^perp.  The work is O(dim^2 n) past that decomposition.
+    Raises DegenerateKernel when Ker X0 is trivial and IllConditioned when
+    X0 has no positive singular value.
     """
-    sing, V_r, u = _x0_svd(family.X0)
+    split = x0_decomposition(family.X0)
+    u = split.kernel_basis
     if u.shape[1] == 0:
         raise DegenerateKernel("Ker X0 is trivial")
+    if split.rank == 0:
+        raise IllConditioned("empty positive spectrum")
     # one of X1, Y0, Y2 at a time: a family may build each when it is read.
     # A* b is formed as conj(A^T conj(b)), which copies b and not A: the
     # same products with every sign flipped, so the same bits
     x1u = family.X1 @ u
-    z = -_gram_pinv(sing, V_r, (family.X0.T @ x1u.conj()).conj())
+    z = -split.gram_pinv((family.X0.T @ x1u.conj()).conj())
     y2u = family.Y2 @ u
-    zt = -_gram_pinv(sing, V_r, (family.Y0.T @ y2u.conj()).conj())
+    zt = -split.gram_pinv((family.Y0.T @ y2u.conj()).conj())
+    d0 = split.d0
+    # dropped before the map reads below, which may build rectangles
+    del split
     # R = P_* X1 P = (X1 + X0 Z) P, as X0 z = -U_r U_r* X1 u = (P_* - I) X1 u
     r = x1u + family.X0 @ z
     blocks = linalg.herm(np.stack(_kernel_blocks(family, u, z, zt, r)))
-    d0 = float(sing[-1] ** 2)
 
     consts = family.form_constants
     if delta is None:

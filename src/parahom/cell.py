@@ -99,10 +99,10 @@ class PeriodicProblem:
         return float(lo), float(hi)
 
     def validate(self, trunc=None):
-        """Structural checks: symbol rank, g bounds, Hermiticity, grid size."""
+        """Structural checks: symbol rank, g positivity, Hermiticity, grid
+        size; returns the symbol bounds alpha0 and alpha1."""
         a0, a1 = self.symbol_bounds()
-        gw = np.linalg.eigvalsh(self.g)
-        if gw.min() <= 0:
+        if np.linalg.eigvalsh(self.g).min() <= 0:
             raise DataError("g not positive definite on the grid")
         if self.Qdensity is not None:
             defect = np.abs(self.Qdensity
@@ -114,8 +114,7 @@ class PeriodicProblem:
             if min(self.grid_shape) < need:
                 raise DataError(
                     f"grid {self.grid_shape} too coarse for n_modes={trunc.n_modes}")
-        return {"alpha0": a0, "alpha1": a1,
-                "g_min": float(gw.min()), "g_max": float(gw.max())}
+        return {"alpha0": a0, "alpha1": a1}
 
 
 @dataclass

@@ -6,7 +6,8 @@ class ParahomError(Exception):
 
 
 class DegenerateKernel(ParahomError):
-    """The reference operator has a trivial kernel (n = 0)."""
+    """The reference operator has a trivial kernel (n = 0), or its kernel
+    basis is not certified: the operator does not annihilate it."""
 
 
 class IllConditioned(ParahomError):

@@ -132,10 +132,11 @@ class FiberPencil:
     sum_c w_c(k, eps) C_c over the monomials 1, k_j, k_i k_j (i <= j), eps,
     eps k_j and eps^2.  The coefficient matrices C_c are built once per
     (problem, truncation) by fields.sandwich_matrices, once each on g, the a_j
-    and Q.  With f != identity the form is carried on an extended mode set
-    sized from f's band and every coefficient is compressed by the rectangle
-    [f] once; [f] on the truncation is kept as ``f_matrix`` (None for f = I)
-    and rides along on every fiber.
+    and Q, with one shared mode-difference index.  With f != identity the
+    form is carried on an extended mode set sized from f's band and every
+    coefficient is compressed by the rectangle [f] once; [f] on the
+    truncation is kept as ``f_matrix`` (None for f = I) and rides along on
+    every fiber.
     """
 
     def __init__(self, problem, trunc):
@@ -154,9 +155,11 @@ class FiberPencil:
         freqs = tr_in.freqs(problem.lattice)
         b0 = problem.b_of(freqs)
         b_unit = problem.b_of(np.eye(d))[:, None]
+        # g, the a_j and Q share one mode-difference index per grid
+        indices = {}
         quad = fd.sandwich_matrices(
             problem.g, tr_in, [(b0, b0)] + [(b0, b) for b in b_unit]
-            + [(b_unit[i], b_unit[j]) for i, j in self._pairs])
+            + [(b_unit[i], b_unit[j]) for i, j in self._pairs], indices)
         dim = trunc.size * n
         # filled in place: the stack is the only D^2-sized array kept
         self.coeffs = np.zeros((2 * d + len(self._pairs) + 3, dim, dim),
@@ -179,13 +182,14 @@ class FiberPencil:
             for j in range(d):
                 a_d, a_k = fd.sandwich_matrices(
                     problem.a[j], tr_in,
-                    [(eye, freqs[:, j, None, None] * eye), (eye, eye)])
+                    [(eye, freqs[:, j, None, None] * eye), (eye, eye)],
+                    indices)
                 cross = cross + a_d
                 put(c_eps + 1 + j, a_k, sym=True)
             put(c_eps, cross, sym=True)
         if problem.Qdensity is not None:
             put(-1, *fd.sandwich_matrices(problem.Qdensity, tr_in,
-                                          [(eye, eye)]))
+                                          [(eye, eye)], indices))
         if problem.lam != 0.0:
             q0 = (np.eye(dim) if problem.f_is_identity else fd.mult_matrix(
                 adj(problem.f_field()) @ problem.f_field(), trunc))

@@ -129,7 +129,7 @@ def difference_index(rows, cols, grid):
     return tuple(diff[..., ax] % grid[ax] for ax in range(len(grid)))
 
 
-def sandwich_matrices(field, trunc, pairs):
+def sandwich_matrices(field, trunc, pairs, indices=None):
     """Galerkin matrices of L(D)* [field] R(D), one per symbol pair (L, R).
 
     L and R are block stacks (M or 1, p, i) and (M or 1, q, j) over the modes
@@ -137,10 +137,15 @@ def sandwich_matrices(field, trunc, pairs):
     Entry (a, i; b, j) of a pair's (M*i, M*j) matrix is
     sum_pq conj(L(a)[p, i]) field^_pq(a - b) R(b)[q, j]: each field^_pq is
     gathered once as an (M, M) array for all pairs, and no multiplication
-    matrix is formed.
+    matrix is formed.  Calls on one truncation that pass one ``indices``
+    dict share its mode-difference index per grid shape, built on first use.
     """
     coeffs = fft_coeffs(field)
-    idx = difference_index(trunc.modes, trunc.modes, coeffs.shape[:-2])
+    grid = coeffs.shape[:-2]
+    indices = {} if indices is None else indices
+    if grid not in indices:
+        indices[grid] = difference_index(trunc.modes, trunc.modes, grid)
+    idx = indices[grid]
     m = trunc.size
     outs = [np.zeros((m, left.shape[-1], m, right.shape[-1]), dtype=complex)
             for left, right in pairs]

@@ -45,11 +45,14 @@ def spectrum_above(matrix, mu):
     ``matrix`` (D, D) above ``mu``; False if it fails or an entry or mu is
     not finite.
 
-    zpotrf runs on matrix - (mu + gamma) I.  Success gives R*R = that matrix
-    + dA with ||dA||_2 <= gamma1 = D c (1+c) nrm, c = sqrt(2)(D+2)u/(1-(D+2)u)
-    (Higham, Accuracy and Stability, Thm 10.3 with complex arithmetic) and
-    nrm >= ||matrix - mu I||_inf; gamma adds 4u(nrm + gamma1) for the rounded
-    diagonal shift.  So lambda_min > mu.
+    zpotrf runs on A = matrix - (mu + gamma) I.  Success gives R*R = A + dA
+    with |dA| <= c |R*||R|, c = sqrt(2)(D+2)u/(1-(D+2)u) (Higham, Accuracy
+    and Stability, Thm 10.3 with complex arithmetic).  As (|R*||R|)_ij <=
+    ||r_i|| ||r_j|| over the columns r_i of R, ||dA||_2 <= c trace(R*R)
+    <= gamma1 = c t / (1 - c) for any t >= trace(A); t is the sum of the
+    positive diagonal entries of matrix - mu I, raised by 8Du for its
+    rounding.  gamma = gamma1 + 4u(nrm + gamma1), nrm >= ||matrix - mu
+    I||_inf, also covers the rounded diagonal shift.  So lambda_min > mu.
     """
     u, dim = 2.0 ** -53, matrix.shape[-1]
     shifted = matrix.copy()
@@ -59,7 +62,8 @@ def spectrum_above(matrix, mu):
     if not np.isfinite(nrm):         # OpenBLAS's zpotrf passes NaN pivots
         return False
     c = np.sqrt(2.0) * (dim + 2) * u / (1.0 - (dim + 2) * u)
-    gamma = dim * c * (1.0 + c) * nrm
+    trace = np.maximum(diag.real, 0.0).sum() * (1.0 + 2.0 ** -50 * dim)
+    gamma = c * trace / (1.0 - c)
     diag -= gamma + 4.0 * u * (nrm + gamma)
     # the transpose is Fortran-ordered with the same spectrum: no copy
     return scipy.linalg.lapack.zpotrf(shifted.T, overwrite_a=True)[1] == 0

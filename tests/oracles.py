@@ -1,9 +1,10 @@
 """Independent reference computations used to freeze expected test values.
 
 Each oracle takes a deliberately different route from the implementation it
-checks: adaptive quadrature against closed forms, scipy null spaces against
-the SVD kernel detector, collocation Crank-Nicolson stepping against Bloch
-synthesis, brute-force Voronoi geometry against lattice formulas.
+checks: adaptive quadrature against closed forms, scipy null spaces and full
+SVDs against the pivoted-QR kernel detector, collocation Crank-Nicolson
+stepping against Bloch synthesis, brute-force Voronoi geometry against
+lattice formulas.
 """
 
 import numpy as np
@@ -647,3 +648,21 @@ def cross_validation_dense_norms(problem, trunc, theta, tau, constants):
     }
     return {name: float(np.linalg.norm(res, 2))
             for name, res in residuals.items()}
+
+
+def x0_svd_reference(X0, rel_tol=1e-10):
+    """(sigma_r, V_r, u) of X0 from a full SVD of its R factor: the singular
+    values above rel_tol * max(sigma_1, 1), their right singular vectors
+    and an orthonormal basis u of the rest, Ker X0."""
+    R = np.linalg.qr(np.asarray(X0, dtype=complex), mode="r")
+    sing, vh = np.linalg.svd(R, full_matrices=True)[1:]
+    smax = sing[0] if sing.size else 0.0
+    r = int(np.sum(sing > rel_tol * max(smax, 1.0)))
+    V = vh.conj().T
+    return sing[:r], V[:, :r], V[:, r:]
+
+
+def gram_pinv_reference(sing, V_r, rhs):
+    """(X0*X0)^+ rhs = V_r diag(sigma_r^-2) V_r* rhs from
+    :func:`x0_svd_reference`."""
+    return V_r @ ((V_r.conj().T @ rhs) / sing[:, None] ** 2)

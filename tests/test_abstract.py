@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import parahom
 from parahom import abstract as ab
@@ -60,8 +61,8 @@ def test_hatted_threshold_data_holds_only_kernel_factors():
 
 def test_kernel_projection_zero_matrix():
     # compute_threshold raises IllConditioned on X0 = 0 (no positive
-    # spectrum), so the kernel split is read off _x0_svd
-    _, _, u = ab._x0_svd(np.zeros((2, 2)))
+    # spectrum), so the kernel split is read off x0_decomposition
+    u = ab.x0_decomposition(np.zeros((2, 2))).kernel_basis
     assert u.shape[1] == 2
     assert np.allclose(u @ u.conj().T, np.eye(2))
 
@@ -255,6 +256,146 @@ def test_ill_conditioned_gram_raises(family, monkeypatch):
         ab.compute_threshold(bad)
     monkeypatch.setattr(ab, "COND_CAP", 1e15)
     assert ab.compute_threshold(bad).n == 2
+
+
+def _assert_split_matches_svd_reference(X0, seed=0):
+    """u as a projector, d0 and (X0*X0)^+ on random columns against the
+    full SVD of X0's R factor, within 1e-12."""
+    split = ab.x0_decomposition(X0)
+    sing, V_r, u_ref = oracles.x0_svd_reference(X0)
+    u = split.kernel_basis
+    assert split.rank == sing.size and u.shape[1] == u_ref.shape[1]
+    proj_err = np.abs(u @ u.conj().T - u_ref @ u_ref.conj().T).max()
+    assert proj_err <= 1e-12
+    assert split.d0 == pytest.approx(sing[-1] ** 2, rel=1e-12)
+    rhs = _cplx(np.random.default_rng(seed), X0.shape[1], 2)
+    ref = oracles.gram_pinv_reference(sing, V_r, rhs)
+    err = np.abs(split.gram_pinv(rhs) - ref).max()
+    assert err <= 1e-12 * max(1.0, float(np.abs(ref).max()))
+    return split
+
+
+@pytest.mark.parametrize("shape,rank", [
+    ((14, 10), 8),     # tall
+    ((6, 10), 4),      # wide
+    ((10, 10), 7),     # square
+    ((9, 5), 2),       # tall, r <= 2: svdvals gives d0
+    ((2, 6), 1),       # wide, r <= 2
+    ((7, 7), 2),       # square, r <= 2
+    ((8, 6), 3)])      # the smallest rank that takes Lanczos
+def test_x0_decomposition_matches_svd_reference(shape, rank):
+    rng = np.random.default_rng(10 * sum(shape) + rank)
+    split = _assert_split_matches_svd_reference(
+        _rank_factor(rng, *shape, rank), rank)
+    assert split.rank == rank
+
+
+def test_x0_decomposition_matches_svd_reference_on_crossval_family():
+    # the cross-validation benchmark's family: random_fiber d = 2, 23^2
+    # modes, seed 201
+    angle = np.random.default_rng(201).uniform(0.0, 2.0 * np.pi)
+    theta = np.array([np.cos(angle), np.sin(angle)])
+    prob = presets.random_fiber_instance(201, d=2, n_modes=11)
+    tr = Truncation(11, 2)
+    consts = fb.estimate_constants(prob)
+    fam = fb.hatted_family(prob, tr, theta, consts,
+                           fb.rectangle_grid(prob, tr))
+    assert fam.X0.shape == (1568, 529)
+    split = _assert_split_matches_svd_reference(fam.X0)
+    assert split.rank == 528
+
+
+def _planted_gram_condition(cond, rows=9, cols=8, kernel=2, seed=21):
+    """X0 with singular values from 1 down to cond^-1/2 off a kernel."""
+    rng = np.random.default_rng(seed)
+    rank = cols - kernel
+    left = np.linalg.qr(_cplx(rng, rows, rank))[0]
+    right = np.linalg.qr(_cplx(rng, cols, rank))[0]
+    sing = np.geomspace(1.0, cond ** -0.5, rank)
+    return (left * sing) @ right.conj().T
+
+
+@pytest.mark.parametrize("cond,certified", [(1e13, False), (1e8, True)])
+def test_cap_certificate_decides_a_planted_condition(cond, certified):
+    X0 = _planted_gram_condition(cond)
+    fam = _family_with_X0(X0, 3)
+    if not certified:
+        with pytest.raises(IllConditioned):
+            ab.compute_threshold(fam)
+        return
+    th = ab.compute_threshold(fam)
+    assert th.n == 2
+    assert th.d0 == pytest.approx(1.0 / cond, rel=1e-10)
+    _assert_split_matches_svd_reference(X0)
+
+
+def _kahan(n, c, shrink):
+    """Kahan's matrix diag(s^j)(I - c * strict upper ones), s^2 + c^2 = 1,
+    with column j scaled by (1 - shrink)^j so that pivoting keeps the
+    column order."""
+    s = np.sqrt(1.0 - c * c)
+    mat = np.eye(n) - c * np.triu(np.ones((n, n)), 1)
+    return (s ** np.arange(n))[:, None] * mat * (1.0 - shrink) ** np.arange(n)
+
+
+def test_kahan_rank_trap_is_refused_not_misjudged():
+    # [K | 0] behind orthonormal rows: pivoted QR keeps every column of K
+    # (its last diagonal entry is far above the rank tolerance), but
+    # sigma_min(K) < KERNEL_RTOL sigma_1, so the SVD sees one more kernel
+    # direction than pivoted QR does
+    rng = np.random.default_rng(8)
+    K = _kahan(80, 0.3, 1e-4)
+    sing = np.linalg.svd(K, compute_uv=False)
+    assert sing[-1] < ab.KERNEL_RTOL * sing[0] < sing[-2]
+    T = scipy.linalg.qr(K, mode="r", pivoting=True)[0]
+    assert abs(T[-1, -1]) > 1e-3
+    W = np.linalg.qr(_cplx(rng, 90, 80))[0]
+    X0 = W @ np.concatenate([K, np.zeros((80, 1))], axis=1)
+    assert oracles.x0_svd_reference(X0)[2].shape[1] == 2
+    with pytest.raises((IllConditioned, DegenerateKernel)):
+        ab.x0_decomposition(X0)
+    with pytest.raises((IllConditioned, DegenerateKernel)):
+        ab.compute_threshold(_family_with_X0(X0, 4))
+
+
+def test_kernel_certificate_refuses_a_direction_x0_does_not_annihilate():
+    # four copies of one column of norm 0.9 * KERNEL_RTOL, orthogonal to
+    # six orthonormal columns: each pivot falls under the rank tolerance, so
+    # pivoted QR calls all four kernel, yet together they carry a singular
+    # value of 1.8 * KERNEL_RTOL, which the SVD keeps
+    rng = np.random.default_rng(9)
+    basis = np.linalg.qr(_cplx(rng, 12, 7))[0]
+    small = 0.9 * ab.KERNEL_RTOL * basis[:, 6:]
+    X0 = np.concatenate([basis[:, :6], np.repeat(small, 4, axis=1)], axis=1)
+    assert oracles.x0_svd_reference(X0)[2].shape[1] == 3
+    with pytest.raises(DegenerateKernel):
+        ab.x0_decomposition(X0)
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf])
+def test_x0_decomposition_never_certifies_a_non_finite_entry(entry, family):
+    fam, _ = family
+    X0 = fam.X0.copy()
+    X0[3, 5] = entry
+    with pytest.raises(IllConditioned):
+        ab.x0_decomposition(X0)
+    with pytest.raises(IllConditioned):
+        ab.compute_threshold(dataclasses.replace(fam, X0=X0))
+
+
+def test_compute_threshold_takes_no_svd(family, monkeypatch):
+    # with delta and tau0 given, no singular value decomposition runs
+    fam, th = family
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("compute_threshold took an SVD")
+
+    for owner, name in ((np.linalg, "svd"), (scipy.linalg, "svd"),
+                        (scipy.linalg, "svdvals")):
+        monkeypatch.setattr(owner, name, no_svd)
+    got = ab.compute_threshold(fam, delta=th.delta, tau0=th.tau0)
+    assert np.abs(got.P - th.P).max() < 1e-12
+    assert got.d0 == th.d0
 
 
 def test_Z_support_identities(family):

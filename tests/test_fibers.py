@@ -10,7 +10,7 @@ from parahom import fibers as fb
 from parahom import fields as fd
 from parahom import linalg
 from parahom import presets
-from parahom.abstract import _x0_svd
+from parahom.abstract import x0_decomposition
 from parahom.errors import (MismatchBeyondTolerance, NonPositiveEffective,
                             PositivityViolation)
 from parahom.fields import Truncation
@@ -151,7 +151,7 @@ def test_kernel_dimension_at_origin():
         prob = presets.random_fiber_instance(7, d=1, n_modes=max(8, n_modes))
         tr = Truncation(n_modes, 1)
         fib = fb.assemble_fiber(prob, tr, np.array([0.0]), 0.0)
-        n_kernel = _x0_svd(fib.matrix)[2].shape[1]
+        n_kernel = x0_decomposition(fib.matrix).kernel_basis.shape[1]
         assert n_kernel == prob.n
 
 
@@ -342,11 +342,12 @@ def test_cross_validation_norms_match_dense_residuals(case):
 
 
 def test_cross_validation_holds_one_grid_rectangle_besides_x0(monkeypatch):
-    # X0's QR/SVD runs with no other rectangle alive, and afterwards the
-    # threshold engine builds X1, Y0, Y1 and Y2 one at a time as it reads them
+    # X0's decomposition runs with no other rectangle alive, and afterwards
+    # the threshold engine builds X1, Y0, Y1 and Y2 one at a time as it
+    # reads them
     from parahom import abstract as ab
 
-    built, alive_at_svd, alive_at_build = [], [], []
+    built, alive_at_split, alive_at_build = [], [], []
 
     def alive():
         return sum(ref() is not None for ref in built)
@@ -363,18 +364,18 @@ def test_cross_validation_holds_one_grid_rectangle_besides_x0(monkeypatch):
 
     for name in ("X1", "Y0", "Y1", "Y2"):
         monkeypatch.setattr(fb.GridRectangles, name, spy(name))
-    real_svd = ab._x0_svd
+    real_split = ab.x0_decomposition
 
-    def x0_svd(*args, **kwargs):
-        alive_at_svd.append(alive())
-        return real_svd(*args, **kwargs)
+    def x0_decomposition(*args, **kwargs):
+        alive_at_split.append(alive())
+        return real_split(*args, **kwargs)
 
-    monkeypatch.setattr(ab, "_x0_svd", x0_svd)
+    monkeypatch.setattr(ab, "x0_decomposition", x0_decomposition)
     prob = presets.random_fiber_instance(42, d=1, n_modes=6)
     consts = fb.estimate_constants(prob)
     fb.cross_validate_abstract(prob, Truncation(6, 1), [1.0],
                                0.5 * consts.tau0, constants=consts)
-    assert alive_at_svd == [0]
+    assert alive_at_split == [0]
     assert alive_at_build and max(alive_at_build) == 1
 
 
@@ -521,6 +522,19 @@ def test_pencil_builds_no_multiplication_matrix(monkeypatch):
     assert not calls
 
 
+@pytest.mark.parametrize("case", [1, 2], ids=["random_fiber_2d",
+                                               "scalar_example_2d"])
+def test_pencil_builds_one_mode_difference_index(case, monkeypatch):
+    # g, each a_j and Q share the grid, so one (M, M, d) index serves them
+    calls, original = [], fd.difference_index
+    monkeypatch.setattr(fd, "difference_index",
+                        lambda *args: calls.append(1) or original(*args))
+    _, prob, tr = BLOCK_STACK_PROBLEMS[case]
+    assert prob.f_is_identity and prob.a is not None
+    fb.FiberPencil(prob, tr)
+    assert len(calls) == 1
+
+
 _PENCIL_CASE = BLOCK_STACK_PROBLEMS[1]
 _PENCIL = fb.FiberPencil(_PENCIL_CASE[1], _PENCIL_CASE[2])
 
@@ -650,7 +664,7 @@ def _planted_fiber(lam_min, dim=40, seed=5):
 
 
 def test_spectrum_above_decides_a_planted_eigenvalue_at_the_cut():
-    # the margin gamma is ~1e-12 here, far inside the 1e-6 offsets: the
+    # the margin gamma is ~5e-12 here, far inside the 1e-6 offsets: the
     # certificate holds just above the cut and the partial eigh runs below
     vu = 2.5
     s = fb.CUT / vu

@@ -178,3 +178,9 @@ def test_sandwich_matrices_match_dense_route(d, left_const, right_const):
         # several pairs in one call equal one call per pair, bit for bit
         alone, = fd.sandwich_matrices(field, tr, [pair])
         assert np.array_equal(alone, got)
+    # calls that share one index dict build it once, with the same bits
+    shared = {}
+    for pair, got in zip(pairs, together):
+        alone, = fd.sandwich_matrices(field, tr, [pair], shared)
+        assert np.array_equal(alone, got)
+    assert list(shared) == [(16,) * d]

@@ -3,7 +3,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from parahom.linalg import (CONFLUENT_RTOL, HermitianFlow,
-                            confluent_weights_batch, herm, herm_norm, opnorm)
+                            confluent_weights_batch, herm, herm_norm, opnorm,
+                            spectrum_above)
 
 import oracles
 
@@ -108,3 +109,15 @@ def test_outer_flow_integral_degenerate_pair_matches_quadrature():
     assert _rel(flow.integral(n_mat, s), ref) <= 1e-11
     assert _rel(flow.expm(s),
                 m @ HermitianFlow(h).expm(s) @ m) <= 1e-13
+
+
+def test_spectrum_above_resolves_a_spread_spectrum():
+    # eigenvalues 1 ... 1e-14: the margin scales with the trace (about
+    # 2e-15 here), not with D times the norm (about 1e-14), so a floor of
+    # 5e-15 is proven; a floor above the smallest eigenvalue never is
+    rng = np.random.default_rng(2)
+    q = np.linalg.qr(rng.standard_normal((6, 6))
+                     + 1j * rng.standard_normal((6, 6)))[0]
+    mat = herm((q * np.geomspace(1.0, 1e-14, 6)) @ q.conj().T)
+    assert spectrum_above(mat, 5e-15)
+    assert not spectrum_above(mat, 1.1e-14)

@@ -56,6 +56,7 @@ def test_workload_round_checks_ok(name, tmp_path):
 _PLAIN_CALLABLES = [
     ("abstract", "approximation_factors"),
     ("abstract", "expand_approximation"),
+    ("abstract", "x0_decomposition"),
     ("evolution", "EvolutionSetup.fine_flow"),
     ("evolution", "spectral_sums"),
     ("fields", "sandwich_matrices"),
