@@ -29,8 +29,6 @@ from .errors import (DegenerateKernel, IllConditioned, NonPositiveL,
                      OutsideThresholdBall, RankMismatch)
 
 KERNEL_RTOL = 1e-10
-# largest restricted Gram condition (sigma_1/sigma_r)^2 the engine accepts
-COND_CAP = 1e12
 
 
 # ---------------------------------------------------------------------------
@@ -179,10 +177,10 @@ def x0_decomposition(X0):
     KERNEL_RTOL * max(|T_00|, 1).  Pivoted QR can misjudge it (Kahan's
     matrices), so both directions carry a certificate, and a failed one
     raises:
-    - cap: one Cholesky (linalg.spectrum_above) proves lambda_min(L*L) above
-      ||L*L||_inf / COND_CAP, so the restricted Gram condition is below
-      COND_CAP and L keeps no near-null direction; IllConditioned
-      otherwise, and on a non-finite entry of X0;
+    - cap: linalg.certify_condition proves the condition (sigma_1/sigma_r)^2
+      of the restricted Gram matrix L*L below linalg.COND_CAP, so L keeps
+      no near-null direction; IllConditioned otherwise, and on a
+      non-finite entry of X0;
     - kernel: ||X0 u||_2, from the n x n Gram of X0 u, is at most the rank
       tolerance, so u spans no direction that X0 does not annihilate;
       DegenerateKernel otherwise.
@@ -213,10 +211,7 @@ def x0_decomposition(X0):
     # the first r columns of rz are L
     lead = rz[:, :r]
     gram = lead.conj().T @ lead
-    if not linalg.spectrum_above(gram,
-                                 linalg.inf_norm_bound(gram) / COND_CAP):
-        raise IllConditioned("restricted Gram matrix of X0 not proven below "
-                             f"condition {COND_CAP:.1e}")
+    linalg.certify_condition(gram, "restricted Gram matrix of X0")
     image = X0 @ u
     gram = image.conj().T @ image
     residual = float(np.sqrt(linalg.herm_norm(gram))) if gram.size else 0.0
@@ -414,7 +409,7 @@ def _dense_remainder(th, family, outer, t, eps, s, approximate, *lead):
     exact = linalg.HermitianFlow(family.B(t, eps)).expm(s)
     if outer is not None:
         exact = outer @ exact @ outer.conj().T
-    nrm = linalg.opnorm(exact - (principal + corrector))
+    nrm = linalg.herm_norm(exact - (principal + corrector))
     env_pos, env_nonneg = remainder_envelopes(th.cstar_check, tau ** 2, s)
     return float(nrm), float(env_pos), float(env_nonneg)
 
@@ -431,18 +426,19 @@ def exponential_remainder(family, th, t, eps, s):
 
 def spectral_projector(family, th, t, eps):
     """Projector of B(t,eps) onto [0, 2*delta]; rank must equal n."""
-    return _window_projector(family.B(t, eps), th)
+    vv = _window_pairs(family.B(t, eps), th)[1]
+    return vv @ vv.conj().T
 
 
-def _window_projector(B, th):
+def _window_pairs(B, th):
+    """The n eigenpairs (w, v) of B in [0, 2*delta]; RankMismatch else."""
     w, v = np.linalg.eigh(B)
     keep = w <= 2.0 * th.delta
     rank = int(np.sum(keep))
     if rank != th.n:
         raise RankMismatch(
             f"rank F = {rank} != n = {th.n} (delta/tau0 configuration invalid)")
-    vv = v[:, keep]
-    return vv @ vv.conj().T
+    return w[keep], v[:, keep]
 
 
 def threshold_order_norms(family, th, tau, theta):
@@ -450,26 +446,28 @@ def threshold_order_norms(family, th, tau, theta):
 
     Returns ||F-P||, ||F-P-tau F1||, ||BF - tau^2 S P||, and
     ||BF - tau^2 S P - tau^3 K|| with K = K0 + N, from one B(t,eps) and
-    one eigendecomposition of it.
+    one eigendecomposition of it; BF = v diag(w) v* on the window pairs, as
+    B @ F rounds at u ||B||, a floor above the order-tau^4 residual.
     """
     t, eps = tau * theta[0], tau * theta[1]
-    B = family.B(t, eps)
-    F = _window_projector(B, th)
+    w, v = _window_pairs(family.B(t, eps), th)
+    vh = v.conj().T
+    F = v @ vh
+    BF = (v * w) @ vh
     # Z(theta) = (th1 z + th2 zt) u* and F1 = Z(theta) + Z(theta)*
     z_theta = theta[0] * th.z + theta[1] * th.zt
     zu = z_theta @ th.kernel_basis.conj().T
     F1 = zu + zu.conj().T
     S_full = L_operator(th, *theta)     # S(theta) P
-    BF = B @ F
     # K0 = Z(theta) S_full + S_full Z(theta)*
     zs = z_theta @ (th.kernel_basis.conj().T @ S_full)
     K0 = zs + zs.conj().T
     N_theta = n_operator(th, *theta)
     return {
-        "F_minus_P": float(linalg.opnorm(F - th.P)),
-        "F_minus_P_tauF1": float(linalg.opnorm(F - th.P - tau * F1)),
-        "BF_minus_SP": float(linalg.opnorm(BF - tau ** 2 * S_full)),
-        "BF_minus_SP_K": float(linalg.opnorm(
+        "F_minus_P": float(linalg.herm_norm(F - th.P)),
+        "F_minus_P_tauF1": float(linalg.herm_norm(F - th.P - tau * F1)),
+        "BF_minus_SP": float(linalg.herm_norm(BF - tau ** 2 * S_full)),
+        "BF_minus_SP_K": float(linalg.herm_norm(
             BF - tau ** 2 * S_full - tau ** 3 * (K0 + N_theta)))}
 
 

@@ -13,11 +13,8 @@ import scipy.linalg
 
 from . import fields as fd
 from . import linalg
-from .errors import DataError, IllConditioned
+from .errors import DataError
 from .lattice import Lattice
-
-# largest condition number of the cell Galerkin matrix the solves accept
-COND_CAP = 1e12
 
 
 @dataclass
@@ -238,19 +235,15 @@ def solve_zero_mean(A, rhs, trunc, grid):
     The zero-mode block is removed (zero cell average); returns the
     (grid..., n, c) solution field.  A_red, A without that block, must be
     proven Hermitian positive definite with condition number below
-    COND_CAP: as lambda_max <= ||A_red||_inf, one Cholesky certificate
-    of lambda_min > ||A_red||_inf / COND_CAP proves both, and IllConditioned
-    is raised unless it passes (so also near the cap, or on a NaN).
+    linalg.COND_CAP (:func:`linalg.certify_condition`, IllConditioned
+    otherwise).
     """
     n, c = rhs.shape[1:]
     z = trunc.zero_index
     mask = np.ones(A.shape[0], dtype=bool)
     mask[z * n:(z + 1) * n] = False
     A_red = A[np.ix_(mask, mask)]
-    if not linalg.spectrum_above(A_red,
-                                 linalg.inf_norm_bound(A_red) / COND_CAP):
-        raise IllConditioned(
-            f"cell Galerkin matrix not proven below condition {COND_CAP:.1e}")
+    linalg.certify_condition(A_red, "cell Galerkin matrix")
     x = np.zeros((A.shape[0], c), dtype=complex)
     x[mask] = scipy.linalg.cho_solve(scipy.linalg.cho_factor(A_red),
                                      rhs.reshape(-1, c)[mask])

@@ -101,13 +101,11 @@ class ExperimentConfig:
     def get(self, section, key, default=None, cast=str):
         sec = self.section(section)
         if key not in sec:
-            if default is None and cast is not bool:
+            if default is None:
                 raise ConfigError(f"missing [{section}] {key}")
             return default
         val = sec[key]
         try:
-            if cast is bool:
-                return str(val).strip().lower() in ("1", "true", "yes", "on")
             return cast(val)
         except ValueError as exc:
             raise ConfigError(f"[{section}] {key} = {val!r}: {exc}") from exc

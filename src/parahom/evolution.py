@@ -240,7 +240,7 @@ def brillouin_mask(setup):
     lat = setup.cell.problem.lattice
     zeta = setup.freq_zeta
     keep = np.ones(len(zeta), dtype=bool)
-    for b in lat.dual_shell(2):
+    for b in lat.dual_shell():
         keep &= (np.sum(zeta ** 2, axis=1)
                  <= np.sum((zeta - b) ** 2, axis=1) + 1e-12)
     return keep
@@ -397,6 +397,14 @@ def solution_error(setup, phi, s, corrected=True):
 # inhomogeneous problem
 
 
+def solution_envelopes(eps, s, cstar_check):
+    """(principal, corrected) envelopes of the estimates for e^{-B_eps s}:
+    order eps and eps^2, both damped by e^{-c* s/2}."""
+    decay = np.exp(-0.5 * cstar_check * s)
+    return (eps / np.sqrt(s + eps ** 2) * decay,
+            eps ** 2 / (s + eps ** 2) * decay)
+
+
 def theta1(eps, p):
     """Source-term error weight of the principal approximation."""
     if 1 < p < 2:
@@ -468,11 +476,11 @@ def _pair_report(setup, phi, u_eps, u0, corrected, s, p_norm, quad_drift):
             * theta2(eps, p_norm)
     else:
         env_source = theta1(eps, p_norm)
+    env_p, env_c = solution_envelopes(eps, s, setup.constants.cstar_check)
     return {
         "u_eps": u_eps, "u0": u0, "corrected": corrected,
         "err_principal": err_p, "err_corrected": err_c,
-        "envelope_principal": eps / np.sqrt(s + eps ** 2),
-        "envelope_corrected": eps ** 2 / (s + eps ** 2),
+        "envelope_principal": env_p, "envelope_corrected": env_c,
         "envelope_source": float(env_source),
         "quad_drift": float(quad_drift), "s": s,
     }
@@ -542,11 +550,10 @@ def convergence_sweep(problem, trunc, eps_list, s, mode="both",
             trunc, np.zeros((n_batch, dim, 0)), np.zeros((n_batch, 0)),
             effective_at(batch), mode)
         sup_p, sup_c = (float(x) for x in norms.max(axis=0))
-        decay = np.exp(-0.5 * constants.cstar_check * s)
+        env_p, env_c = solution_envelopes(eps, s, constants.cstar_check)
         row = {"eps": eps, "s": s, "n_cells": n_cells,
                "err_principal": sup_p, "err_corrected": sup_c,
-               "envelope_principal": eps / np.sqrt(s + eps ** 2) * decay,
-               "envelope_corrected": eps ** 2 / (s + eps ** 2) * decay,
+               "envelope_principal": env_p, "envelope_corrected": env_c,
                "n_fibers": len(fiber_k), "n_decomposed": int((~batch).sum())}
         for j, kind in enumerate(("principal", "corrected")):
             if mode in ("both", kind):

@@ -35,9 +35,9 @@ class Lattice:
         """Dual lattice vector for an integer multi-index."""
         return np.asarray(index, dtype=float) @ self.dual_basis
 
-    def dual_shell(self, radius=2):
-        """All nonzero dual vectors with multi-index max-norm <= radius."""
-        idx = [i for i in product(range(-radius, radius + 1), repeat=self.dimension)
+    def dual_shell(self):
+        """All nonzero dual vectors with multi-index max-norm <= 2."""
+        idx = [i for i in product(range(-2, 3), repeat=self.dimension)
                if any(i)]
         return np.array([self.dual_vector(i) for i in idx])
 
@@ -85,5 +85,5 @@ def build_lattice(basis):
     return Lattice(d, basis, dual, vol, float(r0), float(r1))
 
 
-def cubic_lattice(d, period=1.0):
-    return build_lattice(np.eye(d) * period)
+def cubic_lattice(d):
+    return build_lattice(np.eye(d))

@@ -1,5 +1,5 @@
 """Dense linear-algebra helpers: Hermitian semigroups with their closed-form
-integrals, operator norms, and a Cholesky certificate of a spectral floor.
+integrals, operator norms, and Cholesky certificates of spectral bounds.
 
 Everything here works on plain complex ndarrays.  All exponentials are of
 Hermitian matrices and go through one eigendecomposition each, which
@@ -14,6 +14,8 @@ from .errors import IllConditioned
 
 # relative eigenvalue gap below which the confluent limit s*exp(-l*s) is used
 CONFLUENT_RTOL = 1e-10
+# largest condition number of the Hermitian matrices that are inverted
+COND_CAP = 1e12
 
 
 def herm(a):
@@ -22,7 +24,7 @@ def herm(a):
 
 
 def opnorm(a):
-    """Spectral norm (largest singular value) from a full SVD."""
+    """Spectral norm of a non-Hermitian ``a`` from a full SVD."""
     return float(np.linalg.norm(np.asarray(a), 2))
 
 
@@ -67,6 +69,15 @@ def spectrum_above(matrix, mu):
     diag -= gamma + 4.0 * u * (nrm + gamma)
     # the transpose is Fortran-ordered with the same spectrum: no copy
     return scipy.linalg.lapack.zpotrf(shifted.T, overwrite_a=True)[1] == 0
+
+
+def certify_condition(matrix, what):
+    """IllConditioned unless lambda_min > ||matrix||_inf / COND_CAP is
+    certified, which proves the Hermitian ``matrix`` positive definite with
+    condition below COND_CAP (lambda_max <= ||matrix||_inf); never on a NaN."""
+    if not spectrum_above(matrix, inf_norm_bound(matrix) / COND_CAP):
+        raise IllConditioned(f"{what} not proven below condition "
+                             f"{COND_CAP:.1e}")
 
 
 def check_floor(w, cstar_check, tau_sq, error, what):

@@ -15,9 +15,10 @@ import numpy as np
 from . import fields as fd
 from .cell import (PeriodicProblem, adj, coeff_vector, galerkin_matrix,
                    spectral_derivative, solve_zero_mean)
-from .errors import MeanNotZero
+from .errors import DataError, MeanNotZero
 from .evolution import corrector_apply
 from .lattice import Lattice, cubic_lattice
+from .presets import sampling_grid
 
 
 @dataclass
@@ -43,7 +44,7 @@ class ScalarInput:
             raise MeanNotZero(f"mean of v is {mean_v:.3e}")
         sym = np.abs(self.g - np.swapaxes(self.g, -1, -2)).max()
         if sym > 1e-12 * max(np.abs(self.g).max(), 1.0):
-            raise MeanNotZero("g must be symmetric")
+            raise DataError("g must be symmetric")
 
 
 def _laplace_inverse(values, lattice):
@@ -235,25 +236,24 @@ def commuted_corrector_apply(setup, phi, s):
 # preset
 
 
-def scalar_preset(d=2, n_modes=8, seed=0, amp_g=0.4, amp_A=0.5, amp_v=0.8,
-                  amp_V=0.5, lam=6.0, grid_factor=4):
-    """Random-harmonic scalar input on the cubic lattice."""
+def scalar_preset(d=2, n_modes=8, seed=0):
+    """Random-harmonic scalar input on the cubic lattice, lambda = 6; two
+    harmonics per field, amplitude 0.4/d (g), 0.5 (A, Vcal), 0.8 (v)."""
     rng = np.random.default_rng(seed)
     lat = cubic_lattice(d)
-    g0 = max(int(grid_factor) * n_modes, 2 * n_modes + 2)
-    grid = (g0,) * d
+    grid = sampling_grid(n_modes, d)
     axes = [np.arange(g) / g for g in grid]
     mesh = np.meshgrid(*axes, indexing="ij")
 
-    def scalar_harmonics(amp, count=2, zero_mean=False):
+    def scalar_harmonics(amp, zero_mean=False):
         out = np.zeros(grid)
-        for _ in range(count):
+        for _ in range(2):
             h = rng.integers(-2, 3, size=d)
             if not h.any():
                 h[0] = 1
             phase = rng.uniform(0, 2 * np.pi)
             arg = sum(2 * np.pi * h[ax] * mesh[ax] for ax in range(d)) + phase
-            out += amp / count * np.cos(arg)
+            out += amp / 2 * np.cos(arg)
         if zero_mean:
             out -= out.mean()
         return out
@@ -264,11 +264,11 @@ def scalar_preset(d=2, n_modes=8, seed=0, amp_g=0.4, amp_A=0.5, amp_v=0.8,
     pert = np.zeros((*grid, d, d))
     for i in range(d):
         for j in range(i, d):
-            w = scalar_harmonics(amp_g / d)
+            w = scalar_harmonics(0.4 / d)
             pert[..., i, j] += w
             pert[..., j, i] += w * (i != j)
     gmat = gmat * (1.0 + 1.5 * np.abs(pert).max()) + pert
-    A = np.stack([scalar_harmonics(amp_A) for _ in range(d)], axis=-1)
-    v = scalar_harmonics(amp_v, zero_mean=True)
-    Vcal = scalar_harmonics(amp_V)
-    return ScalarInput(lat, gmat, A, v, Vcal, lam)
+    A = np.stack([scalar_harmonics(0.5) for _ in range(d)], axis=-1)
+    v = scalar_harmonics(0.8, zero_mean=True)
+    Vcal = scalar_harmonics(0.5)
+    return ScalarInput(lat, gmat, A, v, Vcal, 6.0)

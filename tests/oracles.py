@@ -9,7 +9,7 @@ lattice formulas.
 
 import numpy as np
 from scipy.integrate import quad, quad_vec
-from scipy.linalg import null_space
+from scipy.linalg import expm, null_space
 
 
 def null_projector(mat, rcond=1e-10):
@@ -666,3 +666,34 @@ def gram_pinv_reference(sing, V_r, rhs):
     """(X0*X0)^+ rhs = V_r diag(sigma_r^-2) V_r* rhs from
     :func:`x0_svd_reference`."""
     return V_r @ ((V_r.conj().T @ rhs) / sing[:, None] ** 2)
+
+
+def dense_remainder_svd(B, s, principal, corrector, outer=None):
+    """||outer e^{-Bs} outer* - (principal + corrector)||_2 with e^{-Bs} from
+    scipy's scaling-and-squaring expm and the norm from a full SVD."""
+    exact = expm(-s * B)
+    if outer is not None:
+        exact = outer @ exact @ outer.conj().T
+    return float(np.linalg.norm(exact - (principal + corrector), 2))
+
+
+def threshold_order_norms_svd(fam, th, tau, theta):
+    """The four residuals of ``abstract.threshold_order_norms`` from the
+    dense Z(theta) = theta_1 Z + theta_2 Ztilde and a dense spectral
+    projector, each normed by a full SVD."""
+    from parahom import abstract as ab
+
+    B = fam.B(tau * theta[0], tau * theta[1])
+    w, v = np.linalg.eigh(B)
+    vv = v[:, w <= 2.0 * th.delta]
+    F = vv @ vv.conj().T
+    Z = theta[0] * th.Z + theta[1] * th.Ztilde
+    S = ab.L_operator(th, *theta)
+    K = Z @ S + S @ Z.conj().T + ab.n_operator(th, *theta)
+    BF = B @ F
+    residuals = {"F_minus_P": F - th.P,
+                 "F_minus_P_tauF1": F - th.P - tau * (Z + Z.conj().T),
+                 "BF_minus_SP": BF - tau ** 2 * S,
+                 "BF_minus_SP_K": BF - tau ** 2 * S - tau ** 3 * K}
+    return {name: float(np.linalg.norm(res, 2))
+            for name, res in residuals.items()}

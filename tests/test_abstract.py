@@ -236,7 +236,7 @@ def test_r_factor_route_raises_on_ill_conditioned_gram(monkeypatch):
     fam = _family_with_X0(X0, 2)
     with pytest.raises(IllConditioned):
         ab.compute_threshold(fam)
-    monkeypatch.setattr(ab, "COND_CAP", 1e15)
+    monkeypatch.setattr(linalg, "COND_CAP", 1e15)
     assert ab.compute_threshold(fam).n == 6
     with pytest.raises(IllConditioned):
         ab.compute_threshold(_family_with_X0(np.zeros((6, 10)), 2))
@@ -254,7 +254,7 @@ def test_ill_conditioned_gram_raises(family, monkeypatch):
                             fam.Q0, fam.lam, dict(fam.form_constants))
     with pytest.raises(IllConditioned):
         ab.compute_threshold(bad)
-    monkeypatch.setattr(ab, "COND_CAP", 1e15)
+    monkeypatch.setattr(linalg, "COND_CAP", 1e15)
     assert ab.compute_threshold(bad).n == 2
 
 
@@ -761,6 +761,46 @@ def test_bordered_scalar_M_scales():
     r1 = ab.bordered_remainder(bf1, t, e, c ** 2 * s, d1)["remainder_norm"]
     rc = ab.bordered_remainder(bfc, t, e, s, dc)["remainder_norm"]
     assert rc == pytest.approx(c ** 2 * r1, rel=1e-6)
+
+
+def test_hermitian_residuals_take_no_svd_norm(bordered, monkeypatch):
+    # every residual of the threshold engine is Hermitian and normed by
+    # herm_norm; the values agree with full-SVD norms of dense residuals
+    svd_calls = []
+    real = linalg.opnorm
+
+    def spy(a):
+        svd_calls.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(linalg, "opnorm", spy)
+    checks = []       # (value, reference, ||B(t, eps)||_2)
+    for n in (1, 2, 3):
+        fam = ab.random_family(np.random.default_rng(12), dim_H=8, n=n)
+        th = ab.compute_threshold(fam)
+        for tau in th.tau0 * np.array([1.0, 0.25, 0.0625]):
+            got = ab.threshold_order_norms(fam, th, tau, THETA)
+            ref = oracles.threshold_order_norms_svd(fam, th, tau, THETA)
+            scale = np.linalg.norm(fam.B(*(tau * THETA)), 2)
+            checks += [(got[k], ref[k], scale) for k in ref]
+            t, e = 0.7 * tau * THETA
+            checks.append((
+                ab.exponential_remainder(fam, th, t, e, 1.0)[0],
+                oracles.dense_remainder_svd(
+                    fam.B(t, e), 1.0, *ab.kernel_approximation(th, t, e, 1.0)),
+                np.linalg.norm(fam.B(t, e), 2)))
+    bf, data = bordered
+    for tau in data["th"].tau0 * np.array([0.4, 0.1]):
+        t, e = tau * THETA
+        checks.append((
+            ab.bordered_remainder(bf, t, e, 1.0, data)["remainder_norm"],
+            oracles.dense_remainder_svd(
+                bf.base.B(t, e), 1.0,
+                *ab.bordered_approximation(bf, data, t, e, 1.0), outer=bf.M),
+            np.linalg.norm(bf.base.B(t, e), 2)))
+    assert svd_calls == []
+    for got, ref, scale in checks:
+        assert abs(got - ref) <= 1e-13 * max(1.0, scale), (got, ref)
 
 
 def test_bordered_exp_and_corrector_identities(bordered):

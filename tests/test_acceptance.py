@@ -40,7 +40,7 @@ def test_criterion_02_voigt_reuss_bracketing():
     t0 = time.time()
     worst = np.inf
     for seed in range(20):
-        prob = presets.random_scalar_2d(seed, n_modes=8, harmonics=3)
+        prob = presets.random_scalar_2d(seed, n_modes=8)
         sol = cl.solve_cell_problems(prob, Truncation(8, 2))
         g_low, g_up = cl.voigt_reuss(prob)
         worst = min(worst,

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from parahom import abstract as ab
 from parahom import cell as cl
 from parahom import fields as fd
+from parahom import linalg
 from parahom import presets
 from parahom.errors import DataError, IllConditioned
 from parahom.fields import Truncation
@@ -206,9 +208,25 @@ def _planted_system(cond, trunc=Truncation(6, 1), n=2, c=3, seed=7):
 def test_solve_zero_mean_refuses_a_condition_above_the_cap(monkeypatch):
     tr = Truncation(6, 1)
     A, rhs = _planted_system(2e6, tr)
-    monkeypatch.setattr(cl, "COND_CAP", 1e6)
+    monkeypatch.setattr(linalg, "COND_CAP", 1e6)
     with pytest.raises(IllConditioned):
         cl.solve_zero_mean(A, rhs, tr, (16,))
+
+
+def test_one_condition_cap_moves_both_certificates(monkeypatch):
+    # the cell solve and the threshold engine's X0 decomposition read the
+    # one cap, linalg.COND_CAP: both pass a condition of 1e6 under the
+    # default cap and both refuse it under a cap of 1e4
+    tr = Truncation(6, 1)
+    A, rhs = _planted_system(1e6, tr)
+    X0 = np.array([[1.0, 0.0, 0.0], [0.0, 1e-3, 0.0]])
+    cl.solve_zero_mean(A, rhs, tr, (16,))
+    ab.x0_decomposition(X0)
+    monkeypatch.setattr(linalg, "COND_CAP", 1e4)
+    with pytest.raises(IllConditioned):
+        cl.solve_zero_mean(A, rhs, tr, (16,))
+    with pytest.raises(IllConditioned):
+        ab.x0_decomposition(X0)
 
 
 def test_solve_zero_mean_never_certifies_a_nan():

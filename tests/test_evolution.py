@@ -386,6 +386,26 @@ def test_convergence_sweep_keeps_no_fiber_cache(monkeypatch):
     assert all(r["err_principal"] > r["err_corrected"] > 0 for r in rows)
 
 
+def test_evolve_and_sweep_report_the_same_envelopes():
+    # one (eps, s): duhamel_solve's report and the convergence_sweep row
+    # carry the same damped envelopes, bit for bit
+    prob = presets.osc1d_full(n_modes=6)
+    tr = Truncation(6, 1)
+    consts = fb.estimate_constants(prob)
+    assert consts.cstar_check > 0.0
+    sol = cl.solve_cell_problems(prob, tr)
+    ng = cl.ng_coefficients(prob, sol)
+    s = 0.5
+    row = ev.convergence_sweep(prob, tr, [0.5, 0.25, 0.125], s, box_size=2.0,
+                               constants=consts, cell_solution=sol,
+                               ng_coeffs=ng)[1]
+    setup = ev.EvolutionSetup(sol, ng, consts, row["eps"], row["n_cells"], tr)
+    rep = ev.duhamel_solve(setup, setup.random_band_limited(
+        np.random.default_rng(3)), None, s)
+    for key in ("envelope_principal", "envelope_corrected"):
+        assert rep[key] == row[key]
+
+
 def test_box_effective_flow_enforces_floor():
     setup = make_setup(n_cells=4)
     phi = setup.random_band_limited(np.random.default_rng(1))

@@ -5,7 +5,7 @@ from parahom import cell as cl
 from parahom import evolution as ev
 from parahom import fibers as fb
 from parahom import scalar_example as se
-from parahom.errors import MeanNotZero
+from parahom.errors import DataError, MeanNotZero
 from parahom.fields import Truncation
 from parahom.lattice import cubic_lattice
 
@@ -78,6 +78,19 @@ def test_mean_not_zero_raises():
     inp = se.ScalarInput(lat, g, np.zeros((*grid, 1)),
                          np.ones(grid), np.zeros(grid))
     with pytest.raises(MeanNotZero):
+        se.build_scalar_problem(inp)
+
+
+def test_asymmetric_metric_raises_data_error():
+    # an asymmetric g is malformed data, not a nonzero mean of v
+    lat = cubic_lattice(2)
+    grid = (16, 16)
+    g = np.zeros((*grid, 2, 2))
+    g[..., 0, 0] = g[..., 1, 1] = 1.0
+    g[..., 0, 1] = 0.3
+    inp = se.ScalarInput(lat, g, np.zeros((*grid, 2)), np.zeros(grid),
+                         np.zeros(grid))
+    with pytest.raises(DataError, match="symmetric"):
         se.build_scalar_problem(inp)
 
 
