@@ -490,6 +490,58 @@ def _pair_report(setup, phi, u_eps, u0, corrected, s, p_norm, quad_drift):
 # convergence sweep
 
 
+# the sweep evaluates, certifies and decomposes fibers in batches whose
+# D x D matrices fill this many bytes together (at least one fiber)
+FIBER_BATCH_BYTES = 512 * 1024
+# largest padded (F, D, r) eigenvector stack of one projected_norms call
+NORM_BATCH_BYTES = 8 * 1024 * 1024
+
+
+def _box_norms(pencil, fiber_k, eps, s, constants, effective, mode):
+    """Remainder norms (F, 2) of the fibers at quasimomenta ``fiber_k`` (F,
+    d) at scaled time ``s``, and the number of fibers that kept a pair.
+
+    Fibers go through :meth:`fibers.FiberPencil.fiber` and
+    :func:`fibers.partial_flow` FIBER_BATCH_BYTES at a time.  Their kept
+    pairs, zero-padded to the most any fiber keeps, reach
+    :func:`fibers.projected_norms` with the fibers' ``effective`` factors
+    in one call, flushed early whenever the padded stack would pass
+    NORM_BATCH_BYTES; a fiber that keeps no pair is normed from the
+    effective side alone.
+    """
+    dim = pencil.coeffs.shape[-1]
+    step = max(1, FIBER_BATCH_BYTES // (16 * dim ** 2))
+    norms = np.empty((len(fiber_k), 2))
+    held, start, n_kept = [], 0, 0
+
+    def flush(stop):
+        r = max(v.shape[-1] for v, _ in held)
+        vf = np.zeros((stop - start, dim, r), dtype=complex)
+        decay = np.zeros((stop - start, r))
+        at = 0
+        for v, dec in held:
+            vf[at:at + len(v), :, :v.shape[-1]] = v
+            decay[at:at + len(v), :dec.shape[-1]] = dec
+            at += len(v)
+        norms[start:stop] = fb.projected_norms(
+            pencil.trunc, vf, decay,
+            tuple(None if x is None else x[start:stop] for x in effective),
+            mode)
+
+    for lo in range(0, len(fiber_k), step):
+        fiber = pencil.fiber(fiber_k[lo:lo + step], eps, constants)
+        flow = fb.partial_flow(fiber, s)
+        n_kept += int(np.count_nonzero(np.any(flow.v, axis=(-2, -1))))
+        vf = flow.v if fiber.f_matrix is None else fiber.f_matrix @ flow.v
+        r = max([vf.shape[-1]] + [v.shape[-1] for v, _ in held])
+        if held and 16 * (lo + len(vf) - start) * dim * r > NORM_BATCH_BYTES:
+            flush(lo)
+            held, start = [], lo
+        held.append((vf, flow.decay(s)))
+    flush(len(fiber_k))
+    return norms, n_kept
+
+
 def convergence_sweep(problem, trunc, eps_list, s, mode="both",
                       box_size=8.0, n_probes=0, seed=0, constants=None,
                       cell_solution=None, ng_coeffs=None, threads=1):
@@ -498,12 +550,12 @@ def convergence_sweep(problem, trunc, eps_list, s, mode="both",
     Per eps, the box holds box_size/(eps*period) cells per direction, and the
     exact error is the supremum of per-fiber remainder norms over the box's
     quasimomenta -- with and without the corrector unless ``mode`` picks one.
-    Fibers whose :func:`fibers.partial_flow` keeps no pair are normed from
-    the effective side alone, in one batch per eps.  Rows also record
-    ``n_fibers``, ``n_decomposed`` (fibers that kept a pair) and the
-    quasimomentum ``k_argmax_<kind>`` attaining each computed sup.
-    With n_probes > 0 a randomized solution-level battery runs alongside and
-    the report flags a probe error above the exact norm.
+    The fibers are evaluated, certified and normed in batches
+    (:func:`_box_norms`).  Rows also record ``n_fibers``, ``n_decomposed``
+    (fibers that kept a pair) and the quasimomentum ``k_argmax_<kind>``
+    attaining each computed sup.  With n_probes > 0 a randomized
+    solution-level battery runs alongside, and the report flags a probe
+    error above the exact norm, or one that is not finite.
     """
     # nothing reads ``threads``; it stays while perfbench passes threads=1
     eps_list = sorted((float(e) for e in eps_list), reverse=True)
@@ -517,7 +569,6 @@ def convergence_sweep(problem, trunc, eps_list, s, mode="both",
     want_c = mode in ("both", "corrected")
     # the pencil serves every eps and every fiber
     pencil = fb.FiberPencil(problem, trunc)
-    dim = trunc.size * problem.n
     rows = []
     for eps in eps_list:
         n_cells = max(3, int(round(box_size / (eps * period))))
@@ -527,34 +578,14 @@ def convergence_sweep(problem, trunc, eps_list, s, mode="both",
         effective = fb.effective_factors(
             cell_sol, ng if want_c else None, trunc, fiber_k, eps, s_scaled,
             constants.cstar_check)
-
-        def effective_at(sel):
-            return tuple(None if x is None else x[sel] for x in effective)
-
-        # each fiber is evaluated, used and dropped: memory O(D^2); one
-        # whose spectrum lies above the cut is left to the batch below
-        norms = np.zeros((len(fiber_k), 2))
-        batch = np.ones(len(fiber_k), dtype=bool)
-        for idx, k in enumerate(fiber_k):
-            fiber = pencil.fiber(k, eps, constants)
-            flow = fb.partial_flow(fiber, s_scaled)
-            if flow.w.size:
-                batch[idx] = False
-                norms[idx] = fb.remainder_norms(
-                    cell_sol, ng, fiber, s_scaled, flow, mode=mode,
-                    effective=effective_at(idx))
-        # no fiber eigenpair: the effective side alone, one stacked QR and
-        # one stacked Hermitian norm for all such fibers
-        n_batch = int(batch.sum())
-        norms[batch] = fb.projected_norms(
-            trunc, np.zeros((n_batch, dim, 0)), np.zeros((n_batch, 0)),
-            effective_at(batch), mode)
+        norms, n_decomposed = _box_norms(pencil, fiber_k, eps, s_scaled,
+                                         constants, effective, mode)
         sup_p, sup_c = (float(x) for x in norms.max(axis=0))
         env_p, env_c = solution_envelopes(eps, s, constants.cstar_check)
         row = {"eps": eps, "s": s, "n_cells": n_cells,
                "err_principal": sup_p, "err_corrected": sup_c,
                "envelope_principal": env_p, "envelope_corrected": env_c,
-               "n_fibers": len(fiber_k), "n_decomposed": int((~batch).sum())}
+               "n_fibers": len(fiber_k), "n_decomposed": n_decomposed}
         for j, kind in enumerate(("principal", "corrected")):
             if mode in ("both", kind):
                 row[f"k_argmax_{kind}"] = \
@@ -563,16 +594,17 @@ def convergence_sweep(problem, trunc, eps_list, s, mode="both",
         if n_probes:
             setup = EvolutionSetup(cell_sol, ng, constants, eps, n_cells, trunc)
             rng = np.random.default_rng(seed)
-            worst = 0.0
-            for _ in range(n_probes):
-                phi = setup.random_band_limited(rng)
-                errs = solution_error(setup, phi, s, corrected=want_c)
-                key = "corrected" if want_c else "principal"
-                worst = max(worst, errs[key])
-            row["err_probe"] = worst
+            key = "corrected" if want_c else "principal"
+            # max over an array keeps a NaN, where the builtin drops it
+            row["err_probe"] = float(np.max([
+                solution_error(setup, setup.random_band_limited(rng), s,
+                               corrected=want_c)[key]
+                for _ in range(n_probes)]))
             # the exact norm is the sup over all box data, so no probe may
-            # exceed it beyond rounding
-            row["probe_disagrees"] = bool(worst
-                                          > row["err_exact"] * (1 + 1e-8))
+            # exceed it beyond rounding; a probe or norm that is not finite
+            # measured nothing and disagrees too
+            row["probe_disagrees"] = not (
+                row["err_probe"] <= row["err_exact"] * (1 + 1e-8)
+                and np.isfinite(row["err_exact"]))
         rows.append(row)
     return rows

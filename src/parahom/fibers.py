@@ -98,7 +98,8 @@ def estimate_constants(problem):
 
 @dataclass
 class FiberOperator:
-    """Dense Hermitian fiber matrix plus the metadata the estimates need."""
+    """Dense Hermitian fiber matrix plus the metadata the estimates need;
+    a batch of fibers at one eps carries k (..., d) and matrix (..., D, D)."""
 
     k: np.ndarray
     eps: float
@@ -108,8 +109,14 @@ class FiberOperator:
     f_matrix: np.ndarray = None     # [f] on the truncation; None for f = I
 
     @property
+    def tau_sq(self):
+        """|k|^2 + eps^2, per fiber of a batch."""
+        return np.sum(self.k * self.k, axis=-1) + self.eps ** 2
+
+    @property
     def lower_bound(self):
-        return self.cstar_check * (float(self.k @ self.k) + self.eps ** 2)
+        """The fiber floor c*-check (|k|^2 + eps^2), per fiber of a batch."""
+        return self.cstar_check * self.tau_sq
 
 
 def _field_band(field):
@@ -196,18 +203,22 @@ class FiberPencil:
             self.coeffs[-1] += problem.lam * q0
 
     def _weights(self, k, eps):
-        """Monomials 1, k_j, k_i k_j, eps, eps k_j, eps^2 of the coefficients."""
-        kk = [k[i] * k[j] for i, j in self._pairs]
-        return np.concatenate(([1.0], k, kk, [eps], eps * k, [eps ** 2]))
+        """Monomials 1, k_j, k_i k_j, eps, eps k_j, eps^2 of the coefficients,
+        batched over the leading axes of k (..., d)."""
+        one = np.ones((*k.shape[:-1], 1))
+        kk = np.stack([k[..., i] * k[..., j] for i, j in self._pairs], axis=-1)
+        return np.concatenate((one, k, kk, eps * one, eps * k, eps ** 2 * one),
+                              axis=-1)
 
     def fiber(self, k, eps, constants=None):
-        """FiberOperator at quasimomentum k, with the fiber floor of
-        ``constants`` (none when it is None); no eigensolver runs here."""
+        """FiberOperator at quasimomentum k, batched over the leading axes
+        of k (..., d), with the fiber floor of ``constants`` (none when it is
+        None); no eigensolver runs here."""
         k = np.asarray(k, dtype=float)
         # real weights on the real view, summed without BLAS: fiber loops
         # interleave this with scipy's LAPACK, and two OpenBLAS thread pools
         # (numpy's and scipy's) on the same cores slow each other down
-        mat = linalg.herm(np.einsum("c,cij->ij", self._weights(k, eps),
+        mat = linalg.herm(np.einsum("...c,cij->...ij", self._weights(k, eps),
                                     self.coeffs.view(float)).view(complex))
         ccheck = constants.cstar_check if constants is not None else 0.0
         return FiberOperator(k, float(eps), mat, float(ccheck), self.trunc,
@@ -296,35 +307,47 @@ CUT = 64.0 * np.log(2.0)
 
 def cut_value(fiber, s):
     """Largest fiber eigenvalue the remainders at time ``s`` keep:
-    max(CUT/s, the fiber floor), every eigenvalue at s = 0."""
-    return max(CUT / s if s > 0 else np.inf, fiber.lower_bound)
+    max(CUT/s, the fiber floor), every eigenvalue at s = 0; per fiber of a
+    batch."""
+    return np.maximum(CUT / s if s > 0 else np.inf, fiber.lower_bound)
 
 
 def partial_flow(fiber, s):
     """Flow of the fiber eigenpairs with eigenvalue <= cut_value(fiber, s),
-    the one decomposition of a fiber matrix.  At s = 0 every pair comes from
-    one eigh; otherwise the flow is empty (w (0,), v (D, 0)) when
-    :func:`spectrum_above` proves the spectrum above the cut, else from one
-    partial eigendecomposition (MRRR).  The arrays are owned: v holds no
+    the one decomposition of a fiber matrix, batched over the fibers of a
+    batch.  At s = 0 every pair comes from one eigh.  Otherwise one
+    :func:`spectrum_above` certifies the batch: a fiber it proves above the
+    cut keeps no pair, and each other fiber's pairs come from one partial
+    eigendecomposition (MRRR).  A batch keeps r pairs per fiber, r the most
+    any fiber keeps: a fiber with fewer is padded with zero columns of v and
+    eigenvalues at its cut, so that a pad adds nothing to a remainder and
+    its weight e^{-cut s} is finite.  The arrays are owned: v holds no
     reference to a D x D buffer.  The pairs are held to the fiber floor
     (PositivityViolation); the cut is at least the floor, so every
-    eigenvalue below the floor is among them.
+    eigenvalue below the floor is among them, and no pad is below it.
     """
     vu = cut_value(fiber, s)
-    dim = fiber.matrix.shape[-1]
-    if vu == np.inf:
-        w, v = np.linalg.eigh(fiber.matrix)
-    elif spectrum_above(fiber.matrix, vu):
-        w, v = np.empty(0), np.empty((dim, 0), dtype=complex)
+    mat = fiber.matrix
+    dim, lead = mat.shape[-1], mat.shape[:-2]
+    if np.all(vu == np.inf):
+        w, v = np.linalg.eigh(mat)
     else:
-        w, v = scipy.linalg.eigh(fiber.matrix, driver="evr",
-                                 subset_by_value=(-np.inf, vu))
-        if w.size < dim:
-            # evr's vectors are a view of its D x D work array
-            v = v.copy()
-    if w.size:
-        linalg.check_floor(w, fiber.cstar_check,
-                           float(fiber.k @ fiber.k) + fiber.eps ** 2,
+        stack = mat.reshape(-1, dim, dim)
+        cuts = np.broadcast_to(vu, lead).reshape(-1)
+        decomposed = np.flatnonzero(~np.reshape(spectrum_above(mat, vu), -1))
+        pairs = [scipy.linalg.eigh(stack[i], driver="evr",
+                                   subset_by_value=(-np.inf, cuts[i]))
+                 for i in decomposed]
+        r = max((p[0].size for p in pairs), default=0)
+        # evr's vectors are a view of its D x D work array: copied into v
+        w = np.repeat(np.asarray(vu, dtype=float)[..., None], r, axis=-1)
+        v = np.zeros((*lead, dim, r), dtype=complex)
+        for i, (wi, vi) in zip(decomposed, pairs):
+            if wi.size:
+                w.reshape(-1, r)[i, :wi.size] = wi
+                v.reshape(-1, dim, r)[i, :, :wi.size] = vi
+    if w.shape[-1]:
+        linalg.check_floor(w, fiber.cstar_check, fiber.tau_sq,
                            PositivityViolation,
                            "fiber (lambda too small or truncation too coarse)")
     return linalg.HermitianFlow.from_eigh(w, v)
@@ -335,8 +358,10 @@ def projected_norms(trunc, vf, decay, effective, mode):
     ``vf`` (..., D, r) = [f] V_r, ``decay`` (..., r) = e^{-w_r s} and the
     :func:`effective_factors` (ez, first, J).  Both remainders are A M A* with
     A = [vf, E, first] (E the zero-mode columns), so one QR A = Q T gives
-    them as exact Hermitian norms of (r + 2n)-sized T M T*.  Returns (..., 2),
-    0.0 for a norm that ``mode`` does not compute.
+    them as exact Hermitian norms of (r + 2n)-sized T M T*.  A zero column
+    of ``vf`` adds nothing, so fibers that keep fewer pairs than r stack
+    with zero pads.  Returns (..., 2), 0.0 for a norm that ``mode`` does not
+    compute.
     """
     ez, first, integral = effective
     n, r = ez.shape[-1], decay.shape[-1]
@@ -385,7 +410,7 @@ def remainder_norms(cell, ng, fiber, s, flow=None, mode="both",
 def fiber_remainder(cell, ng, fiber, s, flow=None):
     """Norm of f e^{-B(k,eps)s} f* - principal - corrector, with envelopes."""
     nrm = remainder_norms(cell, ng, fiber, s, flow, mode="corrected")[1]
-    tau_sq = float(fiber.k @ fiber.k) + fiber.eps ** 2
+    tau_sq = float(fiber.tau_sq)
     env_pos, env_nonneg = remainder_envelopes(fiber.cstar_check, tau_sq, s)
     ratio = nrm / env_pos if (s > 0 and env_pos > 0) else 0.0
     return {"remainder_norm": float(nrm),

@@ -19,8 +19,12 @@ COND_CAP = 1e12
 
 
 def herm(a):
-    """Symmetrized copy (A + A*)/2, batched over leading axes."""
-    return 0.5 * (a + np.swapaxes(a.conj(), -1, -2))
+    """Symmetrized copy (A + A*)/2, batched over leading axes; A + A* is
+    summed into the copy A*, so that no third array of A's size is made."""
+    out = np.conjugate(np.swapaxes(a, -1, -2), order="C")
+    out += a
+    out *= 0.5
+    return out
 
 
 def opnorm(a):
@@ -36,39 +40,45 @@ def herm_norm(a):
 
 def inf_norm_bound(a):
     """Upper bound of ||A||_inf, and so of every |eigenvalue|, for a complex
-    (D, D) array: the largest row sum of |Re| + |Im|, raised by 4Du to cover
-    the rounding of the 2D-term sums.  NaN when an entry is NaN."""
+    (..., D, D) array, batched over leading axes: the largest row sum of
+    |Re| + |Im|, raised by 4Du to cover the rounding of the 2D-term sums.
+    NaN when an entry is NaN."""
     rows = np.abs(a.view(float)).sum(axis=-1)
-    return rows.max() * (1.0 + 2.0 ** -50 * a.shape[-1])
+    return rows.max(axis=-1) * (1.0 + 2.0 ** -50 * a.shape[-1])
 
 
 def spectrum_above(matrix, mu):
-    """True when one Cholesky proves every eigenvalue of the Hermitian
-    ``matrix`` (D, D) above ``mu``; False if it fails or an entry or mu is
-    not finite.
+    """True where one Cholesky proves every eigenvalue of the Hermitian
+    ``matrix`` (..., D, D) above ``mu`` (a scalar, or broadcasting over the
+    leading axes); False where it fails or an entry or mu is not finite.
+    A bool array over the leading axes, a plain bool for one (D, D) matrix.
 
-    zpotrf runs on A = matrix - (mu + gamma) I.  Success gives R*R = A + dA
-    with |dA| <= c |R*||R|, c = sqrt(2)(D+2)u/(1-(D+2)u) (Higham, Accuracy
-    and Stability, Thm 10.3 with complex arithmetic).  As (|R*||R|)_ij <=
-    ||r_i|| ||r_j|| over the columns r_i of R, ||dA||_2 <= c trace(R*R)
-    <= gamma1 = c t / (1 - c) for any t >= trace(A); t is the sum of the
-    positive diagonal entries of matrix - mu I, raised by 8Du for its
+    Per matrix, zpotrf runs on A = matrix - (mu + gamma) I.  Success gives
+    R*R = A + dA with |dA| <= c |R*||R|, c = sqrt(2)(D+2)u/(1-(D+2)u)
+    (Higham, Accuracy and Stability, Thm 10.3 with complex arithmetic).  As
+    (|R*||R|)_ij <= ||r_i|| ||r_j|| over the columns r_i of R, ||dA||_2 <= c
+    trace(R*R) <= gamma1 = c t / (1 - c) for any t >= trace(A); t is the sum
+    of the positive diagonal entries of matrix - mu I, raised by 8Du for its
     rounding.  gamma = gamma1 + 4u(nrm + gamma1), nrm >= ||matrix - mu
     I||_inf, also covers the rounded diagonal shift.  So lambda_min > mu.
+    The shift, nrm, t and gamma are computed for the whole stack at once.
     """
     u, dim = 2.0 ** -53, matrix.shape[-1]
-    shifted = matrix.copy()
-    diag = shifted.reshape(-1)[::dim + 1]
-    diag -= mu
+    lead = matrix.shape[:-2]
+    shifted = np.array(matrix, dtype=complex, order="C").reshape(-1, dim, dim)
+    diag = shifted.reshape(len(shifted), -1)[:, ::dim + 1]
+    diag -= np.broadcast_to(mu, lead).reshape(-1, 1)
     nrm = inf_norm_bound(shifted)
-    if not np.isfinite(nrm):         # OpenBLAS's zpotrf passes NaN pivots
-        return False
+    ok = np.isfinite(nrm)            # OpenBLAS's zpotrf passes NaN pivots
     c = np.sqrt(2.0) * (dim + 2) * u / (1.0 - (dim + 2) * u)
-    trace = np.maximum(diag.real, 0.0).sum() * (1.0 + 2.0 ** -50 * dim)
+    trace = np.maximum(diag.real, 0.0).sum(axis=-1) * (1.0 + 2.0 ** -50 * dim)
     gamma = c * trace / (1.0 - c)
-    diag -= gamma + 4.0 * u * (nrm + gamma)
-    # the transpose is Fortran-ordered with the same spectrum: no copy
-    return scipy.linalg.lapack.zpotrf(shifted.T, overwrite_a=True)[1] == 0
+    diag -= np.where(ok, gamma + 4.0 * u * (nrm + gamma), 0.0)[:, None]
+    for i in np.flatnonzero(ok):
+        # the transpose is Fortran-ordered with the same spectrum: no copy
+        ok[i] = scipy.linalg.lapack.zpotrf(shifted[i].T,
+                                           overwrite_a=True)[1] == 0
+    return ok.reshape(lead) if lead else bool(ok[0])
 
 
 def certify_condition(matrix, what):

@@ -253,6 +253,76 @@ prefix = probe
     assert flags == ["False"] * 3
 
 
+_PROBED_SWEEP = """
+[problem]
+preset = osc1d
+n_modes = 8
+[truncation]
+n_modes = 8
+[sweep]
+eps = 0.25, 0.125, 0.0625
+s = 0.5
+box_size = 4.0
+probes = 2
+[output]
+prefix = probe
+"""
+
+
+def _checks(tmp_path, prefix):
+    data = json.loads((tmp_path / f"{prefix}_summary.json").read_text())
+    return {c["name"]: (c["passed"], c["value"]) for c in data["checks"]}
+
+
+def test_converge_probe_agreement_measures_the_worst_ratio(tmp_path):
+    cfg = _write(tmp_path, _PROBED_SWEEP)
+    assert cli.main(["converge", "--config", cfg, "--out", str(tmp_path)]) == 0
+    passed, ratio = _checks(tmp_path, "probe")["probe_agreement"]
+    assert passed and 0.0 < ratio <= 1.0 + 1e-8
+
+
+@pytest.mark.parametrize("probe_error", [np.nan, np.inf])
+def test_converge_probe_that_measured_nothing_fails(tmp_path, monkeypatch,
+                                                    probe_error):
+    # a probe error that is not finite was never measured: it must not hide
+    # behind the other probes or pass as agreement
+    from parahom import evolution as ev
+    monkeypatch.setattr(ev, "solution_error", lambda *args, **kwargs: {
+        "principal": probe_error, "corrected": probe_error})
+    cfg = _write(tmp_path, _PROBED_SWEEP)
+    assert cli.main(["converge", "--config", cfg, "--out", str(tmp_path)]) == 1
+    passed, ratio = _checks(tmp_path, "probe")["probe_agreement"]
+    assert not passed and not np.isfinite(ratio)
+    rows = (tmp_path / "probe_sweep.csv").read_text().splitlines()
+    header = rows[0].split(",")
+    flags = [r.split(",")[header.index("probe_disagrees")] for r in rows[1:]]
+    assert flags == ["True"] * 3
+
+
+@pytest.mark.parametrize("kind", ["principal", "corrected"])
+@pytest.mark.parametrize("bad", [np.nan, 0.0])
+def test_converge_slope_with_a_row_measuring_nothing_fails(
+        tmp_path, monkeypatch, kind, bad):
+    # one row whose error is nan or zero among errors above the floor fits
+    # no order: the slope check must be recorded and fail, not skipped
+    from parahom import evolution as ev
+    sweep = ev.convergence_sweep
+
+    def broken(*args, **kwargs):
+        rows = sweep(*args, **kwargs)
+        rows[1][f"err_{kind}"] = bad
+        return rows
+
+    monkeypatch.setattr(ev, "convergence_sweep", broken)
+    cfg = _write(tmp_path, _PROBED_SWEEP.replace("probes = 2", "probes = 0"))
+    assert cli.main(["converge", "--config", cfg, "--out", str(tmp_path)]) == 1
+    checks = _checks(tmp_path, "probe")
+    passed, slope = checks[f"sweep_slope_{kind}"]
+    assert not passed and np.isnan(slope)
+    other = "corrected" if kind == "principal" else "principal"
+    assert checks[f"sweep_slope_{other}"][0]
+
+
 def test_scalar_example_command(tmp_path):
     cfg = _write(tmp_path, """
 [run]

@@ -541,7 +541,8 @@ def test_certified_sweep_matches_exhaustive_route(name, prob, tr, box,
     for mode in ("both", "principal", "corrected"):
         certified = ev.convergence_sweep(prob, tr, eps_list, s, mode=mode, **kw)
         with monkeypatch.context() as mp:
-            mp.setattr(fb, "spectrum_above", lambda matrix, mu: False)
+            mp.setattr(fb, "spectrum_above", lambda matrix, mu:
+                       np.zeros(matrix.shape[:-2], dtype=bool))
             exhaustive = ev.convergence_sweep(prob, tr, eps_list, s,
                                               mode=mode, **kw)
             reference = []
@@ -581,7 +582,7 @@ def test_sweep_decomposes_only_uncertified_fibers(monkeypatch):
 
     def above(matrix, mu):
         ok = original_above(matrix, mu)
-        calls["uncertified"] += not ok
+        calls["uncertified"] += np.size(ok) - np.count_nonzero(ok)
         return ok
 
     monkeypatch.setattr(scipy.linalg, "eigh", eigh)
@@ -592,6 +593,40 @@ def test_sweep_decomposes_only_uncertified_fibers(monkeypatch):
     assert calls["eigh"] == calls["uncertified"] \
         == sum(r["n_decomposed"] for r in rows)
     assert calls["eigh"] < 89
+
+
+def test_sweep_norm_stack_stays_within_its_budget(monkeypatch):
+    # the zero-corrector preset of criterion 11 at D = 121 with a budget of
+    # 64 KiB: 256 fibers at the last eps pad to a 0.5 MB stack, which must
+    # reach projected_norms in flushed pieces that give the same rows
+    prob = presets.divergence_free_2d(n_modes=5)
+    tr = Truncation(5, 2)
+    kw = dict(mode="principal", box_size=2.0,
+              constants=fb.estimate_constants(prob),
+              cell_solution=cl.solve_cell_problems(prob, tr))
+    eps_list, s = [0.5, 0.25, 0.125], 0.25
+    whole = ev.convergence_sweep(prob, tr, eps_list, s, **kw)
+    budget, stacks = 64 * 1024, []
+    norms = fb.projected_norms
+
+    def spy(trunc, vf, *args):
+        stacks.append(vf.shape)
+        return norms(trunc, vf, *args)
+
+    monkeypatch.setattr(ev, "NORM_BATCH_BYTES", budget)
+    monkeypatch.setattr(fb, "projected_norms", spy)
+    pieces = ev.convergence_sweep(prob, tr, eps_list, s, **kw)
+    assert sum(f for f, _, _ in stacks) == sum(r["n_fibers"] for r in whole)
+    assert len(stacks) > len(eps_list)
+    assert all(16 * f * dim * r <= budget for f, dim, r in stacks), stacks
+    pencil = fb.FiberPencil(prob, tr)
+    for got, ref in zip(pieces, whole):
+        eps = ref["eps"]
+        b0 = np.linalg.norm(pencil.fiber(np.zeros(prob.d), eps).matrix, 2)
+        assert abs(got["err_principal"] - ref["err_principal"]) \
+            <= s / eps ** 2 * b0 * 2.0 ** -52
+        assert got["n_decomposed"] == ref["n_decomposed"]
+        assert got["k_argmax_principal"] == ref["k_argmax_principal"]
 
 
 def test_sweep_enforces_fiber_floor_above_the_cut():

@@ -737,3 +737,53 @@ def test_projected_norms_batch_matches_single_fibers(name, prob, tr):
         # the norms are tiny but positive; a norm not computed reads 0.0
         computed = [mode != "corrected", mode != "principal"]
         assert np.all((got > 0.0) == computed), mode
+
+
+@pytest.mark.parametrize("name,prob,tr", BLOCK_STACK_PROBLEMS,
+                         ids=[p[0] for p in BLOCK_STACK_PROBLEMS])
+def test_batched_partial_flow_matches_single_fibers(name, prob, tr):
+    # one evaluation, one certificate and the partial eighs of a batch give
+    # each fiber's own matrix and pairs; the batch pads the fibers that keep
+    # fewer pairs with zero columns and eigenvalues at their cut
+    consts = fb.estimate_constants(prob)
+    pencil = fb.FiberPencil(prob, tr)
+    eps, s = 0.25, 8.0
+    ks = np.concatenate([np.zeros((1, prob.d)), np.random.default_rng(9)
+                         .uniform(-np.pi, np.pi, (5, prob.d))])
+    batch = pencil.fiber(ks, eps, consts)
+    flow = fb.partial_flow(batch, s)
+    singles = [pencil.fiber(k, eps, consts) for k in ks]
+    flows = [fb.partial_flow(f, s) for f in singles]
+    kept = [f.w.size for f in flows]
+    assert flow.w.shape == (len(ks), max(kept))
+    assert flow.v.shape == (len(ks), batch.matrix.shape[-1], max(kept))
+    assert 0 in kept and max(kept) > 0
+    assert np.all(np.isfinite(flow.decay(s)))
+    cuts = fb.cut_value(batch, s)
+    for i, (fib, single, m) in enumerate(zip(singles, flows, kept)):
+        assert np.array_equal(batch.matrix[i], fib.matrix)
+        assert cuts[i] == fb.cut_value(fib, s)
+        assert np.array_equal(flow.w[i, :m], single.w)
+        assert np.array_equal(flow.v[i, :, :m], single.v)
+        assert np.all(flow.w[i, m:] == cuts[i])
+        assert not np.any(flow.v[i, :, m:])
+    # leading axes keep their shape
+    grid = fb.partial_flow(pencil.fiber(ks.reshape(2, 3, -1), eps, consts), s)
+    assert np.array_equal(grid.v, flow.v.reshape(2, 3, *flow.v.shape[1:]))
+
+
+def test_batched_partial_flow_holds_every_fiber_to_its_floor():
+    # floor 1.0 (c*-check 100 at tau^2 = 0.01) and cut 2.5: the batch keeps
+    # 1, 3 and 0 pairs, and the second fiber alone lies below the floor
+    vu = 2.5
+    mats = [_planted_fiber(lam).matrix for lam in (2.0, 0.4, 3.0)]
+
+    def batch(*idx):
+        return fb.FiberOperator(np.zeros((len(idx), 1)), 0.1,
+                                np.stack([mats[i] for i in idx]), 100.0, None)
+
+    flow = fb.partial_flow(batch(0, 2), fb.CUT / vu)
+    assert flow.w.shape == (2, 1) and flow.w[1, 0] == vu
+    for idx in ((1,), (0, 1, 2), (2, 0, 1)):
+        with pytest.raises(PositivityViolation):
+            fb.partial_flow(batch(*idx), fb.CUT / vu)

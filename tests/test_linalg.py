@@ -121,3 +121,41 @@ def test_spectrum_above_resolves_a_spread_spectrum():
     mat = herm((q * np.geomspace(1.0, 1e-14, 6)) @ q.conj().T)
     assert spectrum_above(mat, 5e-15)
     assert not spectrum_above(mat, 1.1e-14)
+
+
+def test_batched_spectrum_above_matches_single_matrices():
+    # one call on a stack decides each matrix as its own call does: planted
+    # spectra just above and just below mu, random Hermitian matrices at
+    # random floors, and a NaN matrix, which is never certified
+    rng = np.random.default_rng(4)
+    dim, mu = 12, 1.5
+
+    def unitary():
+        return np.linalg.qr(rng.standard_normal((dim, dim))
+                            + 1j * rng.standard_normal((dim, dim)))[0]
+
+    mats = [herm((q * (lam + np.arange(dim))) @ q.conj().T) for q, lam in (
+        (unitary(), mu * (1.0 + 1e-6)), (unitary(), mu * (1.0 - 1e-6)))]
+    for _ in range(6):
+        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal(
+            (dim, dim))
+        mats.append(herm(a @ a.conj().T / dim))
+    bad = mats[0].copy()
+    bad[2, 5] = bad[5, 2] = np.nan
+    stack = np.stack(mats + [bad])
+    got = spectrum_above(stack, mu)
+    assert got.dtype == bool and got.shape == (len(stack),)
+    assert got.tolist() == [spectrum_above(m, mu) for m in stack]
+    assert got[0] and not got[1] and not got[-1]
+    assert type(spectrum_above(stack[0], mu)) is bool
+    # mu per matrix, placed around each matrix's smallest eigenvalue
+    lam_min = np.linalg.eigvalsh(np.nan_to_num(stack))[:, 0]
+    mus = lam_min * rng.choice([0.9, 1.1], len(stack))
+    got = spectrum_above(stack, mus)
+    assert got.tolist() == [spectrum_above(m, x) for m, x in zip(stack, mus)]
+    assert got[:-1].tolist() == (mus < lam_min)[:-1].tolist()
+    # leading axes keep their shape; an infinite mu certifies nothing
+    grid = stack.reshape(3, 3, dim, dim)
+    assert np.array_equal(spectrum_above(grid, mus.reshape(3, 3)),
+                          got.reshape(3, 3))
+    assert not spectrum_above(stack, np.inf).any()
