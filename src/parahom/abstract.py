@@ -37,12 +37,16 @@ KERNEL_RTOL = 1e-10
 
 @dataclass
 class AbstractFamily:
-    """Matrices of one pencil instance; spaces are plain C^dim arrays.
+    """Maps of one pencil instance; spaces are plain C^dim arrays.
 
     X0, X1: maps H -> H*; Y0, Y1, Y2: maps H -> Htilde; Q Hermitian, Q0
     Hermitian positive definite on H.  ``lam`` is the zero-order shift and
     ``form_constants`` carries the sampled constants (c0..c4, beta, kappa,
-    c1, C1, cstar) used for envelopes and regime checks.
+    c1, C1, cstar) used for envelopes and regime checks.  Q and Q0 are dense
+    arrays.  A map may be a dense array or any operator with ``shape``,
+    ``map @ C`` and ``map.T @ V`` on blocks of columns and ``np.asarray``
+    (a factored ``fibers.GridMap``): the threshold engine applies maps to
+    columns only, and X, Y, A and B read them through ``np.asarray``.
     """
 
     X0: np.ndarray
@@ -60,10 +64,10 @@ class AbstractFamily:
         return self.X0.shape[1]
 
     def X(self, t):
-        return self.X0 + t * self.X1
+        return np.asarray(self.X0) + t * np.asarray(self.X1)
 
     def Y(self, t):
-        return self.Y0 + t * self.Y1
+        return np.asarray(self.Y0) + t * np.asarray(self.Y1)
 
     def A(self, t):
         xt = self.X(t)
@@ -72,7 +76,7 @@ class AbstractFamily:
     def B(self, t, eps):
         xt = self.X(t)
         yt = self.Y(t)
-        cross = self.Y2.conj().T @ yt
+        cross = np.asarray(self.Y2).conj().T @ yt
         mat = (xt.conj().T @ xt
                + eps * (cross + cross.conj().T)
                + eps ** 2 * (self.Q + self.lam * self.Q0))
@@ -173,13 +177,18 @@ class KernelSplit:
 def x0_decomposition(X0):
     """Certified :class:`KernelSplit` of X0, with u spanning Ker X0.
 
+    X0 is read densely once, into one Fortran-ordered copy (a map that is
+    not an array builds it fresh in ``np.asarray``), which zgeqrf
+    overwrites with its QR; only the upper triangle R is kept.  The kernel
+    certificate applies X0 itself to u, so a factored map is never dense
+    outside the QR.
     The rank r is the leading run of |T_jj| above the rank tolerance
     KERNEL_RTOL * max(|T_00|, 1).  Pivoted QR can misjudge it (Kahan's
     matrices), so both directions carry a certificate, and a failed one
     raises:
     - cap: linalg.certify_condition proves the condition (sigma_1/sigma_r)^2
-      of the restricted Gram matrix L*L below linalg.COND_CAP, so L keeps
-      no near-null direction; IllConditioned otherwise, and on a
+      of the restricted Gram matrix L*L (one ztrmm) below linalg.COND_CAP,
+      so L keeps no near-null direction; IllConditioned otherwise, and on a
       non-finite entry of X0;
     - kernel: ||X0 u||_2, from the n x n Gram of X0 u, is at most the rank
       tolerance, so u spans no direction that X0 does not annihilate;
@@ -188,11 +197,18 @@ def x0_decomposition(X0):
     where ARPACK cannot run).  r = 0 is returned uncertified, with u = I,
     for the caller to refuse.
     """
-    R = np.linalg.qr(np.asarray(X0, dtype=complex), mode="r")
+    qr = np.array(X0, dtype=complex, order="F")
+    rows, m = qr.shape
+    lwork = int(lapack.zgeqrf_lwork(rows, m)[0].real)
+    qr = lapack.zgeqrf(qr, lwork=lwork, overwrite_a=True)[0]
+    # triu of R as the transpose of a C-ordered tril: Fortran-ordered, so
+    # that the pivoted QR overwrites it in place
+    R = np.tril(qr[:min(rows, m)].T).T
+    del qr
     if not np.isfinite(R).all():
         raise IllConditioned("X0 has a non-finite entry")
-    m = R.shape[1]
-    T, piv = scipy.linalg.qr(R, mode="r", pivoting=True, check_finite=False)
+    T, piv = scipy.linalg.qr(R, mode="r", pivoting=True, overwrite_a=True,
+                             check_finite=False)
     del R
     diag = np.abs(np.diag(T))
     tol = KERNEL_RTOL * max(diag[0], 1.0)
@@ -208,10 +224,14 @@ def x0_decomposition(X0):
     u = np.empty((m, m - r), dtype=complex)
     u[piv] = lapack.zunmrz(rz, tau, lift, trans="C", overwrite_c=True)[0]
     # T is upper triangular and ztzrzf leaves its zero lower triangle, so
-    # the first r columns of rz are L
+    # the first r columns of rz are L, and ztrmm forms L*L from its upper
+    # triangle
     lead = rz[:, :r]
-    gram = lead.conj().T @ lead
-    linalg.certify_condition(gram, "restricted Gram matrix of X0")
+    gram = scipy.linalg.blas.ztrmm(1.0, lead, lead, side=0, lower=0,
+                                   trans_a=2)
+    # the transpose of the Fortran-ordered gram is C-ordered, with the same
+    # spectrum
+    linalg.certify_condition(gram.T, "restricted Gram matrix of X0")
     image = X0 @ u
     gram = image.conj().T @ image
     residual = float(np.sqrt(linalg.herm_norm(gram))) if gram.size else 0.0
@@ -252,15 +272,15 @@ def compute_threshold(family, delta=None, tau0=None):
         raise DegenerateKernel("Ker X0 is trivial")
     if split.rank == 0:
         raise IllConditioned("empty positive spectrum")
-    # one of X1, Y0, Y2 at a time: a family may build each when it is read.
-    # A* b is formed as conj(A^T conj(b)), which copies b and not A: the
-    # same products with every sign flipped, so the same bits
+    # maps are only applied to n or 3n columns, so a factored map is never
+    # dense here.  A* b is formed as conj(A^T conj(b)), which copies b and
+    # not A: the same products with every sign flipped, so the same bits
     x1u = family.X1 @ u
     z = -split.gram_pinv((family.X0.T @ x1u.conj()).conj())
     y2u = family.Y2 @ u
     zt = -split.gram_pinv((family.Y0.T @ y2u.conj()).conj())
     d0 = split.d0
-    # dropped before the map reads below, which may build rectangles
+    # its r x m factor is dropped before the kernel blocks
     del split
     # R = P_* X1 P = (X1 + X0 Z) P, as X0 z = -U_r U_r* X1 u = (P_* - I) X1 u
     r = x1u + family.X0 @ z
@@ -295,8 +315,7 @@ def _kernel_blocks(family, u, z, zt, r):
     N11, N12, N21, N22 (N = t^3 N11 + t^2 e N12 + t e^2 N21 + e^3 N22).
 
     With P = u u*, Z = z u*, Ztilde = zt u* and R = r u*, each full-space
-    block is u (middle) u*.  Each map is read once, for its image of
-    [u | z | zt], and dropped before the next.
+    block is u (middle) u*.  Each map is applied once, to [u | z | zt].
     """
     def sym(a):
         return a + a.conj().T

@@ -434,10 +434,13 @@ def run_abstract_check(cfg, report):
                 rows.append([i, n, key, np.nan])
                 continue
             fit = fit_rate(series)
-            if not fit.exact_agreement:
-                worst[key] = min(worst[key], fit.slope)
-            rows.append([i, n, key,
-                         fit.slope if not fit.exact_agreement else np.nan])
+            slope = np.nan if fit.exact_agreement else fit.slope
+            # exact agreement only when every error sits at the floor; a
+            # zero among larger errors fits no order, and its nan slope
+            # fails the order check
+            if not (fit.exact_agreement and max(e for _, e in series) <= 1e-13):
+                worst[key] = np.minimum(worst[key], slope)
+            rows.append([i, n, key, slope])
         mrep = ab.m_decomposition_check(th, th.tau0 * 0.5, theta, s=1.5)
         rows.append([i, n, "m_decomposition", mrep["deviation"]])
     report.tables["orders"] = (["instance", "n", "quantity", "value"], rows)

@@ -431,11 +431,88 @@ def principal_remainder(cell, trunc, k, eps, s, constants=None, fiber=None):
 # abstract-engine instantiation on the hatted (f = identity) fibers
 
 
+class GridMap:
+    """The map P(g) E W(b) from the truncated space into the weighted
+    quadrature-grid space, held as its factors.
+
+    W is a block per mode (M or 1, q, n), E = F_1 x ... x F_d the
+    evaluation matrix of :func:`fields.eval_matrix`, applied axis by axis
+    from its per-axis DFT factors, and P a block per grid node (G^d or 1,
+    p, q).  As a matrix it is (G^d*p, M*n), rows (node, i) and columns
+    (mode, j).  It supports ``@`` on a block of columns, ``.T @`` and
+    ``np.asarray``, which builds the dense map Fortran-ordered and with no
+    dense E; nothing rectangle-sized is held.
+    """
+
+    def __init__(self, factors, point, mode, transposed=False):
+        self.factors, self.transposed = factors, transposed
+        self.point = np.asarray(point, dtype=complex)
+        self.mode = np.asarray(mode, dtype=complex)
+        self.nodes = int(np.prod([f.shape[0] for f in factors]))
+        self.modes = int(np.prod([f.shape[1] for f in factors]))
+
+    @property
+    def shape(self):
+        shape = (self.nodes * self.point.shape[1],
+                 self.modes * self.mode.shape[2])
+        return shape[::-1] if self.transposed else shape
+
+    @property
+    def T(self):
+        return GridMap(self.factors, self.point, self.mode,
+                       not self.transposed)
+
+    def _kron(self, y, transpose):
+        """(F_1 x ... x F_d) y along the first axis of ``y``, or with every
+        F_l transposed: one batched GEMM per axis."""
+        rest = y.shape[1:]
+        done = 1
+        for f in self.factors:
+            f = f.T if transpose else f
+            y = f @ y.reshape(done, f.shape[1], -1)
+            done *= f.shape[0]
+        return y.reshape(done, *rest)
+
+    def __matmul__(self, cols):
+        c = cols.shape[-1]
+        if self.transposed:
+            y = np.swapaxes(self.point, 1, 2) @ cols.reshape(self.nodes, -1, c)
+            y = np.swapaxes(self.mode, 1, 2) @ self._kron(y, transpose=True)
+        else:
+            y = self.mode @ cols.reshape(self.modes, -1, c)
+            y = self.point @ self._kron(y, transpose=False)
+        return y.reshape(-1, c)
+
+    def __array__(self, dtype=None, copy=None):
+        """The dense map, always a fresh array: one GEMM gives its
+        C-ordered transpose, entries sum_q W[b, q, j] P[g, i, q] at row
+        (b, j) and column (g, i), scaled by E in place; the map itself is
+        that transpose's Fortran-ordered view."""
+        q, n = self.mode.shape[1:]
+        p = self.point.shape[1]
+        mode = np.broadcast_to(self.mode, (self.modes, q, n))
+        point = np.broadcast_to(self.point, (self.nodes, p, q))
+        dense = np.swapaxes(mode, 1, 2).reshape(-1, q) \
+            @ point.reshape(-1, q).T
+        # E[g, b] = prod_l F_l[g_l, b_l], one axis at a time
+        d = len(self.factors)
+        view = dense.reshape(*[f.shape[1] for f in self.factors], n,
+                             *[f.shape[0] for f in self.factors], p)
+        for axis, f in enumerate(self.factors):
+            shape = [1] * view.ndim
+            shape[axis], shape[d + 1 + axis] = f.T.shape
+            view *= f.T.reshape(shape)
+        dense = dense if self.transposed else dense.T
+        return dense if dtype is None else dense.astype(dtype, copy=False)
+
+
 class GridRectangles:
     """Maps from the truncated space into the weighted quadrature-grid space.
 
     With grid weight |Omega|/G^d folded in, E has orthonormal columns and the
-    pencil matrices reproduce the alias-free Galerkin forms exactly.
+    pencil matrices reproduce the alias-free Galerkin forms exactly.  Each
+    map is a :class:`GridMap` P(g) E W(b), built from the per-axis DFT
+    factors of E and pointwise or per-mode blocks; none holds a rectangle.
     """
 
     def __init__(self, problem, trunc, grid_shape=None):
@@ -445,7 +522,9 @@ class GridRectangles:
         self.trunc = trunc
         self.grid_shape = tuple(grid_shape or problem.grid_shape)
         self.lat = problem.lattice
-        self.E = fd.eval_matrix(trunc, self.grid_shape)   # (G^d, M)
+        # E = F_1 x ... x F_d, each F_l the d = 1 evaluation matrix of axis l
+        line = fd.Truncation(trunc.n_modes, 1)
+        self.factors = [fd.eval_matrix(line, (g,)) for g in self.grid_shape]
         g_here = fd.resample_field(problem.g, self.grid_shape)
         self.h = fd.pointwise_sqrtm(g_here).reshape(-1, problem.m, problem.m)
         if problem.a is not None:
@@ -456,95 +535,57 @@ class GridRectangles:
         else:
             self.a_star = None
 
-    def _rect(self, block):
-        """Rectangle with entries E[g, b] * block[g, i, b, j], rows (g, i)
-        and columns (b, j): a (G^d*p, M*n) matrix.  ``block`` broadcasts to
-        (G^d, p, M, n)."""
-        # C order, so that the reshape is a view and not a second rectangle
-        vals = np.multiply(self.E[:, None, :, None], block, order="C")
-        return vals.reshape(-1, self.E.shape[1] * vals.shape[-1])
-
-    def _stack(self, blocks):
-        """(G^d or 1, d, n, n) direction blocks -> (G^d or 1, d*n, 1, n)."""
-        return blocks.reshape(blocks.shape[0], -1, 1, blocks.shape[-1])
+    def _map(self, point, mode=None):
+        """GridMap of the blocks P and W, None standing for an identity."""
+        if mode is None:
+            mode = np.eye(self.problem.n)[None]
+        if point is None:
+            point = np.eye(mode.shape[1])[None]
+        return GridMap(self.factors, point, mode)
 
     def X0(self):
-        """Grid values of h b(D) u: (G^d*m, M*n)."""
-        b = self.problem.b_of(self.trunc.freqs(self.lat))
-        m, n = b.shape[1:]
-        # (h(g) b(b))[i, j] for every node g and mode b, as one GEMM, then
-        # scaled by E in place: the GEMM's output is rectangle-sized already
-        hb = self.h.reshape(-1, m) @ b.transpose(1, 0, 2).reshape(m, -1)
-        hb = hb.reshape(-1, m, len(b), n)
-        hb *= self.E[:, None, :, None]
-        return hb.reshape(-1, len(b) * n)
+        """h and b(D): (G^d*m, M*n)."""
+        return self._map(self.h, self.problem.b_of(self.trunc.freqs(self.lat)))
 
     def X1(self, theta):
-        """Grid values of h b(theta) u."""
+        """h b(theta) and I."""
         bth = self.problem.b_of(np.asarray(theta, dtype=float))
-        return self._rect((self.h @ bth)[:, :, None, :])
+        return self._map(self.h @ bth)
 
     def Y0(self):
-        """Grid values of col{D_j u}: (G^d*d*n, M*n)."""
-        eye = np.eye(self.problem.n)
-        q = self.trunc.freqs(self.lat).T                    # (d, M)
-        return self._rect((q[:, None, :, None] * eye[None, :, None, :])
-                          .reshape(1, -1, q.shape[1], eye.shape[1]))
+        """I and col{D_j}: (G^d*d*n, M*n)."""
+        n = self.problem.n
+        q = self.trunc.freqs(self.lat)                      # (M, d)
+        return self._map(None, (q[:, :, None, None] * np.eye(n))
+                         .reshape(len(q), -1, n))
 
     def Y1(self, theta):
-        eye = np.eye(self.problem.n)
+        """col{theta_j} and I."""
+        n = self.problem.n
         theta = np.asarray(theta, dtype=float)
-        return self._rect(self._stack(theta[None, :, None, None] * eye))
+        return self._map((theta[:, None, None] * np.eye(n)).reshape(1, -1, n))
 
     def Y2(self):
+        """col{a_j*} and I; a zero block when a is absent."""
         n, d = self.problem.n, self.problem.d
         if self.a_star is None:
-            return np.zeros((self.E.shape[0] * d * n, self.E.shape[1] * n),
-                            dtype=complex)
-        return self._rect(self._stack(np.stack(self.a_star, axis=1)))
-
-
-class HattedFamily(AbstractFamily):
-    """AbstractFamily of the f = identity fiber pencil in direction theta.
-
-    X0 is built once.  X1, Y0, Y1 and Y2 are rebuilt from the grid
-    rectangles on every read, as ThresholdData rebuilds P and Z: each is as
-    large as X0, and the threshold engine reads them one at a time.
-    """
-
-    def __init__(self, rect, theta, Q, lam, form_constants):
-        self.rect, self.theta = rect, theta
-        self.X0 = rect.X0()
-        self.Q = Q
-        self.Q0 = np.eye(Q.shape[0], dtype=complex)
-        self.lam = lam
-        self.form_constants = form_constants
-
-    @property
-    def X1(self):
-        return self.rect.X1(self.theta)
-
-    @property
-    def Y0(self):
-        return self.rect.Y0()
-
-    @property
-    def Y1(self):
-        return self.rect.Y1(self.theta)
-
-    @property
-    def Y2(self):
-        return self.rect.Y2()
+            return self._map(np.zeros((1, d * n, n), dtype=complex))
+        return self._map(np.concatenate(self.a_star, axis=1))
 
 
 def hatted_family(problem, trunc, theta, constants=None, grid_shape=None):
-    """HattedFamily of the f=identity fiber pencil in direction theta,
+    """AbstractFamily of the f=identity fiber pencil in direction theta,
     carrying the c*-check of ``constants`` (delta and tau0 go to
-    compute_threshold)."""
-    return HattedFamily(GridRectangles(problem, trunc, grid_shape), theta,
-                        linalg.herm(fd.mult_matrix(problem.q_field(), trunc)),
-                        problem.lam, {} if constants is None else
-                        {"cstar_check": constants.cstar_check})
+    compute_threshold).  Its X0, X1, Y0, Y1 and Y2 are the factored
+    :class:`GridMap` maps of :class:`GridRectangles`; only Q and Q0 are
+    dense."""
+    rect = GridRectangles(problem, trunc, grid_shape)
+    q = linalg.herm(fd.mult_matrix(problem.q_field(), trunc))
+    return AbstractFamily(rect.X0(), rect.X1(theta), rect.Y0(),
+                          rect.Y1(theta), rect.Y2(), q,
+                          np.eye(q.shape[0], dtype=complex), problem.lam,
+                          {} if constants is None else
+                          {"cstar_check": constants.cstar_check})
 
 
 def rectangle_grid(problem, trunc):

@@ -151,7 +151,8 @@ def dense_threshold(fam, rel_tol=1e-10):
     against P.  Returns a dict of the dense objects: P, n, d0, Z, Ztilde, R,
     S_block, C_block, D_block and N11..N22.
     """
-    X0, X1, Y0, Y1, Y2 = fam.X0, fam.X1, fam.Y0, fam.Y1, fam.Y2
+    X0, X1, Y0, Y1, Y2 = (np.asarray(a) for a in
+                          (fam.X0, fam.X1, fam.Y0, fam.Y1, fam.Y2))
     Q, Q0, lam = fam.Q, fam.Q0, fam.lam
     dim = X0.shape[1]
     _, sing, vh = np.linalg.svd(np.asarray(X0, dtype=complex))
@@ -209,16 +210,18 @@ def dense_objects(th):
 def grid_rectangles_einsum(rect, theta):
     """X0, X1(theta), Y0, Y1(theta), Y2 of a GridRectangles instance, built
     column by column: every truncated basis vector is pushed to the grid
-    through E, then the pointwise factors act by einsum."""
+    through the dense E of fields.eval_matrix, then the pointwise factors
+    act by einsum."""
     from parahom import fields as fd
 
     prob, trunc = rect.problem, rect.trunc
     n, d = prob.n, prob.d
     M = trunc.size
+    E = fd.eval_matrix(trunc, rect.grid_shape)
 
     def to_grid(cols):                      # (M*n', C) -> (G^d, n', C)
         c = cols.shape[1]
-        return np.einsum("gm,mnc->gnc", rect.E, cols.reshape(M, -1, c))
+        return np.einsum("gm,mnc->gnc", E, cols.reshape(M, -1, c))
 
     eye_cols = to_grid(np.eye(M * n, dtype=complex))
     bd = fd.symbol_blockdiag(lambda q: prob.b_of(q), trunc, rect.lat)

@@ -472,6 +472,35 @@ prefix = abs
     assert slopes["BF_minus_SP_K"] >= 3.7
 
 
+def test_abstract_check_zero_among_larger_errors_fails(tmp_path, capsys,
+                                                     monkeypatch):
+    # two instances: the first measures the orders 1, 2, 3 and 4 cleanly,
+    # the second puts a zero at the fourth tau of the same series.  That
+    # zero is no exact agreement: every order check fails with a nan slope,
+    # where skipping the second instance would pass on the first alone
+    calls = []
+
+    def sweep(family, th, theta):
+        zero_at = 3 if calls else None
+        calls.append(zero_at)
+        taus = 0.5 ** np.arange(8)
+        orders = {"F_minus_P": 1, "F_minus_P_tauF1": 2, "BF_minus_SP": 3,
+                  "BF_minus_SP_K": 4}
+        return [(float(tau), {key: 0.0 if i == zero_at else float(tau ** k)
+                              for key, k in orders.items()})
+                for i, tau in enumerate(taus)]
+
+    monkeypatch.setattr(cli.ab, "dyadic_order_sweep", sweep)
+    cfg = _write(tmp_path, "[abstract]\ncount = 2\ndim = 6\nn_max = 1\n")
+    assert cli.main(["abstract-check", "--config", cfg, "--out",
+                     str(tmp_path)]) == 1
+    assert calls == [None, 3]
+    out = capsys.readouterr().out
+    for key in ("F_minus_P", "F_minus_P_tauF1", "BF_minus_SP",
+                "BF_minus_SP_K"):
+        assert f"[FAIL] order_{key}: nan" in out
+
+
 def test_fiber_check_command(tmp_path):
     cfg = _write(tmp_path, """
 [run]

@@ -341,42 +341,68 @@ def test_cross_validation_norms_match_dense_residuals(case):
         assert abs(rep[name] - val) < 1e-13, (name, rep[name], val)
 
 
-def test_cross_validation_holds_one_grid_rectangle_besides_x0(monkeypatch):
-    # X0's decomposition runs with no other rectangle alive, and afterwards
-    # the threshold engine builds X1, Y0, Y1 and Y2 one at a time as it
-    # reads them
+def test_cross_validation_builds_only_x0_densely(monkeypatch):
+    # the grid maps are factored: the only dense map a cross-validation
+    # builds is X0, for its QR, and it is gone when the decomposition returns
     from parahom import abstract as ab
 
-    built, alive_at_split, alive_at_build = [], [], []
+    x0_maps, dense_of, alive_at_return = [], [], []
+    real_x0, real_array = fb.GridRectangles.X0, fb.GridMap.__array__
 
-    def alive():
-        return sum(ref() is not None for ref in built)
+    def x0(self):
+        x0_maps.append(real_x0(self))
+        return x0_maps[-1]
 
-    def spy(name):
-        real = getattr(fb.GridRectangles, name)
+    def array(self, *args, **kwargs):
+        out = real_array(self, *args, **kwargs)
+        dense_of.append((self, weakref.ref(out if out.base is None
+                                           else out.base)))
+        return out
 
-        def method(self, *args, **kwargs):
-            out = real(self, *args, **kwargs)
-            built.append(weakref.ref(out))
-            alive_at_build.append(alive())
-            return out
-        return method
+    def x0_decomposition(X0):
+        split = real_split(X0)
+        alive_at_return.append(sum(ref() is not None for _, ref in dense_of))
+        return split
 
-    for name in ("X1", "Y0", "Y1", "Y2"):
-        monkeypatch.setattr(fb.GridRectangles, name, spy(name))
     real_split = ab.x0_decomposition
-
-    def x0_decomposition(*args, **kwargs):
-        alive_at_split.append(alive())
-        return real_split(*args, **kwargs)
-
+    monkeypatch.setattr(fb.GridRectangles, "X0", x0)
+    monkeypatch.setattr(fb.GridMap, "__array__", array)
     monkeypatch.setattr(ab, "x0_decomposition", x0_decomposition)
-    prob = presets.random_fiber_instance(42, d=1, n_modes=6)
+    for prob, tr, theta in (
+            (presets.random_fiber_instance(42, d=1, n_modes=6),
+             Truncation(6, 1), [1.0]),
+            (presets.random_fiber_instance(201, d=2, n_modes=4),
+             Truncation(4, 2), [0.6, 0.8])):
+        x0_maps.clear()
+        dense_of.clear()
+        alive_at_return.clear()
+        consts = fb.estimate_constants(prob)
+        fb.cross_validate_abstract(prob, tr, theta, 0.5 * consts.tau0,
+                                   constants=consts)
+        assert len(x0_maps) == 1
+        assert [m for m, _ in dense_of] == x0_maps
+        assert alive_at_return == [0]
+
+
+def test_cross_validation_peak_memory_is_bounded_by_x0():
+    # crossval_2d: the traced peak above the start stays below 2.5 times
+    # X0's bytes; with X0 held by the family, a dense E and a second copy of
+    # X0 in the QR it read 3.56 times
+    import tracemalloc
+
+    prob, tr, theta, tau_frac = _crossval_2d_case()
     consts = fb.estimate_constants(prob)
-    fb.cross_validate_abstract(prob, Truncation(6, 1), [1.0],
-                               0.5 * consts.tau0, constants=consts)
-    assert alive_at_split == [0]
-    assert alive_at_build and max(alive_at_build) == 1
+    x0_bytes = 16 * np.prod(fb.GridRectangles(
+        prob, tr, fb.rectangle_grid(prob, tr)).X0().shape)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fb.cross_validate_abstract(prob, tr, theta, tau_frac * consts.tau0,
+                                   constants=consts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 2.5 * x0_bytes, (peak - start) / x0_bytes
 
 
 def _forbid_cross_validation_work(monkeypatch):
@@ -407,6 +433,8 @@ def test_cross_validation_never_passes_a_nan_residual(monkeypatch):
 
 @pytest.mark.parametrize("seed,d", [(5, 1), (201, 2)])
 def test_grid_rectangles_match_einsum_construction(seed, d):
+    # each factored map against the einsum build of its dense rectangle:
+    # the dense form, map @ C and map.T @ V
     prob = presets.random_fiber_instance(seed, d=d, n_modes=6)
     assert prob.a is not None
     tr = Truncation(6, d)
@@ -415,10 +443,22 @@ def test_grid_rectangles_match_einsum_construction(seed, d):
     ref = oracles.grid_rectangles_einsum(rect, theta)
     got = {"X0": rect.X0(), "X1": rect.X1(theta), "Y0": rect.Y0(),
            "Y1": rect.Y1(theta), "Y2": rect.Y2()}
-    for name, mat in got.items():
-        assert mat.shape == ref[name].shape
-        assert np.abs(mat - ref[name]).max() < 1e-13 * max(
-            1.0, np.abs(ref[name]).max())
+    rng = np.random.default_rng(seed)
+
+    def close(a, b):
+        return np.abs(a - b).max() < 1e-13 * max(1.0, np.abs(b).max())
+
+    for name, op in got.items():
+        dense = ref[name]
+        assert op.shape == dense.shape and op.T.shape == dense.T.shape
+        cols = rng.standard_normal((dense.shape[1], 3)) \
+            + 1j * rng.standard_normal((dense.shape[1], 3))
+        rows = rng.standard_normal((dense.shape[0], 3)) \
+            + 1j * rng.standard_normal((dense.shape[0], 3))
+        assert close(np.asarray(op), dense), name
+        assert close(np.asarray(op.T), dense.T), name
+        assert close(op @ cols, dense @ cols), name
+        assert close(op.T @ rows, dense.T @ rows), name
 
 
 def test_hatted_threshold_matches_dense_formulas():
