@@ -42,11 +42,13 @@ class AbstractFamily:
     X0, X1: maps H -> H*; Y0, Y1, Y2: maps H -> Htilde; Q Hermitian, Q0
     Hermitian positive definite on H.  ``lam`` is the zero-order shift and
     ``form_constants`` carries the sampled constants (c0..c4, beta, kappa,
-    c1, C1, cstar) used for envelopes and regime checks.  Q and Q0 are dense
-    arrays.  A map may be a dense array or any operator with ``shape``,
-    ``map @ C`` and ``map.T @ V`` on blocks of columns and ``np.asarray``
-    (a factored ``fibers.GridMap``): the threshold engine applies maps to
-    columns only, and X, Y, A and B read them through ``np.asarray``.
+    c1, C1, cstar) used for envelopes and regime checks.  A map may be a
+    dense array or any operator with ``shape``, ``map @ C`` and ``map.T @
+    V`` on blocks of columns and ``np.asarray`` (a factored
+    ``fibers.GridMap``); Q and Q0 may likewise be operators with ``shape``,
+    ``@`` and ``np.asarray`` (``fibers.GridForm``, ``fibers.IdentityMap``).
+    The threshold engine applies maps to columns only, and X, Y, A and B
+    read them through ``np.asarray``.
     """
 
     X0: np.ndarray
@@ -79,7 +81,8 @@ class AbstractFamily:
         cross = np.asarray(self.Y2).conj().T @ yt
         mat = (xt.conj().T @ xt
                + eps * (cross + cross.conj().T)
-               + eps ** 2 * (self.Q + self.lam * self.Q0))
+               + eps ** 2 * (np.asarray(self.Q)
+                             + self.lam * np.asarray(self.Q0)))
         return linalg.herm(mat)
 
 
@@ -305,7 +308,7 @@ def _default_tau0(family, delta):
     c3 = consts.get("c3", 0.0)
     C1 = consts.get("C1", 0.0)
     nx1 = np.linalg.norm(family.X1, 2)
-    nq0 = np.linalg.norm(family.Q0, 2)
+    nq0 = np.linalg.norm(np.asarray(family.Q0), 2)
     denom = (2 + c1 ** 2 + c2) * nx1 ** 2 + C1 + c3 + abs(family.lam) * nq0
     return float(np.sqrt(delta / max(denom, 1e-300)))
 
@@ -335,7 +338,7 @@ def _kernel_blocks(family, u, z, zt, r):
     _, Y0z, Y0zt = split(family.Y0 @ cols)
     Y1u, Y1z, Y1zt = split(family.Y1 @ cols)
     Y2u, Y2z, Y2zt = split(family.Y2 @ cols)
-    qu = (family.Q + family.lam * family.Q0) @ u
+    qu = family.Q @ u + family.lam * (family.Q0 @ u)
 
     S = gram(X1u, r)                        # P X1* P_* X1 P
     C = -sym(gram(X0z, X0zt)) + sym(gram(Y2u, Y1u))
@@ -586,7 +589,7 @@ class BorderedFamily:
 
     def __post_init__(self):
         eye = np.eye(self.hat.dim_H)
-        if np.abs(self.hat.Q0 - eye).max() > 1e-10:
+        if np.abs(np.asarray(self.hat.Q0) - eye).max() > 1e-10:
             raise ValueError("reference pencil must carry Q0 = identity")
         if self.base is None:
             M = self.M

@@ -96,8 +96,25 @@ class PeriodicProblem:
         return float(lo), float(hi)
 
     def validate(self, trunc=None):
-        """Structural checks: symbol rank, g positivity, Hermiticity, grid
-        size; returns the symbol bounds alpha0 and alpha1."""
+        """Structural checks: shapes against the lattice dimension, symbol
+        rank, g positivity, Hermiticity, grid size; returns the symbol bounds
+        alpha0 and alpha1."""
+        d = self.lattice.dimension
+        if self.b_symbols.ndim != 3 or self.d != d:
+            raise DataError(f"b has shape {self.b_symbols.shape}; a {d}D "
+                            f"lattice needs ({d}, m, n)")
+        grid = self.grid_shape
+        if len(grid) != d or self.g.shape[-2:] != (self.m, self.m):
+            raise DataError(f"g has shape {self.g.shape}; b and the {d}D "
+                            f"lattice need {d} grid axes and ({self.m}, "
+                            f"{self.m}) blocks")
+        for name, field, shape in (
+                ("f", self.f, (*grid, self.n, self.n)),
+                ("a", self.a, (d, *grid, self.n, self.n)),
+                ("Qdensity", self.Qdensity, (*grid, self.n, self.n))):
+            if field is not None and np.shape(field) != shape:
+                raise DataError(f"{name} has shape {np.shape(field)}; b and "
+                                f"the {d}D lattice need {shape}")
         a0, a1 = self.symbol_bounds()
         if np.linalg.eigvalsh(self.g).min() <= 0:
             raise DataError("g not positive definite on the grid")
@@ -221,12 +238,11 @@ def adj(field):
 # cell solves
 
 
-def galerkin_matrix(problem, trunc):
-    """Exact Galerkin matrix of <g b(D)u, b(D)v> on the truncated space, the
-    sandwich b(D)* [g] b(D), and the (M, m, n) block stack of b(D)."""
-    bk = problem.b_of(trunc.freqs(problem.lattice))
-    mat, = fd.sandwich_matrices(problem.g, trunc, [(bk, bk)])
-    return linalg.herm(mat), bk
+def galerkin_matrix(problem, trunc, bd):
+    """Exact Galerkin matrix of <g b(D)u, b(D)v> on the truncated space: the
+    sandwich bd* [g] bd of the (M, m, n) block stack ``bd`` of b(D)."""
+    mat, = fd.sandwich_matrices(problem.g, trunc, [(bd, bd)])
+    return linalg.herm(mat)
 
 
 def solve_zero_mean(A, rhs, trunc, grid):
@@ -236,17 +252,25 @@ def solve_zero_mean(A, rhs, trunc, grid):
     (grid..., n, c) solution field.  A_red, A without that block, must be
     proven Hermitian positive definite with condition number below
     linalg.COND_CAP (:func:`linalg.certify_condition`, IllConditioned
-    otherwise).
+    otherwise).  A is left unchanged, and its reference here is dropped once
+    A_red is taken, so a caller that passes A unnamed frees it then; A_red
+    is factored in place.
     """
     n, c = rhs.shape[1:]
+    dim = A.shape[0]
     z = trunc.zero_index
-    mask = np.ones(A.shape[0], dtype=bool)
+    mask = np.ones(dim, dtype=bool)
     mask[z * n:(z + 1) * n] = False
-    A_red = A[np.ix_(mask, mask)]
-    linalg.certify_condition(A_red, "cell Galerkin matrix")
-    x = np.zeros((A.shape[0], c), dtype=complex)
-    x[mask] = scipy.linalg.cho_solve(scipy.linalg.cho_factor(A_red),
-                                     rhs.reshape(-1, c)[mask])
+    # gathered through the transpose, so that A_red is the Fortran-ordered
+    # view that cho_factor overwrites with no copy
+    A_red = A.T[np.ix_(mask, mask)].T
+    del A
+    # its C-ordered transpose is the conjugate, with the same spectrum
+    linalg.certify_condition(A_red.T, "cell Galerkin matrix")
+    x = np.zeros((dim, c), dtype=complex)
+    x[mask] = scipy.linalg.cho_solve(
+        scipy.linalg.cho_factor(A_red, overwrite_a=True),
+        rhs.reshape(-1, c)[mask])
     return field_from_coeff_vector(x.reshape(rhs.shape), trunc, grid)
 
 
@@ -255,7 +279,7 @@ def solve_cell_problems(problem, trunc):
     problem.validate(trunc)
     n, m, d = problem.n, problem.m, problem.d
     grid = problem.grid_shape
-    A, bd = galerkin_matrix(problem, trunc)
+    bd = problem.b_of(trunc.freqs(problem.lattice))
 
     # one solve for both cell problems: b(D)* g b(D) Lambda = -b(D)* g (m
     # columns) and the companion problem driven by the divergence of the a_j*
@@ -264,7 +288,9 @@ def solve_cell_problems(problem, trunc):
         div_a = sum(spectral_derivative(adj(problem.a[j]), problem.lattice, j)
                     for j in range(d))
         rhs = np.concatenate([rhs, -coeff_vector(div_a, trunc)], axis=-1)
-    sol = solve_zero_mean(A, rhs, trunc, grid)
+    # the Galerkin matrix goes in unnamed: freed once its block is taken
+    sol = solve_zero_mean(galerkin_matrix(problem, trunc, bd), rhs, trunc,
+                          grid)
     Lambda = sol[..., :m]
     if problem.a is not None:
         LambdaTilde = sol[..., m:]

@@ -65,8 +65,10 @@ def decaying_prefix(series):
 def fit_rate(series):
     """Least-squares slope of log(err) vs log(eps).
 
-    ``series`` is a list of (eps, err) with strictly decreasing eps.  Errors
-    at or below the machine floor 1e-13 short-circuit to ExactAgreement.
+    ``series`` is a list of (eps, err) with strictly decreasing eps.  When
+    every error is at or below the machine floor 1e-13 the fit is exact
+    agreement; a non-positive error among larger ones fits no order, and
+    its slope is NaN.
     """
     if len(series) < 3:
         raise InsufficientDecades(f"need >= 3 points, got {len(series)}")
@@ -74,9 +76,10 @@ def fit_rate(series):
     err = np.array([p[1] for p in series], dtype=float)
     if np.any(np.diff(eps) >= 0):
         raise DegenerateSeries("eps values must decrease strictly")
-    scale = err.max() if err.size else 0.0
-    if np.any(err <= 0) or scale <= 1e-13:
+    if err.max() <= 1e-13:
         return RateFit(np.nan, np.nan, [], exact_agreement=True)
+    if np.any(err <= 0):
+        return RateFit(np.nan, np.nan, [])
     coef = np.polyfit(np.log(eps), np.log(err), 1)
     pred = np.polyval(coef, np.log(eps))
     res = (np.log(err) - pred).tolist()
@@ -434,13 +437,10 @@ def run_abstract_check(cfg, report):
                 rows.append([i, n, key, np.nan])
                 continue
             fit = fit_rate(series)
-            slope = np.nan if fit.exact_agreement else fit.slope
-            # exact agreement only when every error sits at the floor; a
-            # zero among larger errors fits no order, and its nan slope
-            # fails the order check
-            if not (fit.exact_agreement and max(e for _, e in series) <= 1e-13):
-                worst[key] = np.minimum(worst[key], slope)
-            rows.append([i, n, key, slope])
+            # a nan slope (no order fitted) fails the order check
+            if not fit.exact_agreement:
+                worst[key] = np.minimum(worst[key], fit.slope)
+            rows.append([i, n, key, fit.slope])
         mrep = ab.m_decomposition_check(th, th.tau0 * 0.5, theta, s=1.5)
         rows.append([i, n, "m_decomposition", mrep["deviation"]])
     report.tables["orders"] = (["instance", "n", "quantity", "value"], rows)
@@ -490,9 +490,7 @@ def run_converge(cfg, report):
         fit = fit_rate(list(zip([r["eps"] for r in rows], errs)))
         report.plots[f"sweep_{kind}"] = (
             [r["eps"] for r in rows], [max(e, 1e-300) for e in errs])
-        # exact agreement only when every error sits at the floor; a zero
-        # among larger errors fits no order, and its nan slope fails
-        if fit.exact_agreement and np.max(errs) <= 1e-13:
+        if fit.exact_agreement:
             report.summary["rate"][kind] = {"exact_agreement": True}
             continue
         report.summary["rate"][kind] = {

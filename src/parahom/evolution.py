@@ -512,12 +512,12 @@ def _box_norms(pencil, fiber_k, eps, s, constants, effective, mode):
     dim = pencil.coeffs.shape[-1]
     step = max(1, FIBER_BATCH_BYTES // (16 * dim ** 2))
     norms = np.empty((len(fiber_k), 2))
-    held, start, n_kept = [], 0, 0
+    # r_held: the most pairs any held batch keeps, a running maximum
+    held, start, n_kept, r_held = [], 0, 0, 0
 
     def flush(stop):
-        r = max(v.shape[-1] for v, _ in held)
-        vf = np.zeros((stop - start, dim, r), dtype=complex)
-        decay = np.zeros((stop - start, r))
+        vf = np.zeros((stop - start, dim, r_held), dtype=complex)
+        decay = np.zeros((stop - start, r_held))
         at = 0
         for v, dec in held:
             vf[at:at + len(v), :, :v.shape[-1]] = v
@@ -533,11 +533,12 @@ def _box_norms(pencil, fiber_k, eps, s, constants, effective, mode):
         flow = fb.partial_flow(fiber, s)
         n_kept += int(np.count_nonzero(np.any(flow.v, axis=(-2, -1))))
         vf = flow.v if fiber.f_matrix is None else fiber.f_matrix @ flow.v
-        r = max([vf.shape[-1]] + [v.shape[-1] for v, _ in held])
+        r = max(vf.shape[-1], r_held)
         if held and 16 * (lo + len(vf) - start) * dim * r > NORM_BATCH_BYTES:
             flush(lo)
-            held, start = [], lo
+            held, start, r = [], lo, vf.shape[-1]
         held.append((vf, flow.decay(s)))
+        r_held = r
     flush(len(fiber_k))
     return norms, n_kept
 

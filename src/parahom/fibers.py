@@ -139,11 +139,10 @@ class FiberPencil:
     sum_c w_c(k, eps) C_c over the monomials 1, k_j, k_i k_j (i <= j), eps,
     eps k_j and eps^2.  The coefficient matrices C_c are built once per
     (problem, truncation) by fields.sandwich_matrices, once each on g, the a_j
-    and Q, with one shared mode-difference index.  With f != identity the
-    form is carried on an extended mode set sized from f's band and every
-    coefficient is compressed by the rectangle [f] once; [f] on the
-    truncation is kept as ``f_matrix`` (None for f = I) and rides along on
-    every fiber.
+    and Q.  With f != identity the form is carried on an extended mode set
+    sized from f's band and every coefficient is compressed by the rectangle
+    [f] once; [f] on the truncation is kept as ``f_matrix`` (None for f = I)
+    and rides along on every fiber.
     """
 
     def __init__(self, problem, trunc):
@@ -162,11 +161,9 @@ class FiberPencil:
         freqs = tr_in.freqs(problem.lattice)
         b0 = problem.b_of(freqs)
         b_unit = problem.b_of(np.eye(d))[:, None]
-        # g, the a_j and Q share one mode-difference index per grid
-        indices = {}
         quad = fd.sandwich_matrices(
             problem.g, tr_in, [(b0, b0)] + [(b0, b) for b in b_unit]
-            + [(b_unit[i], b_unit[j]) for i, j in self._pairs], indices)
+            + [(b_unit[i], b_unit[j]) for i, j in self._pairs])
         dim = trunc.size * n
         # filled in place: the stack is the only D^2-sized array kept
         self.coeffs = np.zeros((2 * d + len(self._pairs) + 3, dim, dim),
@@ -189,14 +186,13 @@ class FiberPencil:
             for j in range(d):
                 a_d, a_k = fd.sandwich_matrices(
                     problem.a[j], tr_in,
-                    [(eye, freqs[:, j, None, None] * eye), (eye, eye)],
-                    indices)
+                    [(eye, freqs[:, j, None, None] * eye), (eye, eye)])
                 cross = cross + a_d
                 put(c_eps + 1 + j, a_k, sym=True)
             put(c_eps, cross, sym=True)
         if problem.Qdensity is not None:
             put(-1, *fd.sandwich_matrices(problem.Qdensity, tr_in,
-                                          [(eye, eye)], indices))
+                                          [(eye, eye)]))
         if problem.lam != 0.0:
             q0 = (np.eye(dim) if problem.f_is_identity else fd.mult_matrix(
                 adj(problem.f_field()) @ problem.f_field(), trunc))
@@ -506,6 +502,41 @@ class GridMap:
         return dense if dtype is None else dense.astype(dtype, copy=False)
 
 
+class GridForm:
+    """The form L* R of two :class:`GridMap` maps L and R on one grid, held
+    as the pair: ``@`` on a block of columns applies R and then L*, and
+    ``np.asarray`` builds L* R densely."""
+
+    def __init__(self, left, right):
+        self.left, self.right = left, right
+
+    @property
+    def shape(self):
+        return self.left.shape[1], self.right.shape[1]
+
+    def __matmul__(self, cols):
+        # L* y as conj(L^T conj(y)), the products of L* y
+        return (self.left.T @ (self.right @ cols).conj()).conj()
+
+    def __array__(self, dtype=None, copy=None):
+        dense = np.asarray(self.left).conj().T @ np.asarray(self.right)
+        return dense if dtype is None else dense.astype(dtype, copy=False)
+
+
+class IdentityMap:
+    """The identity of C^dim as a map: ``@`` returns its columns, and
+    ``np.asarray`` builds the dense identity."""
+
+    def __init__(self, dim):
+        self.shape = (dim, dim)
+
+    def __matmul__(self, cols):
+        return cols
+
+    def __array__(self, dtype=None, copy=None):
+        return np.eye(self.shape[0], dtype=complex if dtype is None else dtype)
+
+
 class GridRectangles:
     """Maps from the truncated space into the weighted quadrature-grid space.
 
@@ -572,18 +603,26 @@ class GridRectangles:
             return self._map(np.zeros((1, d * n, n), dtype=complex))
         return self._map(np.concatenate(self.a_star, axis=1))
 
+    def Q(self):
+        """The form E*[q]E of the potential density q (zero when absent):
+        (M*n, M*n), alias-free on a grid that covers q's band."""
+        n = self.problem.n
+        q = fd.resample_field(self.problem.q_field(), self.grid_shape)
+        return GridForm(self._map(None), self._map(q.reshape(-1, n, n)))
+
 
 def hatted_family(problem, trunc, theta, constants=None, grid_shape=None):
     """AbstractFamily of the f=identity fiber pencil in direction theta,
     carrying the c*-check of ``constants`` (delta and tau0 go to
     compute_threshold).  Its X0, X1, Y0, Y1 and Y2 are the factored
-    :class:`GridMap` maps of :class:`GridRectangles`; only Q and Q0 are
-    dense."""
+    :class:`GridMap` maps of :class:`GridRectangles`, Q is the
+    :class:`GridForm` E*[q]E of two of them and Q0 an
+    :class:`IdentityMap`: the family holds no dense matrix."""
     rect = GridRectangles(problem, trunc, grid_shape)
-    q = linalg.herm(fd.mult_matrix(problem.q_field(), trunc))
-    return AbstractFamily(rect.X0(), rect.X1(theta), rect.Y0(),
-                          rect.Y1(theta), rect.Y2(), q,
-                          np.eye(q.shape[0], dtype=complex), problem.lam,
+    x0 = rect.X0()
+    return AbstractFamily(x0, rect.X1(theta), rect.Y0(), rect.Y1(theta),
+                          rect.Y2(), rect.Q(), IdentityMap(x0.shape[1]),
+                          problem.lam,
                           {} if constants is None else
                           {"cstar_check": constants.cstar_check})
 

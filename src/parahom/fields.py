@@ -10,11 +10,16 @@ basis e_b(x) = |Omega|^{-1/2} exp(i<b, x>).
 Three operator representations are used:
 
 * multiplication matrices [C] on the truncated space (Fourier convolution),
+  gathered from the field's FFT bins through one small mode-difference index
+  per axis (:func:`difference_index`),
 * constant-coefficient symbols as block stacks (M, p, q), one block per mode,
-  applied by broadcasting in the Galerkin sandwiches L(D)* [C] R(D),
-* rectangles into the quadrature-grid space with the weighted inner product
+  applied by broadcasting in the Galerkin sandwiches L(D)* [C] R(D), which
+  are accumulated in place with no multiplication matrix,
+* maps into the quadrature-grid space with the weighted inner product
   (|Omega|/G^d) * sum over nodes, which makes X*X the alias-free Galerkin
-  matrix of the quadratic form.
+  matrix of the quadratic form.  They are held factored, pointwise blocks
+  times the evaluation matrix E of :func:`eval_matrix` times per-mode
+  blocks (``fibers.GridMap``), and a form such as E*[q]E as two of them.
 """
 
 import functools
@@ -115,21 +120,33 @@ def mult_matrix(field, trunc, trunc_cols=None):
     sampling grid alias-free together with the mode-difference range.
     """
     coeffs = fft_coeffs(field)
-    rows = trunc.modes
-    cols = rows if trunc_cols is None else trunc_cols.modes
+    cols = trunc if trunc_cols is None else trunc_cols
     p, q = coeffs.shape[-2:]
-    blocks = coeffs[difference_index(rows, cols, coeffs.shape[:-2])]
-    return blocks.transpose(0, 2, 1, 3).reshape(len(rows) * p, len(cols) * q)
+    blocks = coeffs[difference_index(trunc, cols, coeffs.shape[:-2])]
+    return blocks.reshape(trunc.size, cols.size, p, q).transpose(0, 2, 1, 3) \
+        .reshape(trunc.size * p, cols.size * q)
 
 
 def difference_index(rows, cols, grid):
-    """FFT-bin index of every mode difference rows[a] - cols[b]: indexing a
-    (*grid, ...) coefficient array with it gathers (M_rows, M_cols, ...)."""
-    diff = rows[:, None, :] - cols[None, :, :]
-    return tuple(diff[..., ax] % grid[ax] for ax in range(len(grid)))
+    """FFT-bin index of every mode difference a - b, a a mode of the
+    truncation ``rows`` and b of ``cols``: per axis l, (a_l - b_l) mod G_l
+    over the (2N_rows+1) x (2N_cols+1) axis values, shaped to broadcast over
+    the rows' d axes followed by the columns' d axes.  Modes are C-ordered
+    tensor products, so indexing a (*grid, ...) coefficient array with it
+    gathers the (M_rows, M_cols, ...) block by a reshape, and no index of
+    that size is formed."""
+    d = len(grid)
+    diff = (np.arange(-rows.n_modes, rows.n_modes + 1)[:, None]
+            - np.arange(-cols.n_modes, cols.n_modes + 1))
+    index = []
+    for ax, g in enumerate(grid):
+        shape = [1] * (2 * d)
+        shape[ax], shape[d + ax] = diff.shape
+        index.append((diff % g).reshape(shape))
+    return tuple(index)
 
 
-def sandwich_matrices(field, trunc, pairs, indices=None):
+def sandwich_matrices(field, trunc, pairs):
     """Galerkin matrices of L(D)* [field] R(D), one per symbol pair (L, R).
 
     L and R are block stacks (M or 1, p, i) and (M or 1, q, j) over the modes
@@ -137,23 +154,27 @@ def sandwich_matrices(field, trunc, pairs, indices=None):
     Entry (a, i; b, j) of a pair's (M*i, M*j) matrix is
     sum_pq conj(L(a)[p, i]) field^_pq(a - b) R(b)[q, j]: each field^_pq is
     gathered once as an (M, M) array for all pairs, and no multiplication
-    matrix is formed.  Calls on one truncation that pass one ``indices``
-    dict share its mode-difference index per grid shape, built on first use.
+    matrix is formed.  Each term is accumulated in place, through at most
+    one work array of the largest pair's size; a single pair with i = j = 1
+    multiplies into the gathered copy itself and needs none.
     """
     coeffs = fft_coeffs(field)
-    grid = coeffs.shape[:-2]
-    indices = {} if indices is None else indices
-    if grid not in indices:
-        indices[grid] = difference_index(trunc.modes, trunc.modes, grid)
-    idx = indices[grid]
+    idx = difference_index(trunc, trunc, coeffs.shape[:-2])
     m = trunc.size
     outs = [np.zeros((m, left.shape[-1], m, right.shape[-1]), dtype=complex)
             for left, right in pairs]
+    sizes = [out.size for out in outs]
+    work = None if sizes == [m * m] else np.empty(max(sizes), dtype=complex)
     for p, q in np.ndindex(coeffs.shape[-2:]):
-        entry = coeffs[..., p, q][idx][:, None, :, None]
+        entry = coeffs[..., p, q][idx].reshape(m, 1, m, 1)
         for out, (left, right) in zip(outs, pairs):
-            out += (left[:, p, :].conj()[:, :, None, None] * entry) \
-                * right[:, q, :]
+            term = entry if work is None else work[:out.size].reshape(out.shape)
+            np.multiply(left[:, p, :].conj()[:, :, None, None], entry,
+                        out=term)
+            np.multiply(term, right[:, q, :], out=term)
+            out += term
+        # freed before the next gather
+        del entry, term
     return [out.reshape(m * out.shape[1], -1) for out in outs]
 
 

@@ -99,20 +99,13 @@ def constant_2d(n_modes=6, lam=1.0):
 def random_fiber_instance(seed, d=1, n_modes=16, lam=6.0):
     """Random smooth problem for the abstract-vs-explicit cross-check.
 
-    d=1: n=m=1 with a_1 and potential; d=2: n=1, m=2 gradient-type with a_j
-    and potential.
+    b(D) = D is the gradient, n = 1 and m = d, with a_j and potential.
     """
     rng = np.random.default_rng(seed)
     lat = cubic_lattice(d)
     grid = sampling_grid(n_modes, d)
-    if d == 1:
-        b = np.array([[[1.0]]])
-        n = m = 1
-    else:
-        b = np.zeros((2, 2, 1))
-        b[0, 0, 0] = 1.0
-        b[1, 1, 0] = 1.0
-        n, m = 1, 2
+    b = np.eye(d)[:, :, None]
+    n, m = 1, d
 
     def rand_terms(p, scale, hermitize=True):
         terms = []

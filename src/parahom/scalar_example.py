@@ -109,7 +109,7 @@ def scalar_effective(inp, problem, trunc):
     d = inp.d
     grid = inp.grid_shape
     lat = inp.lattice
-    A_gal, bd = galerkin_matrix(problem, trunc)
+    bd = problem.b_of(trunc.freqs(problem.lattice))
 
     # one solve for psi_j (div g (grad psi_j + e_j) = 0, j = 1..d) and the
     # two driven scalar problems
@@ -119,7 +119,8 @@ def scalar_effective(inp, problem, trunc):
         [1j * (adj(bd) @ coeff_vector(inp.g, trunc)),
          -coeff_vector(inp.v[..., None, None], trunc),
          -coeff_vector(div_eta[..., None, None], trunc)], axis=-1)
-    sol = solve_zero_mean(A_gal, rhs, trunc, grid)[..., 0, :]
+    sol = solve_zero_mean(galerkin_matrix(problem, trunc, bd), rhs, trunc,
+                          grid)[..., 0, :]
     psi, lt1, lt2 = sol[..., :d], sol[..., d], sol[..., d + 1]
 
     grad_psi = np.stack([_gradient(psi[..., j], lat) for j in range(d)],

@@ -153,7 +153,7 @@ def dense_threshold(fam, rel_tol=1e-10):
     """
     X0, X1, Y0, Y1, Y2 = (np.asarray(a) for a in
                           (fam.X0, fam.X1, fam.Y0, fam.Y1, fam.Y2))
-    Q, Q0, lam = fam.Q, fam.Q0, fam.lam
+    Q, Q0, lam = np.asarray(fam.Q), np.asarray(fam.Q0), fam.lam
     dim = X0.shape[1]
     _, sing, vh = np.linalg.svd(np.asarray(X0, dtype=complex))
     small = sing <= rel_tol * max(sing[0], 1.0)
@@ -595,6 +595,14 @@ def symbol_bounds_loop(problem, n_theta=64, rng=None):
         w = np.linalg.eigvalsh(bb.conj().T @ bb)
         lo, hi = w[0], w[-1]
     return float(lo), float(hi)
+
+
+def difference_index_full(rows, cols, grid):
+    """FFT-bin index of every mode difference as full (M_rows, M_cols)
+    integer arrays, one per axis: the gather before the per-axis index of
+    fields.difference_index, taking the same Truncations."""
+    diff = rows.modes[:, None, :] - cols.modes[None, :, :]
+    return tuple(diff[..., ax] % grid[ax] for ax in range(len(grid)))
 
 
 def eval_matrix_direct(trunc, grid_shape):

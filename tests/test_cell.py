@@ -28,6 +28,38 @@ def test_constant_g_trivial():
     assert np.abs(sol.g_tilde - g0).max() < 1e-12
 
 
+def _shape_mismatches():
+    # each problem has one array whose shape does not fit the 2D lattice or
+    # the other arrays
+    lat = cubic_lattice(2)
+    grid = (12, 12)
+    g = fd.constant_field(grid, np.eye(2))
+    b = np.eye(2)[:, :, None]
+    one = fd.constant_field(grid, [[1.0]])
+    return {
+        "b_of_3d": dict(b_symbols=np.eye(3)[:, :, None]),
+        "b_of_1d": dict(b_symbols=np.eye(1)[:, :, None],
+                        g=fd.constant_field(grid, [[1.0]])),
+        "g_on_3d_grid": dict(g=fd.constant_field((12,) * 3, np.eye(2))),
+        "g_blocks": dict(g=fd.constant_field(grid, np.eye(3))),
+        "a_count": dict(a=np.stack([one] * 3)),
+        "a_grid": dict(a=np.stack([fd.constant_field((8, 8), [[1.0]])] * 2)),
+        "Qdensity_on_1d_grid": dict(Qdensity=fd.constant_field((12,),
+                                                               [[1.0]])),
+        "f_blocks": dict(f=fd.constant_field(grid, np.eye(2))),
+    }, lat, b, g
+
+
+@pytest.mark.parametrize("case", sorted(_shape_mismatches()[0]))
+def test_validate_refuses_shapes_that_disagree_with_the_lattice(case):
+    cases, lat, b, g = _shape_mismatches()
+    kwargs = {"b_symbols": b, "g": g, **cases[case]}
+    prob = cl.PeriodicProblem(lat, kwargs.pop("b_symbols"), kwargs.pop("g"),
+                              **kwargs)
+    with pytest.raises(DataError):
+        prob.validate()
+
+
 def test_harmonic_mean_1d():
     prob = presets.osc1d(n_modes=32)
     sol = cl.solve_cell_problems(prob, Truncation(32, 1))

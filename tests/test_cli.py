@@ -27,6 +27,14 @@ def test_fit_rate_exact_agreement_at_floor():
     assert fit.exact_agreement
 
 
+def test_fit_rate_zero_among_larger_errors_is_no_agreement():
+    # exact agreement needs every error at the floor: one zero among larger
+    # errors fits no order and gives a nan slope
+    fit = cli.fit_rate([(0.5, 1.0), (0.25, 0.0), (0.125, 0.1)])
+    assert not fit.exact_agreement
+    assert np.isnan(fit.slope) and np.isnan(fit.constant)
+
+
 def test_fit_rate_too_few_points():
     with pytest.raises(InsufficientDecades):
         cli.fit_rate([(1.0, 1.0), (0.5, 0.5)])
@@ -117,6 +125,46 @@ prefix = run
     g0 = data["summary"]["cell"]["g0"]["re"][0][0]
     assert abs(g0 - np.sqrt(3)) < 1e-8
     assert data["passed"]
+
+
+@pytest.mark.parametrize("plant,failing", [
+    (("g0", "above_voigt"), {"voigt_reuss_upper", "g0_equals_harmonic_mean"}),
+    (("g0", "below_reuss"), {"voigt_reuss_lower", "g0_equals_harmonic_mean"}),
+    (("g0", "inside"), {"g0_equals_harmonic_mean"}),
+    (("Lambda", None), {"lambda_zero_mean"}),
+], ids=["g0_above_voigt", "g0_below_reuss", "g0_off_harmonic_mean",
+        "lambda_nonzero_mean"])
+def test_cell_solve_checks_fail_on_planted_defects(tmp_path, capsys,
+                                                   monkeypatch, plant,
+                                                   failing):
+    # each check of cell-solve fails on the defect it guards against: a g0
+    # outside the Voigt-Reuss bracket, a g0 off the harmonic mean (osc1d
+    # has m = n) and a Lambda with nonzero mean; the other checks pass
+    import dataclasses
+
+    real = cli.cl.solve_cell_problems
+
+    def planted(problem, trunc):
+        sol = real(problem, trunc)
+        name, where = plant
+        if name == "Lambda":
+            return dataclasses.replace(sol, Lambda=sol.Lambda + 1e-3)
+        # g0 above the arithmetic mean, below the harmonic one, or inside
+        # the bracket but off the harmonic mean
+        g_low, g_up = cli.cl.voigt_reuss(problem)
+        g0 = {"above_voigt": g_up + 0.1, "below_reuss": g_low - 0.1,
+              "inside": 0.5 * (g_low + g_up)}[where]
+        return dataclasses.replace(sol, g0=g0)
+
+    monkeypatch.setattr(cli.cl, "solve_cell_problems", planted)
+    cfg = _write(tmp_path, _SMALL_1D.replace("= 4", "= 16"))
+    assert cli.main(["cell-solve", "--config", cfg, "--out",
+                     str(tmp_path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    failed = {line.split()[1].rstrip(":") for line in lines
+              if line.startswith("[FAIL]")}
+    assert failed == failing
+    assert len(lines) == 4
 
 
 def test_deterministic_reruns(tmp_path):
@@ -451,6 +499,36 @@ def test_malformed_grid_file_input_exit_2(tmp_path, capsys, g_bytes, extra):
     rc = cli.main(["cell-solve", "--config", cfg, "--out", str(tmp_path)])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("key", ["a_files", "q_file"])
+def test_grid_file_field_of_another_dimension_exit_2(tmp_path, capsys, key):
+    # a first-order or potential field sampled on a 2D grid does not fit
+    # the 1D basis and g: bad input, exit 2 with a message
+    from parahom import fields as fd
+
+    gpath, fpath = tmp_path / "g.phom", tmp_path / "field.phom"
+    fd.write_field(gpath, np.full((16, 1, 1), 2.0, dtype=complex))
+    fd.write_field(fpath, np.full((16, 16, 1, 1), 0.1, dtype=complex))
+    cfg = _grid_file_config(tmp_path, gpath, f"{key} = {fpath}")
+    rc = cli.main(["cell-solve", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cell_solve_on_random_fiber_in_3d(tmp_path):
+    # random_fiber builds b = grad (m = d) in every dimension, so the 3D
+    # preset is well formed and its cell solve passes its checks
+    cfg = _write(tmp_path, """
+[problem]
+preset = random_fiber
+d = 3
+seed = 201
+[truncation]
+n_modes = 4
+""")
+    assert cli.main(["cell-solve", "--config", cfg, "--out",
+                     str(tmp_path)]) == 0
 
 
 def test_abstract_check_command(tmp_path):

@@ -178,9 +178,43 @@ def test_sandwich_matrices_match_dense_route(d, left_const, right_const):
         # several pairs in one call equal one call per pair, bit for bit
         alone, = fd.sandwich_matrices(field, tr, [pair])
         assert np.array_equal(alone, got)
-    # calls that share one index dict build it once, with the same bits
-    shared = {}
-    for pair, got in zip(pairs, together):
-        alone, = fd.sandwich_matrices(field, tr, [pair], shared)
-        assert np.array_equal(alone, got)
-    assert list(shared) == [(16,) * d]
+
+
+@pytest.mark.parametrize("d,n_rows,n_cols,grid", [
+    (1, 3, 1, (16,)), (1, 2, 5, (16,)), (2, 3, 0, (12, 10)),
+    (2, 1, 3, (12, 10)), (3, 2, 1, (8, 7, 9)), (3, 1, 2, (8, 7, 9))])
+def test_per_axis_gathers_match_full_index(d, n_rows, n_cols, grid,
+                                           monkeypatch):
+    # mult_matrix on a rectangular truncation pair and sandwich_matrices
+    # (square, a single n = 1 pair and several pairs of other sizes) from
+    # the per-axis index equal the gathers of the full (M, M) index bit for
+    # bit
+    rng = np.random.default_rng(40 + 7 * d + n_rows)
+    p, q = 2, 3
+    terms = [(tuple(rng.integers(-2, 3, size=d)),
+              rng.standard_normal((p, q)) + 1j * rng.standard_normal((p, q)),
+              rng.uniform(0, 2 * np.pi)) for _ in range(3)]
+    field = fd.harmonic_field(grid, p, q, terms,
+                              const=rng.standard_normal((p, q)))
+    rows, cols = fd.Truncation(n_rows, d), fd.Truncation(n_cols, d)
+    m = rows.size
+
+    def stack(count, width, cols_):
+        return rng.standard_normal((count, width, cols_)) \
+            + 1j * rng.standard_normal((count, width, cols_))
+
+    calls = [[(stack(m, p, 1), stack(m, q, 1))],
+             [(stack(m, p, 1), stack(m, q, 1)), (stack(1, p, 2),
+                                                 stack(m, q, 3))]]
+
+    def build():
+        return ([fd.mult_matrix(field, rows, cols)]
+                + [mat for pairs in calls
+                   for mat in fd.sandwich_matrices(field, rows, pairs)])
+
+    got = build()
+    monkeypatch.setattr(fd, "difference_index", oracles.difference_index_full)
+    ref = build()
+    assert got[0].shape == (rows.size * p, cols.size * q)
+    for a, b in zip(got, ref):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
