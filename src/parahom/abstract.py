@@ -45,8 +45,8 @@ class AbstractFamily:
     c1, C1, cstar) used for envelopes and regime checks.  A map may be a
     dense array or any operator with ``shape``, ``map @ C`` and ``map.T @
     V`` on blocks of columns and ``np.asarray`` (a factored
-    ``fibers.GridMap``); Q and Q0 may likewise be operators with ``shape``,
-    ``@`` and ``np.asarray`` (``fibers.GridForm``, ``fibers.IdentityMap``).
+    ``fibers.GridMap``); Q and Q0 may likewise be operators with ``@`` and
+    ``np.asarray`` (``fibers.GridForm``, ``fibers.IdentityMap``).
     The threshold engine applies maps to columns only, and X, Y, A and B
     read them through ``np.asarray``.
     """
@@ -412,18 +412,16 @@ def kernel_approximation(th, t, eps, s):
         flow, s, t * th.z + eps * th.zt, kernel_poly(th.n_blocks, t, eps)))
 
 
-def remainder_envelopes(cstar_check, tau_sq, s):
-    """Reference envelopes e^{-c tau^2 s/2}/s (inf at s = 0) and
-    e^{-c tau^2 s/2}/(1+s) of a semigroup remainder."""
-    decay = np.exp(-0.5 * cstar_check * tau_sq * s)
-    env_pos = decay / s if s > 0 else np.inf
-    return env_pos, decay / (1.0 + s)
+def remainder_envelope(cstar_check, tau_sq, s):
+    """Reference envelope e^{-c tau^2 s/2}/s of a semigroup remainder (inf
+    at s = 0)."""
+    return np.exp(-0.5 * cstar_check * tau_sq * s) / s if s > 0 else np.inf
 
 
 def _dense_remainder(th, family, outer, t, eps, s, approximate, *lead):
     """Norm of outer exp(-B(t,eps) s) outer* - (principal + corrector), B the
     pencil of ``family`` and the pair ``approximate(*lead, t, eps, s)``, and
-    the two reference envelopes; OutsideThresholdBall past th.tau0."""
+    the reference envelope; OutsideThresholdBall past th.tau0."""
     tau = np.hypot(t, eps)
     if tau > th.tau0 * (1 + 1e-12):
         raise OutsideThresholdBall(f"tau={tau:.3e} exceeds tau0={th.tau0:.3e}")
@@ -432,12 +430,11 @@ def _dense_remainder(th, family, outer, t, eps, s, approximate, *lead):
     if outer is not None:
         exact = outer @ exact @ outer.conj().T
     nrm = linalg.herm_norm(exact - (principal + corrector))
-    env_pos, env_nonneg = remainder_envelopes(th.cstar_check, tau ** 2, s)
-    return float(nrm), float(env_pos), float(env_nonneg)
+    return float(nrm), float(remainder_envelope(th.cstar_check, tau ** 2, s))
 
 
 def exponential_remainder(family, th, t, eps, s):
-    """Norm of exp(-Bs) - exp(-Ls)P - K and the two reference envelopes."""
+    """Norm of exp(-Bs) - exp(-Ls)P - K and the reference envelope."""
     return _dense_remainder(th, family, None, t, eps, s, kernel_approximation,
                             th)
 
@@ -585,22 +582,21 @@ class BorderedFamily:
 
     hat: AbstractFamily
     M: np.ndarray
-    base: AbstractFamily = None
+    base: AbstractFamily = field(init=False)
 
     def __post_init__(self):
         eye = np.eye(self.hat.dim_H)
         if np.abs(np.asarray(self.hat.Q0) - eye).max() > 1e-10:
             raise ValueError("reference pencil must carry Q0 = identity")
-        if self.base is None:
-            M = self.M
-            h = self.hat
-            self.base = AbstractFamily(
-                X0=h.X0 @ M, X1=h.X1 @ M,
-                Y0=h.Y0 @ M, Y1=h.Y1 @ M, Y2=h.Y2 @ M,
-                Q=M.conj().T @ h.Q @ M,
-                Q0=M.conj().T @ M,
-                lam=h.lam,
-                form_constants=dict(h.form_constants))
+        M = self.M
+        h = self.hat
+        self.base = AbstractFamily(
+            X0=h.X0 @ M, X1=h.X1 @ M,
+            Y0=h.Y0 @ M, Y1=h.Y1 @ M, Y2=h.Y2 @ M,
+            Q=M.conj().T @ h.Q @ M,
+            Q0=M.conj().T @ M,
+            lam=h.lam,
+            form_constants=dict(h.form_constants))
 
     @property
     def G(self):
@@ -625,9 +621,10 @@ def bordered_data(bf):
             "Minv": Minv, "ker_map": ker_map}
 
 
-def bordered_approximation(bf, data, t, eps, s):
+def bordered_approximation(data, t, eps, s):
     """Bordered principal term M0 exp(-M0 Lhat M0 s) M0 Phat and K_G(t,eps,s),
-    both from one flow of M0 Lhat M0 (kernel-space closed forms)."""
+    both from one flow of M0 Lhat M0 (kernel-space closed forms), from the
+    :func:`bordered_data` ``data``."""
     th_hat = data["th_hat"]
     M0 = data["M0_n"]
     flow = linalg.HermitianFlow(
@@ -639,14 +636,12 @@ def bordered_approximation(bf, data, t, eps, s):
         km.conj().T @ kernel_poly(data["th"].n_blocks, t, eps) @ km))
 
 
-def bordered_remainder(bf, t, eps, s, data=None):
-    """Norm of M exp(-B s) M* minus bordered principal term minus K_G."""
-    if data is None:
-        data = bordered_data(bf)
-    nrm, env_pos, env_nonneg = _dense_remainder(
-        data["th"], bf.base, bf.M, t, eps, s, bordered_approximation, bf, data)
-    return {"remainder_norm": nrm, "envelope_s_pos": env_pos,
-            "envelope_s_nonneg": env_nonneg}
+def bordered_remainder(bf, t, eps, s, data):
+    """Norm of M exp(-B s) M* minus bordered principal term minus K_G, and
+    the reference envelope; ``data`` is the :func:`bordered_data` of ``bf``."""
+    nrm, env_pos = _dense_remainder(
+        data["th"], bf.base, bf.M, t, eps, s, bordered_approximation, data)
+    return {"remainder_norm": nrm, "envelope_s_pos": env_pos}
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ products are evaluated pointwise on the sampling grid; for band-limited
 coefficient fields these quadratures are exact.
 """
 
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -148,7 +148,6 @@ class CellSolution:
     Qbar: np.ndarray            # (n, n)
     abar_sum: np.ndarray        # (d, n, n): cell means of a_j + a_j*
     f0: np.ndarray              # (n, n)
-    Gbar: np.ndarray            # (n, n)
 
     @property
     def LambdaG(self):
@@ -319,7 +318,7 @@ def solve_cell_problems(problem, trunc):
     f0 = linalg.inv_sqrtm_herm(Gbar)
     return CellSolution(problem, trunc, Lambda, LambdaTilde,
                         LambdaG0, LambdaTildeG0, g_tilde, linalg.herm(g0),
-                        V, W, Qbar, abar, f0, Gbar)
+                        V, W, Qbar, abar, f0)
 
 
 def voigt_reuss(problem):
@@ -347,9 +346,8 @@ class NGCoefficients:
     M_G1_symbols: np.ndarray     # (d, n, m)
     M_G2_symbols: np.ndarray     # (d, n, n)
     T_G: np.ndarray              # (m, n)
-    T_G_tilde: np.ndarray        # (n, n)
     N22: np.ndarray              # (n, n)
-    abar_tilde: np.ndarray = dfield(default=None)  # (d, n, n) Hermitian parts
+    abar_tilde: np.ndarray       # (d, n, n) Hermitian parts
 
     def symbol(self, q, eps):
         """N_G(q, eps): Hermitian n x n value of the third-order symbol,
@@ -414,5 +412,5 @@ def ng_coefficients(problem, cell):
                 + fd.mean_field(adj(djLG) @ adj(a_j(j)) @ LGt)
             TGt = TGt + fd.mean_field(adj(LGt) @ a_j(j) @ djLGt)
     N22 = TGt + TGt.conj().T
-    return NGCoefficients(problem, MG, TG0, MG1, MG2, TG, TGt,
+    return NGCoefficients(problem, MG, TG0, MG1, MG2, TG,
                           linalg.herm(N22), abar_t)

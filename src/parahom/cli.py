@@ -31,9 +31,6 @@ from .errors import (ConfigError, DataError, DegenerateSeries,
 from .fields import Truncation, read_field
 from .lattice import build_lattice
 
-COMMANDS = ("cell-solve", "fiber-check", "abstract-check", "converge",
-            "evolve", "scalar-example")
-
 
 # ---------------------------------------------------------------------------
 # rate fitting
@@ -92,20 +89,21 @@ def fit_rate(series):
 
 @dataclass
 class ExperimentConfig:
+    """A parsed config: INI sections, seed, output directory and n_modes."""
+
     command: str
     raw: configparser.ConfigParser
-    path: str
     seed: int = 0
     out_dir: str = "."
+    n_modes: int = 8
 
     def section(self, name):
         return self.raw[name] if self.raw.has_section(name) else {}
 
-    def get(self, section, key, default=None, cast=str):
+    def get(self, section, key, default, cast=str):
+        """``[section] key`` through ``cast``; ``default`` when absent."""
         sec = self.section(section)
         if key not in sec:
-            if default is None:
-                raise ConfigError(f"missing [{section}] {key}")
             return default
         val = sec[key]
         try:
@@ -113,11 +111,10 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"[{section}] {key} = {val!r}: {exc}") from exc
 
-    def get_floats(self, section, key, default=None):
+    def get_floats(self, section, key, default):
+        """``[section] key`` as a list of floats; ``default`` when absent."""
         sec = self.section(section)
         if key not in sec:
-            if default is None:
-                raise ConfigError(f"missing [{section}] {key}")
             return default
         try:
             vals = [float(v) for v in str(sec[key]).replace(",", " ").split()]
@@ -137,6 +134,8 @@ class ExperimentConfig:
 
 
 def load_config(path, command, seed=None, threads=None, out_dir=None):
+    """ExperimentConfig of the INI file at ``path``; ``[truncation] n_modes``
+    is read here once, and the ``[sweep]`` eps and mode are checked."""
     # nothing reads ``threads``; it stays while perfbench passes threads=1
     if not os.path.exists(path):
         raise ConfigError(f"config file {path} does not exist")
@@ -145,18 +144,22 @@ def load_config(path, command, seed=None, threads=None, out_dir=None):
         parser.read(path)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
-    cfg = ExperimentConfig(command, parser, path)
+    cfg = ExperimentConfig(command, parser)
     cfg.seed = seed if seed is not None else cfg.get("run", "seed",
                                                      default=0, cast=int)
     cfg.out_dir = out_dir or "."
-    if cfg.command not in COMMANDS:
+    if cfg.command not in RUNNERS:
         raise ConfigError(f"unknown command {cfg.command!r}")
-    n_modes = cfg.get("truncation", "n_modes", default=8, cast=int)
-    if n_modes < 4:
+    cfg.n_modes = cfg.get("truncation", "n_modes", default=8, cast=int)
+    if cfg.n_modes < 4:
         raise ConfigError("n_modes must be >= 4")
-    for eps in cfg.get_floats("sweep", "eps", default=[]):
+    eps_list = cfg.get_floats("sweep", "eps", default=[])
+    for eps in eps_list:
         if not 0.0 < eps <= 1.0:
             raise ConfigError(f"eps value {eps} outside (0, 1]")
+    # the rate fit needs three points with eps strictly decreasing
+    if eps_list and (len(eps_list) < 3 or len(set(eps_list)) < len(eps_list)):
+        raise ConfigError(f"[sweep] eps needs 3 distinct values: {eps_list}")
     mode = cfg.get("sweep", "mode", default="both")
     if mode not in ("both", "principal", "corrected"):
         raise ConfigError(f"[sweep] mode must be both, principal or "
@@ -171,18 +174,13 @@ def build_problem(cfg):
         name = sec["preset"]
         kwargs = {}
         for key in sec:
-            if key in ("preset",):
+            if key == "preset":
                 continue
-            val = sec[key]
             try:
-                kwargs[key] = int(val)
+                kwargs[key] = int(sec[key])
             except ValueError:
-                try:
-                    kwargs[key] = float(val)
-                except ValueError:
-                    kwargs[key] = val
-        kwargs.setdefault("n_modes", cfg.get("truncation", "n_modes",
-                                             default=8, cast=int))
+                kwargs[key] = cfg.get("problem", key, default=None, cast=float)
+        kwargs.setdefault("n_modes", cfg.n_modes)
         return presets.make_problem(name, **kwargs)
     if "g_file" in sec:
         try:
@@ -322,14 +320,22 @@ def _write_svg(path, xs, ys, title):
 # command implementations
 
 
-def _trunc_for(cfg, problem):
-    n_modes = cfg.get("truncation", "n_modes", default=8, cast=int)
-    return Truncation(n_modes, problem.lattice.dimension)
+def _problem_and_trunc(cfg):
+    """The configured problem and its truncation."""
+    problem = build_problem(cfg)
+    return problem, Truncation(cfg.n_modes, problem.lattice.dimension)
+
+
+def _cell_setup(cfg):
+    """Problem, truncation, constants, cell solution and NG coefficients."""
+    problem, trunc = _problem_and_trunc(cfg)
+    consts = fb.estimate_constants(problem)
+    sol = cl.solve_cell_problems(problem, trunc)
+    return problem, trunc, consts, sol, cl.ng_coefficients(problem, sol)
 
 
 def run_cell_solve(cfg, report):
-    problem = build_problem(cfg)
-    trunc = _trunc_for(cfg, problem)
+    problem, trunc = _problem_and_trunc(cfg)
     sol = cl.solve_cell_problems(problem, trunc)
     g_low, g_up = cl.voigt_reuss(problem)
     report.summary["cell"] = sol.export_dict()
@@ -353,11 +359,7 @@ def run_cell_solve(cfg, report):
 
 
 def run_fiber_check(cfg, report):
-    problem = build_problem(cfg)
-    trunc = _trunc_for(cfg, problem)
-    consts = fb.estimate_constants(problem)
-    sol = cl.solve_cell_problems(problem, trunc)
-    ng = cl.ng_coefficients(problem, sol)
+    problem, trunc, consts, sol, ng = _cell_setup(cfg)
     k_grid = cfg.get("fiber", "k_grid", default=8, cast=int)
     domain = cfg.get("fiber", "k_domain", default="ball")
     eps = cfg.get("fiber", "eps", default=0.0, cast=float)
@@ -399,9 +401,11 @@ def run_fiber_check(cfg, report):
                                        "ratio", "lambda_min"], rows)
     report.summary["cstar_check_formula"] = consts.cstar_check
     report.summary["cstar_check_measured"] = float(lam_ratio)
+    # the floor c*-check is a lower bound of lambda_min/(|k|^2+eps^2) at each k
     report.check("fiber_lower_bound",
                  lam_ratio >= consts.cstar_check - 1e-9, float(lam_ratio))
-    # envelope-constant spread per time value (sup over the k-grid)
+    # one constant bounds remainder/envelope at every s: the sups over the
+    # k-grid, one per s, lie within a factor 10
     sups = {}
     for row in rows:
         s = row[d + 1]
@@ -445,14 +449,15 @@ def run_abstract_check(cfg, report):
         rows.append([i, n, "m_decomposition", mrep["deviation"]])
     report.tables["orders"] = (["instance", "n", "quantity", "value"], rows)
     report.summary["worst_slopes"] = {k: float(v) for k, v in worst.items()}
+    # the residuals are O(tau^1..tau^4): each worst slope is at least its
+    # order less a margin for the fit
     for key, bound in (("F_minus_P", 0.9), ("F_minus_P_tauF1", 1.8),
                        ("BF_minus_SP", 2.8), ("BF_minus_SP_K", 3.7)):
         report.check(f"order_{key}", worst[key] >= bound, worst[key])
 
 
 def run_converge(cfg, report):
-    problem = build_problem(cfg)
-    trunc = _trunc_for(cfg, problem)
+    problem, trunc = _problem_and_trunc(cfg)
     eps_list = cfg.get_floats("sweep", "eps",
                               default=[2.0 ** -j for j in range(2, 7)])
     s = cfg.get("sweep", "s", default=0.5, cast=float)
@@ -515,15 +520,12 @@ def run_converge(cfg, report):
 
 
 def run_evolve(cfg, report):
-    problem = build_problem(cfg)
-    trunc = _trunc_for(cfg, problem)
-    consts = fb.estimate_constants(problem)
-    sol = cl.solve_cell_problems(problem, trunc)
-    ng = cl.ng_coefficients(problem, sol)
+    _, trunc, consts, sol, ng = _cell_setup(cfg)
     eps = cfg.get("evolve", "eps", default=0.25, cast=float)
     n_cells = cfg.get("evolve", "n_cells", default=16, cast=int)
     s_list = cfg.get_floats("evolve", "s", default=[0.25, 0.5, 1.0])
     p_norm = cfg.get("evolve", "p_norm", default=np.inf, cast=float)
+    steps = cfg.get("evolve", "steps", default=32, cast=int)
     setup = ev.EvolutionSetup(sol, ng, consts, eps, n_cells, trunc)
     rng = np.random.default_rng(cfg.seed)
     phi = setup.random_band_limited(rng)
@@ -540,11 +542,11 @@ def run_evolve(cfg, report):
     rows = []
     for s in s_list:
         rep = ev.duhamel_solve(setup, phi, source, s, p_norm=p_norm,
-                               n_steps=cfg.get("evolve", "steps", default=32,
-                                               cast=int))
+                               n_steps=steps)
         rows.append([s, rep["err_principal"], rep["err_corrected"],
                      rep["envelope_principal"], rep["envelope_corrected"],
                      rep["quad_drift"]])
+        # the corrector takes the O(eps) error to O(eps^2): at most 1.05x
         report.check(f"corrected_below_principal_s{s}",
                      rep["err_corrected"] <= rep["err_principal"] * 1.05
                      + 1e-14, rep["err_corrected"])
@@ -555,10 +557,9 @@ def run_evolve(cfg, report):
 
 def run_scalar_example(cfg, report):
     d = cfg.get("scalar", "d", default=2, cast=int)
-    n_modes = cfg.get("truncation", "n_modes", default=8, cast=int)
-    inp = se.scalar_preset(d=d, n_modes=n_modes, seed=cfg.seed)
+    inp = se.scalar_preset(d=d, n_modes=cfg.n_modes, seed=cfg.seed)
     problem, extras = se.build_scalar_problem(inp)
-    trunc = Truncation(n_modes, d)
+    trunc = Truncation(cfg.n_modes, d)
     eff = se.scalar_effective(inp, problem, trunc)
     sol = cl.solve_cell_problems(problem, trunc)
     ng = cl.ng_coefficients(problem, sol)
@@ -574,6 +575,7 @@ def run_scalar_example(cfg, report):
         dev_n = max(dev_n, float(abs(ng.symbol(xi, 1.0)[0, 0]
                                      - se.scalar_N_symbol(coeffs, xi))))
     report.summary["divergence_defect"] = extras["divergence_defect"]
+    # generic pipeline against closed forms: the largest entry of each gap
     report.check("lambda_is_i_psi", dev_lambda < 1e-10, dev_lambda)
     report.check("g0_match", dev_g0 < 1e-8, dev_g0)
     report.check("V_match", dev_v < 1e-8, dev_v)
@@ -603,7 +605,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="homog",
         description="periodic parabolic homogenization experiments")
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=RUNNERS)
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", default=".")
     parser.add_argument("--seed", type=int, default=None)

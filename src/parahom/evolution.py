@@ -441,8 +441,7 @@ def duhamel_solve(setup, phi, source, s, p_norm=np.inf, n_steps=48,
     u_eps, u0, k = spectral_sums(setup, [(1.0, s, phi)], s, fine=True,
                                  hom=True, smooth=True)
     if source is None:
-        return _pair_report(setup, phi, u_eps, u0, u0 + eps * k, s, p_norm,
-                            0.0)
+        return _pair_report(setup, u_eps, u0, u0 + eps * k, s, p_norm, 0.0)
 
     def integral(n, **ops):
         h, nodes = _midpoint_nodes(s, n)
@@ -464,10 +463,11 @@ def duhamel_solve(setup, phi, source, s, p_norm=np.inf, n_steps=48,
     corrected = u0 + eps * k
     if p_norm > 2:
         corrected = corrected + eps * i_corr2
-    return _pair_report(setup, phi, u_eps, u0, corrected, s, p_norm, drift)
+    return _pair_report(setup, u_eps, u0, corrected, s, p_norm, drift)
 
 
-def _pair_report(setup, phi, u_eps, u0, corrected, s, p_norm, quad_drift):
+def _pair_report(setup, u_eps, u0, corrected, s, p_norm, quad_drift):
+    """Box-norm errors against u_eps with their reference envelopes."""
     err_p = setup.box_norm(u_eps - u0)
     err_c = setup.box_norm(u_eps - corrected)
     eps = setup.eps
@@ -482,7 +482,7 @@ def _pair_report(setup, phi, u_eps, u0, corrected, s, p_norm, quad_drift):
         "err_principal": err_p, "err_corrected": err_c,
         "envelope_principal": env_p, "envelope_corrected": env_c,
         "envelope_source": float(env_source),
-        "quad_drift": float(quad_drift), "s": s,
+        "quad_drift": float(quad_drift),
     }
 
 

@@ -23,7 +23,7 @@ from . import fields as fd
 from . import linalg
 from .abstract import (AbstractFamily, approximation_factors,
                        compute_threshold, expand_approximation, kernel_poly,
-                       remainder_envelopes)
+                       remainder_envelope)
 from .cell import adj, coeff_vector, ng_coefficients, solve_cell_problems
 from .errors import MismatchBeyondTolerance, NonPositiveEffective, PositivityViolation
 from .linalg import spectrum_above
@@ -377,8 +377,7 @@ def projected_norms(trunc, vf, decay, effective, mode):
     return norms[..., [0, -1]] * [mode != "corrected", want_c]
 
 
-def remainder_norms(cell, ng, fiber, s, flow=None, mode="both",
-                    effective=None):
+def remainder_norms(cell, ng, fiber, s, flow=None, mode="both"):
     """Norms of R = f e^{-B(k,eps)s} f* - f0 e^{-B0 s} f0 Phat and of R - K.
 
     Only the eigenpairs (w_r, V_r) of B with w <= cut_value(fiber, s) enter;
@@ -387,33 +386,29 @@ def remainder_norms(cell, ng, fiber, s, flow=None, mode="both",
     way its spectrum is held to the fiber floor.  The norms come from
     :func:`projected_norms`.  ``mode`` ("both", "principal" or "corrected")
     picks the norms computed; a norm not computed reads 0.0.  k, eps, the
-    truncation, the floor and [f] come with the fiber, and ``effective``
-    takes this fiber's :func:`effective_factors` (computed here when None).
+    truncation, the floor and [f] come with the fiber.
     """
     if flow is None:
         flow = partial_flow(fiber, s)
     keep = flow.w <= cut_value(fiber, s)
     w, v = flow.w[keep], flow.v[:, keep]
-    if effective is None:
-        effective = effective_factors(
-            cell, ng if mode in ("both", "corrected") else None, fiber.trunc,
-            fiber.k, fiber.eps, s, fiber.cstar_check)
+    effective = effective_factors(
+        cell, ng if mode in ("both", "corrected") else None, fiber.trunc,
+        fiber.k, fiber.eps, s, fiber.cstar_check)
     vf = v if fiber.f_matrix is None else fiber.f_matrix @ v
     p, c = projected_norms(fiber.trunc, vf, np.exp(-w * s), effective, mode)
     return float(p), float(c)
 
 
 def fiber_remainder(cell, ng, fiber, s, flow=None):
-    """Norm of f e^{-B(k,eps)s} f* - principal - corrector, with envelopes."""
+    """Norm of f e^{-B(k,eps)s} f* - principal - corrector, its envelope
+    :func:`remainder_envelope` and their ratio (0 at s = 0)."""
     nrm = remainder_norms(cell, ng, fiber, s, flow, mode="corrected")[1]
-    tau_sq = float(fiber.tau_sq)
-    env_pos, env_nonneg = remainder_envelopes(fiber.cstar_check, tau_sq, s)
+    env_pos = remainder_envelope(fiber.cstar_check, float(fiber.tau_sq), s)
     ratio = nrm / env_pos if (s > 0 and env_pos > 0) else 0.0
     return {"remainder_norm": float(nrm),
             "envelope_s_pos": float(env_pos),
-            "envelope_s_nonneg": float(env_nonneg),
-            "ratio_s_pos": float(ratio),
-            "tau": float(np.sqrt(tau_sq))}
+            "ratio_s_pos": float(ratio)}
 
 
 def principal_remainder(cell, trunc, k, eps, s, constants=None, fiber=None):
@@ -509,10 +504,6 @@ class GridForm:
 
     def __init__(self, left, right):
         self.left, self.right = left, right
-
-    @property
-    def shape(self):
-        return self.left.shape[1], self.right.shape[1]
 
     def __matmul__(self, cols):
         # L* y as conj(L^T conj(y)), the products of L* y

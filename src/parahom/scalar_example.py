@@ -69,7 +69,6 @@ def build_scalar_problem(inp):
     """Factorized PeriodicProblem plus the derived auxiliary fields."""
     inp.validate()
     d = inp.d
-    grid = inp.grid_shape
     phi = _laplace_inverse(inp.v, inp.lattice)
     zeta = -_gradient(phi, inp.lattice)
     # relation check: -sum_j d_j zeta_j = v by construction

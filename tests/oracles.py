@@ -36,8 +36,9 @@ def semigroup_integral_quad(L, N, s, tol=1e-12):
     return out
 
 
-def voronoi_radii(dual_basis):
-    """Inradius/circumradius of the origin Voronoi cell by brute force."""
+def voronoi_inradius(dual_basis):
+    """Inradius of the origin's Voronoi cell by brute force: half the
+    distance to the nearest point that shares a Voronoi ridge with it."""
     from itertools import product
 
     from scipy.spatial import Voronoi
@@ -45,13 +46,10 @@ def voronoi_radii(dual_basis):
     d = dual_basis.shape[0]
     idx = list(product(range(-3, 4), repeat=d))
     pts = np.array([np.asarray(i, float) @ dual_basis for i in idx])
-    vor = Voronoi(pts)
-    region = vor.regions[vor.point_region[idx.index((0,) * d)]]
-    verts = vor.vertices[region]
-    r1 = float(np.max(np.linalg.norm(verts, axis=1)))
-    r0 = 0.5 * min(np.linalg.norm(np.asarray(i, float) @ dual_basis)
-                   for i in idx if any(i))
-    return r0, r1
+    origin = idx.index((0,) * d)
+    ridges = Voronoi(pts).ridge_points
+    nbrs = ridges[(ridges == origin).any(axis=1)].ravel()
+    return 0.5 * float(np.linalg.norm(pts[nbrs[nbrs != origin]], axis=1).min())
 
 
 def harmonic_mean_quad(gfun, tol=1e-12):

@@ -77,13 +77,56 @@ _SMALL_1D = "[problem]\npreset = osc1d\nn_modes = 4\n[truncation]\nn_modes = 4\n
     ("cell-solve", "[run]\nseed = x\n[problem]\npreset = osc1d\n"),
     ("cell-solve", "[problem]\npreset = osc1d\nfoo = 1\n"),
     ("cell-solve", "[problem]\npreset = random_fiber\n"),
+    ("cell-solve", "[problem]\npreset = osc1d\nlam = abc\n"),
+    ("cell-solve", "[problem]\npreset = osc1d\n[truncation]\nn_modes = 3\n"),
+    ("evolve", _SMALL_1D + "[evolve]\ns = 0.3, soon\n"),
+    ("fiber-check", _SMALL_1D + "[fiber]\nk_domain = torus\n"),
+    ("evolve", _SMALL_1D + "[evolve]\nsource = ramp\n"),
 ], ids=["unknown_mode", "empty_s_list", "seed", "unknown_preset_key",
-        "missing_preset_argument"])
+        "missing_preset_argument", "non_numeric_preset_value",
+        "n_modes_below_4", "non_numeric_float_list", "unknown_k_domain",
+        "unknown_source"])
 def test_malformed_config_exit_2(tmp_path, command, body):
     # a config that would check nothing, or that names a key no reader
     # takes, is malformed: exit 2 and no traceback
     cfg = _write(tmp_path, body)
     assert cli.main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("eps", ["0.5, 0.25", "0.5, 0.5, 0.25"],
+                         ids=["two_values", "repeated_value"])
+def test_sweep_eps_without_three_distinct_values_exit_2_before_work(
+        tmp_path, monkeypatch, capsys, eps):
+    # the rate fit needs three strictly decreasing eps: a list that cannot
+    # give them is a malformed config, refused before the sweep starts
+    def refuse(*args, **kwargs):
+        raise AssertionError("sweep started")
+
+    monkeypatch.setattr(cli.ev, "convergence_sweep", refuse)
+    cfg = _write(tmp_path, _SMALL_1D + f"[sweep]\neps = {eps}\n")
+    assert cli.main(["converge", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: [sweep] eps")
+
+
+def test_failure_inside_a_runner_exit_1(tmp_path, monkeypatch, capsys):
+    # an invariant that fails inside a command exits 1 with a failure line
+    # and writes no report
+    from parahom.errors import PositivityViolation
+
+    def failing(cfg, report):
+        raise PositivityViolation("planted")
+
+    monkeypatch.setitem(cli.RUNNERS, "cell-solve", failing)
+    cfg = _write(tmp_path, "[problem]\npreset = osc1d\n")
+    assert cli.main(["cell-solve", "--config", cfg, "--out",
+                     str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "failure: planted\n"
+    assert not list(tmp_path.glob("*_summary.json"))
+
+
+def _failed_checks(out):
+    return {line.split()[1].rstrip(":") for line in out.splitlines()
+            if line.startswith("[FAIL]")}
 
 
 @pytest.mark.parametrize("command,body,check", [
@@ -708,3 +751,161 @@ def test_decaying_prefix_is_a_decaying_prefix(errs):
 def test_decaying_prefix_keeps_geometric_series(start, ratio, count):
     series = [(e, start * ratio ** i) for i, e in enumerate(dyadic(0, count))]
     assert cli.decaying_prefix(series) == series
+
+
+# ---------------------------------------------------------------------------
+# the checks of fiber-check, abstract-check, evolve and scalar-example fail
+# on the defect each guards against
+
+
+_FIBER_1D = """
+[problem]
+preset = osc1d_full
+n_modes = 8
+[truncation]
+n_modes = 8
+[fiber]
+k_grid = 4
+"""
+
+
+def test_fiber_check_on_the_zone(tmp_path):
+    cfg = _write(tmp_path, _FIBER_1D + "k_domain = zone\ns = 0.5, 2.0\n"
+                 "[output]\nprefix = fib\n")
+    assert cli.main(["fiber-check", "--config", cfg, "--out",
+                     str(tmp_path)]) == 0
+    data = json.loads((tmp_path / "fib_summary.json").read_text())
+    assert data["passed"] and data["summary"]["envelope_spread"] <= 10.0
+    rows = (tmp_path / "fib_fibers.csv").read_text().splitlines()[1:]
+    assert len(rows) == 4 * 2               # k_grid * s values
+    k = [float(row.split(",")[0]) for row in rows]
+    assert max(map(abs, k)) <= np.pi        # the k-grid spans the zone
+
+
+@pytest.mark.parametrize("plant,failing", [
+    ("zero_eigenvalue", {"fiber_lower_bound", "envelope_spread_10x"}),
+    ("no_decay", {"envelope_spread_10x"}),
+])
+def test_fiber_check_checks_fail_on_planted_defects(tmp_path, capsys,
+                                                    monkeypatch, plant,
+                                                    failing):
+    # a fiber spectrum shifted down to 0 breaks the floor, and the flow of
+    # the lowest pair no longer decays; a remainder that does not decay in s
+    # outgrows the envelope 1/s by 16x over s = 0.25..4
+    from parahom.linalg import HermitianFlow
+
+    real_flow, real_rem = cli.fb.partial_flow, cli.fb.fiber_remainder
+
+    def shifted(fiber, s):
+        flow = real_flow(fiber, s)
+        return HermitianFlow.from_eigh(flow.w - flow.w.min(), flow.v)
+
+    def frozen(cell, ng, fiber, s, flow=None):
+        rep = real_rem(cell, ng, fiber, s, flow)
+        nrm = real_rem(cell, ng, fiber, 0.25, flow)["remainder_norm"]
+        return {**rep, "remainder_norm": nrm,
+                "ratio_s_pos": nrm / rep["envelope_s_pos"]}
+
+    if plant == "zero_eigenvalue":
+        monkeypatch.setattr(cli.fb, "partial_flow", shifted)
+    else:
+        monkeypatch.setattr(cli.fb, "fiber_remainder", frozen)
+    cfg = _write(tmp_path, _FIBER_1D + "s = 0.25, 1.0, 4.0\n")
+    assert cli.main(["fiber-check", "--config", cfg, "--out",
+                     str(tmp_path)]) == 1
+    assert _failed_checks(capsys.readouterr().out) == failing
+
+
+def test_abstract_check_fails_on_planted_lower_orders(tmp_path, capsys,
+                                                      monkeypatch):
+    # every residual divided by tau^(1/2) decays half an order slower than
+    # the threshold approximation gives: all four order checks fail
+    real = cli.ab.dyadic_order_sweep
+
+    def slower(family, th, theta):
+        return [(tau, {key: val / np.sqrt(tau) for key, val in norms.items()})
+                for tau, norms in real(family, th, theta)]
+
+    monkeypatch.setattr(cli.ab, "dyadic_order_sweep", slower)
+    cfg = _write(tmp_path, "[run]\nseed = 5\n[abstract]\ncount = 2\ndim = 8\n"
+                 "n_max = 2\n")
+    assert cli.main(["abstract-check", "--config", cfg, "--out",
+                     str(tmp_path)]) == 1
+    assert _failed_checks(capsys.readouterr().out) == {
+        "order_F_minus_P", "order_F_minus_P_tauF1", "order_BF_minus_SP",
+        "order_BF_minus_SP_K"}
+
+
+_EVOLVE_1D = """
+[run]
+seed = 4
+[problem]
+preset = osc1d
+n_modes = 8
+[truncation]
+n_modes = 8
+[evolve]
+eps = 0.25
+n_cells = 8
+"""
+
+
+def test_evolve_with_a_constant_source(tmp_path):
+    cfg = _write(tmp_path, _EVOLVE_1D + "s = 0.3\nsource = constant\n"
+                 "steps = 128\n[output]\nprefix = evo\n")
+    assert cli.main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 0
+    header, row = (tmp_path / "evo_evolve.csv").read_text().splitlines()
+    drift = float(dict(zip(header.split(","), row.split(",")))["quad_drift"])
+    assert 0.0 < drift < 1e-3
+
+
+def test_evolve_check_fails_on_a_planted_sign_flip(tmp_path, capsys,
+                                                   monkeypatch):
+    # the corrector with its sign flipped doubles the error it should remove
+    real = cli.ev.duhamel_solve
+
+    def flipped(setup, phi, source, s, **kwargs):
+        rep = real(setup, phi, source, s, **kwargs)
+        wrong = 2.0 * rep["u0"] - rep["corrected"]
+        return {**rep, "err_corrected": setup.box_norm(rep["u_eps"] - wrong)}
+
+    monkeypatch.setattr(cli.ev, "duhamel_solve", flipped)
+    cfg = _write(tmp_path, _EVOLVE_1D + "s = 0.3, 0.6\n")
+    assert cli.main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert _failed_checks(capsys.readouterr().out) == {
+        "corrected_below_principal_s0.3", "corrected_below_principal_s0.6"}
+
+
+@pytest.mark.parametrize("plant,failing", [
+    ("Psi", {"lambda_is_i_psi"}),
+    ("g0", {"g0_match"}),
+    ("V1", {"V_match"}),
+    ("W", {"W_match"}),
+    ("N22", {"N_match"}),
+])
+def test_scalar_example_checks_fail_on_planted_defects(tmp_path, capsys,
+                                                       monkeypatch, plant,
+                                                       failing):
+    # each closed-form value moved by 1e-3 fails the one check that compares
+    # it with the generic pipeline
+    import dataclasses
+
+    real_eff, real_n = cli.se.scalar_effective, cli.se.scalar_N_coefficients
+
+    def planted_eff(inp, problem, trunc):
+        eff = real_eff(inp, problem, trunc)
+        return dataclasses.replace(eff, **{plant: getattr(eff, plant) + 1e-3})
+
+    def planted_n(inp, eff):
+        coeffs = real_n(inp, eff)
+        return {**coeffs, "N22": coeffs["N22"] + 1e-3}
+
+    if plant == "N22":
+        monkeypatch.setattr(cli.se, "scalar_N_coefficients", planted_n)
+    else:
+        monkeypatch.setattr(cli.se, "scalar_effective", planted_eff)
+    cfg = _write(tmp_path, "[run]\nseed = 3\n[scalar]\nd = 2\n"
+                 "[truncation]\nn_modes = 6\n")
+    assert cli.main(["scalar-example", "--config", cfg, "--out",
+                     str(tmp_path)]) == 1
+    assert _failed_checks(capsys.readouterr().out) == failing
